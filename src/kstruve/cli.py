@@ -65,7 +65,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _meta_line(args: argparse.Namespace, skip=("func", "config")) -> str:
+def _meta_line(args: argparse.Namespace, skip=("config",)) -> str:
     items = []
     for key in sorted(vars(args)):
         if key in skip:
@@ -264,6 +264,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "eval": cmd_eval,
+    "solve": cmd_solve,
+    "validate": cmd_validate,
+    "figures": cmd_figures,
+    "sweep": cmd_sweep,
+}
+
+
 def _add_policy_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-terms", type=int, default=50, help="series term budget")
     sub.add_argument("--rel-tol", type=float, default=1e-16, help="series stop tolerance")
@@ -285,7 +294,8 @@ def _add_grid_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-points", type=int, default=4096, help="grid points on (0, t_max]")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers it dispatches to."""
     parser = argparse.ArgumentParser(
         prog="kstruve",
         description="k-Struve functions and fractional kinetic equation solvers",
@@ -311,14 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--u", type=_float_list, default=[0.5])
     p_eval.add_argument("--out", default="eval")
     _add_policy_args(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_solve = subs.add_parser("solve", help="closed-form kinetic solution to CSV")
     _add_problem_args(p_solve)
     _add_grid_args(p_solve)
     _add_policy_args(p_solve)
     p_solve.add_argument("--out", default="solve")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_val = subs.add_parser("validate", help="adjudicate closed forms against the Volterra oracle")
     _add_problem_args(p_val)
@@ -326,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_args(p_val)
     p_val.add_argument("--tol", type=float, default=1e-3, help="relative tolerance at t_max")
     p_val.add_argument("--out", default="validate")
-    p_val.set_defaults(func=cmd_validate)
 
     p_fig = subs.add_parser("figures", help="emit the six figure CSV/SVG pairs")
     p_fig.add_argument("--which", default="all", choices=("all", "1", "2", "3", "4", "5", "6"))
@@ -334,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--n-points", type=int, default=500)
     p_fig.add_argument("--format", default="both", choices=("csv", "svg", "both"))
     p_fig.add_argument("--out-dir", default=".")
-    p_fig.set_defaults(func=cmd_figures)
 
     p_sweep = subs.add_parser("sweep", help="sweep one problem parameter, long-format CSV")
     p_sweep.add_argument("--param", required=True, help=f"one of {_SWEEPABLE}")
@@ -343,14 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p_sweep)
     _add_policy_args(p_sweep)
     p_sweep.add_argument("--out", default="sweep")
-    p_sweep.set_defaults(func=cmd_sweep)
-    return parser
+    return parser, [p_eval, p_solve, p_val, p_fig, p_sweep]
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Resolve --config key=value defaults; explicit flags still override."""
+def _apply_config(subcommands: list[argparse.ArgumentParser], argv: list[str]) -> None:
+    """Resolve --config key=value defaults; explicit flags still override.
+
+    Each subcommand takes the keys it has an option for and ignores the rest.
+    The values stay strings: argparse converts a string default with the
+    option's type when the flag is not given.
+    """
     if "--config" not in argv:
-        return argv
+        return
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise DomainError("--config requires a path")
@@ -369,26 +379,20 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             raise DomainError(f"malformed config line (expected key=value): {line!r}")
         key, value = line.split("=", 1)
         defaults[key.strip().replace("-", "_")] = value.strip()
-    for sub_action in parser._subparsers._group_actions:
-        for sub in sub_action.choices.values():
-            known = {a.dest: a for a in sub._actions}
-            casted = {}
-            for key, value in defaults.items():
-                if key in known:
-                    action = known[key]
-                    caster = action.type or str
-                    casted[key] = caster(value)
-            sub.set_defaults(**casted)
-    return argv
+    for sub in subcommands:
+        # every optional flag has a non-None default; a required flag takes none
+        sub.set_defaults(
+            **{key: value for key, value in defaults.items() if sub.get_default(key) is not None}
+        )
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, subcommands = build_parser()
     try:
-        argv = _apply_config(parser, argv)
+        _apply_config(subcommands, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -29,7 +29,6 @@ from .specfun import (
     TruncationPolicy,
     _signed_log_gamma,
     k_struve,
-    log_k_gamma,
     mittag_leffler,
 )
 from .transforms import (
@@ -250,29 +249,30 @@ def solve_closed_form(
     x, ml_arg, ml_shift, over_t = _variant_inputs(p, t, variant)
     log_pref_base = np.log(x / 2.0)
     log_t = np.log(t)
-    log_abs_c = math.log(abs(p.c)) if p.c != 0 else -math.inf
+    log_k = math.log(p.k)
+    log_abs_c = math.log(abs(p.c)) if p.c != 0 else 0.0
     c_step = -1.0 if p.c > 0 else 1.0
 
     totals = np.zeros(n)
     carry = np.zeros(n)
     terms_used = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
-    for r in range(pol.max_terms):
+    # at c = 0 only the r = 0 term is nonzero, so the series is exact after it
+    for r in range(pol.max_terms if p.c != 0 else 1):
         if not active.any():
-            break
-        if p.c == 0 and r > 0:
             break
         big = p.nu * (2 * r + q + 1) + 1.0  # Gamma argument of the resummed coefficient
         sign_big, log_big = _signed_log_gamma(big)
         if sign_big == 0.0:
             terms_used[active] = r + 1
             continue
+        # ln Gamma_k(r k + mu + 3k/2) = (r + q + 1/2) ln k + ln Gamma(r + q + 3/2)
         log_coeff = (
-            (r * log_abs_c if p.c != 0 else 0.0)
-            - log_k_gamma(r * p.k + p.mu + 1.5 * p.k, p.k)
+            r * log_abs_c
+            - ((r + q + 0.5) * log_k + math.lgamma(r + q + 1.5))
             - math.lgamma(r + 1.5)
         )
-        sign = (c_step ** r if p.c != 0 else 1.0) * sign_big
+        sign = c_step ** r * sign_big
         beta = p.nu * (2 * r + q) + 1.0 + ml_shift
         # scaled Mittag-Leffler: sum_m z^m exp(logGamma(big) - logGamma(nu*m+beta))
         weights = np.empty(pol.max_terms)
@@ -308,7 +308,7 @@ def solve_closed_form(
         values=values,
         variant=variant,
         terms_used=terms_used,
-        truncation_flag=active.copy(),
+        truncation_flag=active & (p.c != 0),
     )
 
 

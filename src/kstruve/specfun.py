@@ -1,9 +1,12 @@
 """Scalar special-function kernels.
 
-Gamma, k-Gamma, Struve, k-Struve, Mittag-Leffler and Fox-Wright functions,
-all evaluated as guarded truncated series.  Every series term is assembled in
-log space with an explicit sign bit (naive Gamma products overflow doubles
-well inside a 50-term sum) and accumulated with compensated summation.
+Gamma, k-Gamma, Struve, k-Struve, Mittag-Leffler and Fox-Wright functions.
+Each series is a Wright-type power series: a prefactor times
+sum_n z^n prod Gamma(a + A n) / prod Gamma(b + B n).  One guarded loop sums
+them all.  It assembles every term in log space with an explicit sign bit
+(naive Gamma products overflow doubles well inside a 50-term sum) and
+accumulates with compensated summation.  k-Struve is the classical Struve
+series with a rescaled argument.
 """
 
 from __future__ import annotations
@@ -122,22 +125,6 @@ class WrightParams:
         return math.exp(log_r)
 
 
-class _KahanSum:
-    """Compensated running sum; alternating series lose digits otherwise."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self):
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, value: float) -> None:
-        value += self.carry
-        previous = self.total
-        self.total += value
-        self.carry = value - (self.total - previous)
-
-
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if not (isinstance(x, (int, float)) and math.isfinite(x)):
@@ -175,35 +162,68 @@ def k_gamma(gamma: float, k: float) -> float:
     return math.exp(log_k_gamma(gamma, k))
 
 
-def _sum_series(terms, pol: TruncationPolicy, what: str) -> tuple[float, int, list[float]]:
-    """Sum (log_magnitude, sign) pairs under the policy's stop rules.
+def _wright_series(
+    what: str,
+    z: float,
+    upper: tuple[tuple[float, float], ...],
+    lower: tuple[tuple[float, float], ...],
+    pol: TruncationPolicy,
+    log_pref: float = 0.0,
+    sign_pref: float = 1.0,
+) -> tuple[float, int, list[float]]:
+    """sign_pref e^log_pref sum_n z^n prod Gamma(a + A n) / prod Gamma(b + B n).
 
-    Returns (value, terms_used, signed_term_values).  ``sign == 0`` marks a
-    term suppressed by a Gamma pole; it still counts toward max_terms.
+    ``upper`` and ``lower`` hold the (a, A) and (b, B) pairs.  Summation
+    stops under the policy's rules.  A Gamma pole in an upper factor is a
+    DomainError.  A pole in a lower factor zeroes the term (1/Gamma continued
+    analytically), and the term still counts toward max_terms.  At z == 0
+    the series is exact after its n = 0 term.
+
+    Returns (value, terms_used, signed_term_values).
     """
-    acc = _KahanSum()
-    used = 0
-    values: list[float] = []
-    for log_mag, sign in terms:
-        used += 1
-        if sign == 0.0:
-            values.append(0.0)
-            if used >= pol.max_terms:
+    log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
+    z_sign = -1.0 if z < 0 else 1.0
+    total = carry = 0.0
+    terms: list[float] = []
+    for n in range(pol.max_terms if z != 0.0 else 1):
+        log_up = log_low = 0.0
+        sign = sign_pref * z_sign ** n
+        for a, step in upper:
+            g_sign, g_log = _signed_log_gamma(a + step * n)
+            if g_sign == 0.0:
+                raise DomainError(
+                    f"Gamma pole in a numerator factor at term {n}: argument {a + step * n}"
+                )
+            log_up += g_log
+            sign *= g_sign
+        for b, step in lower:
+            g_sign, g_log = _signed_log_gamma(b + step * n)
+            if g_sign == 0.0:
+                sign = 0.0
                 break
+            log_low += g_log
+            sign *= g_sign
+        if sign == 0.0:
+            terms.append(0.0)
             continue
+        # each side's log-Gammas are summed apart, so that matching upper and
+        # lower factors cancel before the power is added
+        log_mag = log_pref + n * log_abs_z + (log_up - log_low)
         if log_mag > pol.overflow_guard:
             raise ConvergenceError(
-                f"{what}: term {used - 1} has log-magnitude {log_mag:.3g} "
+                f"{what}: term {n} has log-magnitude {log_mag:.3g} "
                 f"exceeding the overflow guard {pol.overflow_guard:.3g}"
             )
         term = sign * math.exp(log_mag)
-        acc.add(term)
-        values.append(term)
-        if acc.total != 0.0 and abs(term) <= pol.rel_tol * abs(acc.total):
+        terms.append(term)
+        # Kahan step: alternating series lose digits otherwise
+        compensated = term + carry
+        previous = total
+        total += compensated
+        carry = compensated - (total - previous)
+        if total != 0.0 and abs(term) <= pol.rel_tol * abs(total):
             break
-        if used >= pol.max_terms:
-            break
-    return acc.total, used, values
+    return total, len(terms), terms
 
 
 _DEFAULT_POLICY = TruncationPolicy()
@@ -224,17 +244,13 @@ def struve_h_info(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY):
             f"struve_h at x < 0 requires an integer order (fractional power of a "
             f"negative base), got p={p}, x={x}"
         )
-    log_half_x = math.log(abs(x) / 2.0)
-    base_sign = -1.0 if (x < 0 and int(p) % 2 == 0) else 1.0
-
-    def terms():
-        for r in range(pol.max_terms):
-            exponent = 2 * r + p + 1
-            log_mag = exponent * log_half_x - math.lgamma(r + 1.5) - math.lgamma(r + p + 1.5)
-            sign = (1.0 if r % 2 == 0 else -1.0) * base_sign
-            yield log_mag, sign
-
-    value, used, _ = _sum_series(terms(), pol, "struve_h")
+    half_x = abs(x) / 2.0
+    # H_p(-x) = (-1)^(p+1) H_p(x) for integer p
+    sign = -1.0 if (x < 0 and int(p) % 2 == 0) else 1.0
+    value, used, _ = _wright_series(
+        "struve_h", -half_x * half_x, (), ((1.5, 1.0), (p + 1.5, 1.0)), pol,
+        (p + 1.0) * math.log(half_x), sign,
+    )
     return value, used
 
 
@@ -243,7 +259,15 @@ def struve_h(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY) -> flo
 
 
 def k_struve_info(params: KStruveParams, x: float, pol: TruncationPolicy = _DEFAULT_POLICY):
-    """k-Struve function; returns (value, terms_used)."""
+    """k-Struve function; returns (value, terms_used).
+
+    With Gamma_k(r k + nu + 3k/2) = k^(r + q + 1/2) Gamma(r + q + 3/2),
+    q = nu/k, the series is the classical Struve series rescaled:
+    S^k_{nu,c}(x) = k^-(q+1/2) (k/|c|)^((q+1)/2) H_q(x sqrt(|c|/k)) for c > 0,
+    the modified Struve L_q in place of H_q for c < 0, and the single r = 0
+    term at c = 0.  All three are the sum
+    k^-(q+1/2) (x/2)^(q+1) sum_r (-c x^2/(4k))^r / (Gamma(r+3/2) Gamma(r+q+3/2)).
+    """
     if not math.isfinite(x):
         raise DomainError("x must be finite")
     if x < 0:
@@ -253,25 +277,11 @@ def k_struve_info(params: KStruveParams, x: float, pol: TruncationPolicy = _DEFA
         if q + 1 <= 0:
             raise DomainError(f"k_struve at x=0 needs nu/k > -1, got nu/k={q}")
         return 0.0, 1
-    k, nu, c = params.k, params.nu, params.c
-    log_half_x = math.log(x / 2.0)
-    log_abs_c = math.log(abs(c)) if c != 0 else -math.inf
-    c_sign = -1.0 if c > 0 else 1.0  # sign contributed per power of (-c)
-
-    def terms():
-        for r in range(pol.max_terms):
-            if c == 0 and r > 0:
-                yield -math.inf, 0.0
-                continue
-            log_mag = (
-                r * log_abs_c
-                - log_k_gamma(r * k + nu + 1.5 * k, k)
-                - math.lgamma(r + 1.5)
-                + (2 * r + q + 1) * log_half_x
-            )
-            yield log_mag, c_sign ** r if c != 0 else (1.0 if r == 0 else 0.0)
-
-    value, used, _ = _sum_series(terms(), pol, "k_struve")
+    k = params.k
+    value, used, _ = _wright_series(
+        "k_struve", -params.c * x * x / (4.0 * k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
+        (q + 1.0) * math.log(x / 2.0) - (q + 0.5) * math.log(k),
+    )
     return value, used
 
 
@@ -294,21 +304,7 @@ def mittag_leffler_info(
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
     if not (math.isfinite(beta) and math.isfinite(z)):
         raise DomainError("beta and z must be finite")
-    if z == 0.0:
-        sign, log_mag = _signed_log_gamma(beta)
-        return (0.0 if sign == 0.0 else sign * math.exp(-log_mag)), 1
-    log_abs_z = math.log(abs(z))
-    z_sign = 1.0 if z > 0 else -1.0
-
-    def terms():
-        for n in range(pol.max_terms):
-            g_sign, g_log = _signed_log_gamma(alpha * n + beta)
-            if g_sign == 0.0:
-                yield -math.inf, 0.0
-                continue
-            yield n * log_abs_z - g_log, (z_sign ** n) * g_sign
-
-    value, used, _ = _sum_series(terms(), pol, "mittag_leffler")
+    value, used, _ = _wright_series("mittag_leffler", z, (), ((beta, alpha),), pol)
     return value, used
 
 
@@ -354,41 +350,8 @@ def fox_wright_info(w: WrightParams, z: float, pol: TruncationPolicy = _DEFAULT_
             f"argument |z|={abs(z)} outside the convergence radius {w.radius} "
             "of a borderline (delta == 0) series"
         )
-    log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
-    z_sign = 1.0 if z >= 0 else -1.0
-
-    def terms():
-        for n in range(pol.max_terms):
-            if z == 0 and n > 0:
-                yield -math.inf, 0.0
-                continue
-            log_mag = -math.lgamma(n + 1)
-            sign = z_sign ** n
-            if n > 0:
-                log_mag += n * log_abs_z
-            pole = False
-            for a, step in w.upper:
-                g_sign, g_log = _signed_log_gamma(a + step * n)
-                if g_sign == 0.0:
-                    raise DomainError(
-                        f"Gamma pole in a numerator factor at term {n}: "
-                        f"argument {a + step * n}"
-                    )
-                log_mag += g_log
-                sign *= g_sign
-            for b, step in w.lower:
-                g_sign, g_log = _signed_log_gamma(b + step * n)
-                if g_sign == 0.0:
-                    pole = True
-                    break
-                log_mag -= g_log
-                sign *= g_sign
-            if pole:
-                yield -math.inf, 0.0
-            else:
-                yield log_mag, sign
-
-    value, used, signed = _sum_series(terms(), pol, "fox_wright")
+    # the (1, 1) lower pair is the n! of the series
+    value, used, signed = _wright_series("fox_wright", z, w.upper, w.lower + ((1.0, 1.0),), pol)
     if used < pol.max_terms or w.delta > 0 or z == 0:
         return value, used
     # Borderline series truncated without meeting the stop rule: accelerate

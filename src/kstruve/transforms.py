@@ -103,17 +103,13 @@ def sumudu_numeric(f, u: float, q: QuadratureSpec = QuadratureSpec()) -> float:
         raise DomainError(f"u must be a positive real, got {u!r}")
     if q.scheme == "gauss_laguerre":
         nodes, weights = _laguerre_rule(q.node_count)
-        total = 0.0
-        carry = 0.0
+        weighted = []
         for t, w in zip(nodes, weights):
             v = f(u * t)
             if not math.isfinite(v):
                 raise QuadratureError(f"integrand non-finite at node t={t!r}")
-            term = w * v + carry
-            prev = total
-            total += term
-            carry = term - (total - prev)
-        return total
+            weighted.append(w * v)
+        return math.fsum(weighted)
     value, _ = quad(
         lambda t: math.exp(-t) * f(u * t),
         0.0,

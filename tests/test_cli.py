@@ -108,6 +108,11 @@ class TestValidate:
         # the re-derived variant tracks the oracle, the verbatim one does not
         assert float(rows[-1][5]) < 1e-3 < float(rows[-1][4])
 
+    def test_c_zero_forcing_is_finite(self, tmp_path):
+        rc = main(["validate", "--c", "0", "--n-points", "64", "--out", str(tmp_path / "val")])
+        assert rc != EXIT_INPUT
+        assert rc == EXIT_OK
+
     def test_disagreement_exit_code(self, tmp_path):
         rc = main(
             [
@@ -194,6 +199,14 @@ class TestConfig:
         cfg.write_text("this is not a pair\n", encoding="utf-8")
         rc = main(["--config", str(cfg), "solve"])
         assert rc == EXIT_INPUT
+
+    def test_bad_config_value_is_usage_error(self, tmp_path):
+        # an option of another subcommand is ignored, a bad value of this one is a usage error
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("x = zebra\nnu = abc\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "solve", "--out", str(tmp_path / "sol")])
+        assert exc.value.code == 2
 
 
 class TestOutputContract:

@@ -116,6 +116,14 @@ class TestClosedForm:
         sol = solve_closed_form(_problem(), grid, "sumudu_consistent", TruncationPolicy(max_terms=2))
         assert sol.truncation_flag.any()
 
+    @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
+    def test_c_zero_is_exact_after_one_term(self, variant):
+        grid = TimeGrid(t_max=1.0, n_points=8)
+        sol = solve_closed_form(_problem(c=0.0), grid, variant, POL)
+        assert np.all(np.isfinite(sol.values))
+        assert not sol.truncation_flag.any()
+        assert np.all(sol.terms_used == 1)
+
     def test_scales_linearly_in_n0(self):
         grid = TimeGrid(t_max=1.0, n_points=8)
         one = solve_closed_form(_problem(n0=1.0), grid, "sumudu_consistent", POL)

@@ -16,7 +16,9 @@ from kstruve.specfun import (
     k_struve_info,
     log_gamma,
     log_k_gamma,
+    fox_wright_info,
     mittag_leffler,
+    mittag_leffler_info,
     struve_h,
     struve_h_info,
 )
@@ -178,6 +180,30 @@ class TestKStruve:
         _, used = k_struve_info(KStruveParams(k=1.0, nu=1.0), 0.5, tight)
         assert 1 <= used < tight.max_terms
 
+    def test_c_zero_is_single_term(self):
+        # only r = 0 survives: k^-(q+1/2) (x/2)^(q+1) / (Gamma(3/2) Gamma(q+3/2))
+        k, nu, x = 2.0, 1.0, 1.5
+        q = nu / k
+        expect = k ** -(q + 0.5) * (x / 2) ** (q + 1) / (math.gamma(1.5) * math.gamma(q + 1.5))
+        value, used = k_struve_info(KStruveParams(k=k, nu=nu, c=0.0), x)
+        assert value == pytest.approx(expect, rel=1e-14)
+        assert used == 1
+
+    @pytest.mark.parametrize("k,nu,c", [(1.0, 0.7, -1.0), (2.0, 1.0, -0.5), (0.5, -0.4, -1.3)])
+    def test_negative_c_is_modified_struve(self, tight, k, nu, c):
+        # S^k_{nu,c}(x) = k^-(q+1/2) (k/|c|)^((q+1)/2) L_q(x sqrt(|c|/k)) for c < 0
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        q = mp.mpf(nu) / k
+        for x in (0.3, 1.0, 4.0):
+            ref = k ** -(q + 0.5) * (k / mp.mpf(-c)) ** ((q + 1) / 2) * mp.struvel(
+                q, x * mp.sqrt(-c / mp.mpf(k))
+            )
+            assert k_struve(KStruveParams(k=k, nu=nu, c=c), x, tight) == pytest.approx(
+                float(ref), rel=1e-13
+            )
+
     def test_stop_rule_binds_not_max_terms(self):
         # raising max_terms from 50 to 200 must not move the value when
         # rel_tol triggers first
@@ -215,6 +241,11 @@ class TestMittagLeffler:
         with pytest.raises(DomainError):
             mittag_leffler(0.0, 1.0, 1.0)
 
+    def test_zero_argument_is_single_term(self):
+        assert mittag_leffler_info(0.5, 1.5, 0.0) == (pytest.approx(1 / math.gamma(1.5)), 1)
+        # 1/Gamma(-1) = 0
+        assert mittag_leffler_info(0.5, -1.0, 0.0) == (0.0, 1)
+
     def test_stop_rule_binds_not_max_terms(self):
         v50 = mittag_leffler(0.9, 1.0, -0.8, TruncationPolicy(max_terms=50))
         v200 = mittag_leffler(0.9, 1.0, -0.8, TruncationPolicy(max_terms=200))
@@ -241,6 +272,15 @@ class TestFoxWright:
             assert fox_wright(w, z, tight) == pytest.approx(
                 mittag_leffler(alpha, beta, z, tight), rel=1e-12
             )
+
+    def test_zero_argument_is_single_term(self):
+        w = WrightParams(upper=((2.5, 2.0),), lower=((1.5, 1.0),))
+        value, used = fox_wright_info(w, 0.0)
+        assert value == pytest.approx(math.gamma(2.5) / math.gamma(1.5), rel=1e-15)
+        assert used == 1
+        # a pole of a denominator Gamma zeroes the only term
+        pole = WrightParams(upper=((1.0, 1.0),), lower=((-1.0, 0.5),))
+        assert fox_wright_info(pole, 0.0) == (0.0, 1)
 
     def test_divergent_params_rejected(self):
         with pytest.raises(DomainError):
