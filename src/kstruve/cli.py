@@ -36,7 +36,7 @@ from .specfun import (
     struve_h_info,
 )
 from .svgplot import render_line_chart
-from .transforms import TimeGrid, sumudu_kstruve_closed
+from .transforms import TimeGrid, _sumudu_kstruve_image
 
 __all__ = ["main"]
 
@@ -130,7 +130,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:  # sumudu_kstruve
         params = KStruveParams(k=args.k, nu=args.nu, c=args.c)
         for x in args.u:
-            rows.append((x, sumudu_kstruve_closed(params, x, pol), pol.max_terms))
+            value, used = _sumudu_kstruve_image(params, x, pol)
+            rows.append((x, value, used))
     path = f"{args.out}.csv"
     _write_atomic(path, _csv(_meta_line(args), "x,value,terms_used", rows))
     print(path)

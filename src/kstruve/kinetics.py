@@ -101,7 +101,8 @@ class KineticProblem:
     def struve_params(self) -> KStruveParams:
         return KStruveParams(k=self.k, nu=self.mu, c=self.c)
 
-    def forcing_argument(self, t: float) -> float:
+    def forcing_argument(self, t: float | np.ndarray) -> float | np.ndarray:
+        """k-Struve argument at time t, a float or an ndarray of times."""
         if self.forcing == "thm1":
             return (self.d * t) ** self.nu
         if self.forcing == "thm2":
@@ -110,9 +111,10 @@ class KineticProblem:
             return t ** self.nu
         raise DomainError("constant forcing has no k-Struve argument")
 
-    def forcing_value(self, t: float, pol: TruncationPolicy) -> float:
+    def forcing_value(self, t: float | np.ndarray, pol: TruncationPolicy) -> float | np.ndarray:
+        """Forcing at time t; a 1-D ndarray of times gives an ndarray in one call."""
         if self.forcing == "constant":
-            return self.n0
+            return np.full(t.shape, self.n0) if isinstance(t, np.ndarray) else self.n0
         return self.n0 * k_struve(self.struve_params(), self.forcing_argument(t), pol)
 
     def forcing_at_zero(self) -> float:
@@ -234,9 +236,7 @@ def solve_closed_form(
     n = grid.n_points
     if p.forcing == "constant":
         # geometric resummation of the unit-forcing series, exact for both variants
-        values = np.array(
-            [p.n0 * mittag_leffler(p.nu, 1.0, -((p.d * ti) ** p.nu), pol) for ti in t]
-        )
+        values = p.n0 * mittag_leffler(p.nu, 1.0, -((p.d * t) ** p.nu), pol)
         return SeriesSolution(
             grid=grid,
             values=values,
@@ -401,7 +401,8 @@ def volterra_oracle(
 ) -> OracleResult:
     """Solve the kinetic equation directly as a linear Volterra recurrence.
 
-    Uses the product-trapezoidal Riemann-Liouville weights node by node:
+    The forcing F is evaluated on the whole grid in one array call.  The
+    product-trapezoidal Riemann-Liouville weights are applied node by node:
     N_i = (F_i - d^nu * sum_{j<i} w_ij N_j) / (1 + d^nu * w_ii).  The
     residual norm is recomputed a posteriori by re-applying the fractional
     integral to the solution.
@@ -410,7 +411,7 @@ def volterra_oracle(
     h = grid.spacing
     t = grid.points()
     dn = p.d ** p.nu
-    forcing = np.array([p.forcing_value(ti, pol) for ti in t])
+    forcing = p.forcing_value(t, pol)
     n_zero = p.forcing_at_zero()
 
     scale = rl_weight_scale(p.nu, h)

@@ -1,4 +1,4 @@
-"""Scalar special-function kernels.
+"""Special-function kernels.
 
 Gamma, k-Gamma, Struve, k-Struve, Mittag-Leffler and Fox-Wright functions.
 Each series is a Wright-type power series: a prefactor times
@@ -6,13 +6,16 @@ sum_n z^n prod Gamma(a + A n) / prod Gamma(b + B n).  One guarded loop sums
 them all.  It assembles every term in log space with an explicit sign bit
 (naive Gamma products overflow doubles well inside a 50-term sum) and
 accumulates with compensated summation.  k-Struve is the classical Struve
-series with a rescaled argument.
+series with a rescaled argument.  An array form of the loop sums a whole
+grid of arguments at once for ``k_struve`` and ``mittag_leffler``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -162,6 +165,44 @@ def k_gamma(gamma: float, k: float) -> float:
     return math.exp(log_k_gamma(gamma, k))
 
 
+def _term_gamma_ratio(
+    n: int,
+    upper: tuple[tuple[float, float], ...],
+    lower: tuple[tuple[float, float], ...],
+) -> tuple[float, float]:
+    """Sign and log-magnitude of prod Gamma(a + A n) / prod Gamma(b + B n).
+
+    A Gamma pole in an upper factor is a DomainError.  A pole in a lower
+    factor gives sign 0 (1/Gamma continued analytically).
+    """
+    log_up = log_low = 0.0
+    sign = 1.0
+    # positive arguments, the common case, skip the call to _signed_log_gamma
+    for a, step in upper:
+        x = a + step * n
+        if x > 0:
+            log_up += math.lgamma(x)
+            continue
+        g_sign, g_log = _signed_log_gamma(x)
+        if g_sign == 0.0:
+            raise DomainError(f"Gamma pole in a numerator factor at term {n}: argument {x}")
+        log_up += g_log
+        sign *= g_sign
+    for b, step in lower:
+        x = b + step * n
+        if x > 0:
+            log_low += math.lgamma(x)
+            continue
+        g_sign, g_log = _signed_log_gamma(x)
+        if g_sign == 0.0:
+            return 0.0, 0.0
+        log_low += g_log
+        sign *= g_sign
+    # each side's log-Gammas are summed apart, so that matching upper and
+    # lower factors cancel before the power is added
+    return sign, log_up - log_low
+
+
 def _wright_series(
     what: str,
     z: float,
@@ -186,35 +227,17 @@ def _wright_series(
     total = carry = 0.0
     terms: list[float] = []
     for n in range(pol.max_terms if z != 0.0 else 1):
-        log_up = log_low = 0.0
-        sign = sign_pref * z_sign ** n
-        for a, step in upper:
-            g_sign, g_log = _signed_log_gamma(a + step * n)
-            if g_sign == 0.0:
-                raise DomainError(
-                    f"Gamma pole in a numerator factor at term {n}: argument {a + step * n}"
-                )
-            log_up += g_log
-            sign *= g_sign
-        for b, step in lower:
-            g_sign, g_log = _signed_log_gamma(b + step * n)
-            if g_sign == 0.0:
-                sign = 0.0
-                break
-            log_low += g_log
-            sign *= g_sign
-        if sign == 0.0:
+        g_sign, log_ratio = _term_gamma_ratio(n, upper, lower)
+        if g_sign == 0.0:
             terms.append(0.0)
             continue
-        # each side's log-Gammas are summed apart, so that matching upper and
-        # lower factors cancel before the power is added
-        log_mag = log_pref + n * log_abs_z + (log_up - log_low)
+        log_mag = log_pref + n * log_abs_z + log_ratio
         if log_mag > pol.overflow_guard:
             raise ConvergenceError(
                 f"{what}: term {n} has log-magnitude {log_mag:.3g} "
                 f"exceeding the overflow guard {pol.overflow_guard:.3g}"
             )
-        term = sign * math.exp(log_mag)
+        term = sign_pref * z_sign ** n * g_sign * math.exp(log_mag)
         terms.append(term)
         # Kahan step: alternating series lose digits otherwise
         compensated = term + carry
@@ -224,6 +247,85 @@ def _wright_series(
         if total != 0.0 and abs(term) <= pol.rel_tol * abs(total):
             break
     return total, len(terms), terms
+
+
+def _scalar_logs(v: np.ndarray) -> np.ndarray:
+    """math.log at every element of v, as the scalar loop computes its logs.
+
+    numpy's log can differ from it by an ulp, and the term index multiplies
+    that error in n log|z|; with the same logs the two loops' terms differ
+    only by the last bit of exp.
+    """
+    return np.fromiter(map(math.log, v.tolist()), float, v.size)
+
+
+def _wright_series_array(
+    what: str,
+    z: np.ndarray,
+    upper: tuple[tuple[float, float], ...],
+    lower: tuple[tuple[float, float], ...],
+    pol: TruncationPolicy,
+    log_pref: np.ndarray | float = 0.0,
+    sign_pref: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_wright_series`` at every node of a 1-D array z, with one stop mask per node.
+
+    Each node follows the scalar loop's arithmetic and stop rules.  The
+    working arrays hold only the nodes still summing, so a converged node
+    costs nothing further.  The overflow guard raises if any of them trips
+    it.  Returns (values, terms_used).
+    """
+    values = np.zeros(z.shape)
+    used = np.full(z.shape, pol.max_terms)
+    nonzero = z != 0.0
+    log_abs_z = np.zeros(z.shape)
+    log_abs_z[nonzero] = _scalar_logs(np.abs(z[nonzero]))
+    z_sign = np.where(z < 0, -1.0, 1.0)
+    # the working set, indexed by node
+    nodes = np.arange(z.size)
+    log_pref = np.broadcast_to(log_pref, z.shape)
+    sign = np.full(z.shape, sign_pref)
+    total = np.zeros(z.shape)
+    carry = np.zeros(z.shape)
+    for n in range(pol.max_terms):
+        if nodes.size == 0:
+            break
+        g_sign, log_ratio = _term_gamma_ratio(n, upper, lower)
+        if g_sign == 0.0:
+            stop = np.zeros(nodes.size, dtype=bool)
+        else:
+            log_mag = log_pref + n * log_abs_z + log_ratio
+            peak = float(log_mag.max())
+            if peak > pol.overflow_guard:
+                raise ConvergenceError(
+                    f"{what}: term {n} has log-magnitude {peak:.3g} "
+                    f"exceeding the overflow guard {pol.overflow_guard:.3g}"
+                )
+            term = sign * g_sign * np.exp(log_mag)
+            compensated = term + carry
+            previous = total
+            total = total + compensated
+            carry = compensated - (total - previous)
+            stop = (total != 0.0) & (np.abs(term) <= pol.rel_tol * np.abs(total))
+        if n == 0:  # z == 0: exact after the n = 0 term
+            stop |= ~nonzero
+        if stop.any():
+            values[nodes[stop]] = total[stop]
+            used[nodes[stop]] = n + 1
+            keep = ~stop
+            nodes, log_pref, log_abs_z, z_sign, sign, total, carry = (
+                arr[keep] for arr in (nodes, log_pref, log_abs_z, z_sign, sign, total, carry)
+            )
+        sign = sign * z_sign
+    values[nodes] = total
+    return values, used
+
+
+def _check_nodes(x: np.ndarray, name: str) -> None:
+    if x.ndim != 1:
+        raise DomainError(f"array {name} must be 1-D, got {x.ndim} dimensions")
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} must be finite")
 
 
 _DEFAULT_POLICY = TruncationPolicy()
@@ -285,8 +387,43 @@ def k_struve_info(params: KStruveParams, x: float, pol: TruncationPolicy = _DEFA
     return value, used
 
 
-def k_struve(params: KStruveParams, x: float, pol: TruncationPolicy = _DEFAULT_POLICY) -> float:
+def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy):
+    """``k_struve_info`` at every node of a 1-D array x; returns (values, terms_used)."""
+    _check_nodes(x, "x")
+    if (x < 0).any():
+        raise DomainError(f"k_struve requires x >= 0, got {x.min()}")
+    q = params.order_ratio
+    positive = x > 0.0
+    if q + 1 <= 0 and not positive.all():
+        raise DomainError(f"k_struve at x=0 needs nu/k > -1, got nu/k={q}")
+    values = np.zeros(x.shape)
+    used = np.ones(x.shape, dtype=int)
+    xp = x[positive]
+    k = params.k
+    values[positive], used[positive] = _wright_series_array(
+        "k_struve", -params.c * xp * xp / (4.0 * k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
+        (q + 1.0) * _scalar_logs(xp / 2.0) - (q + 0.5) * math.log(k),
+    )
+    return values, used
+
+
+def k_struve(
+    params: KStruveParams, x: float | np.ndarray, pol: TruncationPolicy = _DEFAULT_POLICY
+) -> float | np.ndarray:
+    """k-Struve function at x >= 0 (see ``k_struve_info``).
+
+    A 1-D ndarray x is summed in one array pass and gives an ndarray.
+    """
+    if isinstance(x, np.ndarray):
+        return _k_struve_array(params, x, pol)[0]
     return k_struve_info(params, x, pol)[0]
+
+
+def _check_ml_params(alpha: float, beta: float) -> None:
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise DomainError(f"alpha must be > 0, got {alpha!r}")
+    if not math.isfinite(beta):
+        raise DomainError("beta must be finite")
 
 
 def mittag_leffler_info(
@@ -300,17 +437,29 @@ def mittag_leffler_info(
     and the overflow guard trips near 700.  The kinetic solvers only need
     z = -(d t)^nu on bounded time windows, well inside the envelope.
     """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be > 0, got {alpha!r}")
-    if not (math.isfinite(beta) and math.isfinite(z)):
-        raise DomainError("beta and z must be finite")
+    _check_ml_params(alpha, beta)
+    if not math.isfinite(z):
+        raise DomainError("z must be finite")
     value, used, _ = _wright_series("mittag_leffler", z, (), ((beta, alpha),), pol)
     return value, used
 
 
+def _mittag_leffler_array(alpha: float, beta: float, z: np.ndarray, pol: TruncationPolicy):
+    """``mittag_leffler_info`` at every node of a 1-D array z; returns (values, terms_used)."""
+    _check_ml_params(alpha, beta)
+    _check_nodes(z, "z")
+    return _wright_series_array("mittag_leffler", z, (), ((beta, alpha),), pol)
+
+
 def mittag_leffler(
-    alpha: float, beta: float, z: float, pol: TruncationPolicy = _DEFAULT_POLICY
-) -> float:
+    alpha: float, beta: float, z: float | np.ndarray, pol: TruncationPolicy = _DEFAULT_POLICY
+) -> float | np.ndarray:
+    """E_{alpha,beta}(z) (see ``mittag_leffler_info``).
+
+    A 1-D ndarray z is summed in one array pass and gives an ndarray.
+    """
+    if isinstance(z, np.ndarray):
+        return _mittag_leffler_array(alpha, beta, z, pol)[0]
     return mittag_leffler_info(alpha, beta, z, pol)[0]
 
 

@@ -22,6 +22,7 @@ from .specfun import (
     TruncationPolicy,
     WrightParams,
     fox_wright,
+    fox_wright_info,
 )
 
 __all__ = [
@@ -140,6 +141,23 @@ def _kstruve_image_params(params: KStruveParams) -> WrightParams:
     )
 
 
+def _sumudu_kstruve_image(
+    params: KStruveParams, u: float, pol: TruncationPolicy, scale: float = 1.0
+) -> tuple[float, int]:
+    """``sumudu_kstruve_closed`` and the terms its 2Psi2 series used."""
+    if not (u > 0 and math.isfinite(u)):
+        raise DomainError(f"u must be a positive real, got {u!r}")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise DomainError(f"scale must be a positive real, got {scale!r}")
+    ue = scale * u
+    q = params.order_ratio
+    wright = _kstruve_image_params(params)
+    z = -params.c * ue * ue / (4.0 * params.k)
+    prefactor = (ue / 2.0) ** (q + 1.0) * params.k ** (-0.5 - q)
+    value, used = fox_wright_info(wright, z, pol)
+    return prefactor * value, used
+
+
 def sumudu_kstruve_closed(
     params: KStruveParams,
     u: float,
@@ -152,16 +170,7 @@ def sumudu_kstruve_closed(
     at argument -c u^2/(4k).  ``scale`` transforms t -> S(scale*t): the image
     is the same expression evaluated at scale*u.
     """
-    if not (u > 0 and math.isfinite(u)):
-        raise DomainError(f"u must be a positive real, got {u!r}")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise DomainError(f"scale must be a positive real, got {scale!r}")
-    ue = scale * u
-    q = params.order_ratio
-    wright = _kstruve_image_params(params)
-    z = -params.c * ue * ue / (4.0 * params.k)
-    prefactor = (ue / 2.0) ** (q + 1.0) * params.k ** (-0.5 - q)
-    return prefactor * fox_wright(wright, z, pol)
+    return _sumudu_kstruve_image(params, u, pol, scale)[0]
 
 
 def inverse_sumudu_kstruve(

@@ -55,6 +55,14 @@ class TestEval:
         rows = _data_rows(_read(tmp_path / "ml.csv"))
         assert float(rows[0][1]) == pytest.approx(math.e, rel=1e-12)
 
+    def test_sumudu_image_reports_series_terms(self, tmp_path):
+        # the 2Psi2 series at z = -u^2/4 stops on the tolerance, not the budget
+        out = tmp_path / "su"
+        rc = main(["eval", "--fn", "sumudu_kstruve", "--u", "0.01,0.5", "--out", str(out)])
+        assert rc == EXIT_OK
+        rows = _data_rows(_read(tmp_path / "su.csv"))
+        assert [int(r[2]) for r in rows] == [5, 27]
+
     def test_domain_error_exit_code(self, tmp_path):
         rc = main(["eval", "--fn", "struve", "--p", "-2.0", "--x", "1.0", "--out", str(tmp_path / "bad")])
         assert rc == EXIT_INPUT

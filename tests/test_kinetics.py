@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kstruve import kinetics
 from kstruve.errors import DomainError
 from kstruve.kinetics import (
     FORCINGS,
@@ -103,6 +104,16 @@ class TestClosedForm:
             expect = 2.0 * mittag_leffler(0.7, 1.0, -((1.5 * ti) ** 0.7), POL)
             assert vi == pytest.approx(expect, rel=1e-12)
 
+    def test_constant_forcing_is_one_array_call(self, monkeypatch):
+        calls = []
+        real = kinetics.mittag_leffler
+        monkeypatch.setattr(
+            kinetics, "mittag_leffler", lambda *args: calls.append(args) or real(*args)
+        )
+        solve_closed_form(_problem(forcing="constant"), TimeGrid(t_max=1.0, n_points=64))
+        assert len(calls) == 1
+        assert calls[0][2].shape == (64,)
+
     def test_diagnostics_shapes(self):
         grid = TimeGrid(t_max=1.0, n_points=10)
         sol = solve_closed_form(_problem(), grid, "sumudu_consistent", POL)
@@ -180,6 +191,31 @@ class TestVolterraOracle:
         res = volterra_oracle(p, grid)
         exact = np.exp(-2.0 * grid.points())
         assert float(np.max(np.abs(res.values - exact))) <= 1e-6
+
+    @pytest.mark.parametrize("forcing", FORCINGS)
+    def test_forcing_is_one_array_call(self, forcing, monkeypatch):
+        # the whole grid goes through forcing_value and k_struve once per solve
+        forcing_calls = []
+        struve_calls = []
+        real_forcing = KineticProblem.forcing_value
+        real_struve = kinetics.k_struve
+
+        def counted_forcing(self, t, pol):
+            forcing_calls.append(t)
+            return real_forcing(self, t, pol)
+
+        def counted_struve(params, x, pol):
+            struve_calls.append(x)
+            return real_struve(params, x, pol)
+
+        monkeypatch.setattr(KineticProblem, "forcing_value", counted_forcing)
+        monkeypatch.setattr(kinetics, "k_struve", counted_struve)
+        grid = TimeGrid(t_max=1.0, n_points=64)
+        res = volterra_oracle(_problem(forcing=forcing), grid)
+        assert len(forcing_calls) == 1
+        assert forcing_calls[0].shape == (64,)
+        assert len(struve_calls) == (0 if forcing == "constant" else 1)
+        assert np.all(np.isfinite(res.values))
 
     def test_linearity_in_n0(self):
         grid = TimeGrid(t_max=1.0, n_points=128)

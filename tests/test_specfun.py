@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kstruve import specfun
 from kstruve.errors import ConvergenceError, DomainError
 from kstruve.specfun import (
     KStruveParams,
@@ -256,6 +257,115 @@ class TestMittagLeffler:
     def test_exponential_property(self, z):
         pol = TruncationPolicy(max_terms=200)
         assert mittag_leffler(1.0, 1.0, z, pol) == pytest.approx(math.exp(z), rel=1e-11)
+
+
+def _abs_term_sum_kstruve(params, x, used):
+    """Sum of |term| over the first ``used`` terms of the k-Struve series."""
+    q = params.order_ratio
+    w = abs(params.c) * x * x / (4.0 * params.k)
+    pref = params.k ** -(q + 0.5) * (x / 2.0) ** (q + 1.0)
+    return pref * sum(
+        w ** r * math.exp(-math.lgamma(r + 1.5) - math.lgamma(r + q + 1.5)) for r in range(used)
+    )
+
+
+def _abs_term_sum_ml(alpha, beta, z, used):
+    """Sum of |term| over the first ``used`` terms of E_{alpha,beta}(z); 1/Gamma is 0 at a pole."""
+    total = 0.0
+    for n in range(used):
+        g = alpha * n + beta
+        if g <= 0 and g == math.floor(g):
+            continue
+        total += abs(z) ** n * math.exp(-math.lgamma(g))
+    return total
+
+
+def _assert_matches_scalar(array_out, scalar_out, abs_sums):
+    values, used = array_out
+    assert isinstance(values, np.ndarray) and values.shape == used.shape
+    eps = np.finfo(float).eps
+    for i, ((value, terms), abs_sum) in enumerate(zip(scalar_out, abs_sums)):
+        assert used[i] == terms
+        assert abs(values[i] - value) <= 16 * eps * abs_sum
+
+
+class TestArrayPath:
+    """The array summer against the scalar loop, node by node."""
+
+    @pytest.mark.parametrize("c", [1.3, -0.7, 0.0])
+    @given(
+        xs=st.lists(
+            st.floats(min_value=0.0, max_value=20.0, allow_subnormal=False), min_size=1, max_size=25
+        ),
+        k=st.sampled_from([0.5, 1.0, 2.5]),
+        nu=st.floats(min_value=-0.4, max_value=3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_k_struve_matches_scalar(self, c, xs, k, nu):
+        params = KStruveParams(k=k, nu=nu, c=c)
+        pol = TruncationPolicy(max_terms=200, rel_tol=1e-16)
+        x = np.array(xs)
+        scalar = [k_struve_info(params, xi, pol) for xi in xs]
+        array = specfun._k_struve_array(params, x, pol)
+        _assert_matches_scalar(
+            array,
+            scalar,
+            [_abs_term_sum_kstruve(params, xi, used) for xi, (_, used) in zip(xs, scalar)],
+        )
+        np.testing.assert_array_equal(k_struve(params, x, pol), array[0])
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.0, 1.0), (0.5, 1.0), (0.5, -1.0)])
+    @given(zs=st.lists(st.floats(min_value=-6.0, max_value=6.0), min_size=1, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_mittag_leffler_matches_scalar(self, alpha, beta, zs):
+        pol = TruncationPolicy(max_terms=200, rel_tol=1e-16)
+        z = np.array(zs)
+        scalar = [mittag_leffler_info(alpha, beta, zi, pol) for zi in zs]
+        array = specfun._mittag_leffler_array(alpha, beta, z, pol)
+        _assert_matches_scalar(
+            array,
+            scalar,
+            [_abs_term_sum_ml(alpha, beta, zi, used) for zi, (_, used) in zip(zs, scalar)],
+        )
+        np.testing.assert_array_equal(mittag_leffler(alpha, beta, z, pol), array[0])
+
+    def test_zero_node_inside_array(self):
+        values, used = specfun._k_struve_array(
+            KStruveParams(k=2.0, nu=1.0), np.array([0.5, 0.0, 1.0]), TruncationPolicy()
+        )
+        assert values[1] == 0.0 and used[1] == 1
+        assert values[0] == pytest.approx(k_struve(KStruveParams(k=2.0, nu=1.0), 0.5), rel=1e-14)
+
+    def test_zero_argument_at_denominator_pole(self):
+        # E_{0.5,-1}(0) = 1/Gamma(-1) = 0 after one term
+        values, used = specfun._mittag_leffler_array(
+            0.5, -1.0, np.array([0.3, 0.0]), TruncationPolicy()
+        )
+        assert values[1] == 0.0 and used[1] == 1
+        assert values[0] == pytest.approx(mittag_leffler(0.5, -1.0, 0.3), rel=1e-14)
+
+    def test_negative_node_rejected(self):
+        with pytest.raises(DomainError):
+            k_struve(KStruveParams(k=1.0, nu=1.0), np.array([0.5, -0.5]))
+
+    def test_numerator_pole_rejected(self):
+        with pytest.raises(DomainError):
+            specfun._wright_series_array(
+                "test", np.array([0.5]), ((-2.0, 1.0),), ((1.0, 1.0),), TruncationPolicy()
+            )
+
+    def test_overflow_guard_on_one_node(self):
+        # term 2 of e^z at z = 1e300 has log-magnitude ~1381
+        with pytest.raises(ConvergenceError):
+            mittag_leffler(1.0, 1.0, 1e300)
+        with pytest.raises(ConvergenceError):
+            mittag_leffler(1.0, 1.0, np.array([0.5, -1.0, 1e300, 2.0]))
+
+    def test_non_vector_rejected(self):
+        with pytest.raises(DomainError):
+            mittag_leffler(1.0, 1.0, np.ones((2, 2)))
+        with pytest.raises(DomainError):
+            mittag_leffler(1.0, 1.0, np.array([0.5, np.nan]))
 
 
 class TestFoxWright:
