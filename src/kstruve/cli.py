@@ -13,10 +13,10 @@ endings, whole-file atomic writes.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -48,10 +48,6 @@ EXIT_DISAGREE = 4
 _FIGURE_NUS = (0.5, 0.7, 0.9, 1.0, 1.5)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
@@ -74,10 +70,19 @@ def _meta_line(args: argparse.Namespace, skip=("config",)) -> str:
     return "# " + " ".join(items)
 
 
-def _csv(meta: str, header: str, rows) -> str:
+def _csv(meta: str, header: str, row_format: str, rows) -> str:
+    """The metadata and header lines, then ``row_format % row`` for each row.
+
+    Floats take ``%.17g``, which prints the same digits as ``format(v, ".17g")``.
+    """
     lines = [meta, header]
-    lines.extend(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) for row in rows)
+    lines.extend(row_format % row for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _columns(*columns: np.ndarray):
+    """Rows of Python floats, one from each column."""
+    return zip(*(col.tolist() for col in columns))
 
 
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
@@ -133,7 +138,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             value, used = _sumudu_kstruve_image(params, x, pol)
             rows.append((x, value, used))
     path = f"{args.out}.csv"
-    _write_atomic(path, _csv(_meta_line(args), "x,value,terms_used", rows))
+    _write_atomic(path, _csv(_meta_line(args), "x,value,terms_used", "%.17g,%.17g,%d", rows))
     print(path)
     return EXIT_OK
 
@@ -148,13 +153,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    t = grid.points()
-    rows = [
-        (float(ti), float(np_), float(nc))
-        for ti, np_, nc in zip(t, printed.values, consistent.values)
-    ]
+    rows = _columns(grid.points(), printed.values, consistent.values)
     path = f"{args.out}.csv"
-    _write_atomic(path, _csv(_meta_line(args), "t,N_printed,N_consistent", rows))
+    _write_atomic(
+        path, _csv(_meta_line(args), "t,N_printed,N_consistent", "%.17g,%.17g,%.17g", rows)
+    )
     print(path)
     return EXIT_OK
 
@@ -164,17 +167,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
     grid = _grid(args)
     pol = _policy(args)
     report = adjudicate(problem, grid, pol, tol=args.tol)
-    t = grid.points()
-    norm = float(np.max(np.abs(report.oracle.values))) or 1.0
-    rows = []
-    for i, ti in enumerate(t):
-        no = float(report.oracle.values[i])
-        npr = float(report.printed.values[i])
-        nco = float(report.consistent.values[i])
-        rows.append((float(ti), no, npr, nco, abs(npr - no) / norm, abs(nco - no) / norm))
+    oracle = report.oracle.values
+    printed = report.printed.values
+    consistent = report.consistent.values
+    norm = float(np.max(np.abs(oracle))) or 1.0
+    rows = _columns(
+        grid.points(),
+        oracle,
+        printed,
+        consistent,
+        np.abs(printed - oracle) / norm,
+        np.abs(consistent - oracle) / norm,
+    )
     body = _csv(
         _meta_line(args),
         "t,N_oracle,N_printed,N_consistent,dev_printed,dev_consistent",
+        ",".join(["%.17g"] * 6),
         rows,
     )
     body += f"# summary: {report.summary()}\n"
@@ -215,13 +223,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
             f"variant=as_printed max_terms=50 t_max={args.t_max} n_points={args.n_points}"
         )
         header = "t," + ",".join(columns)
-        rows = []
-        for i, ti in enumerate(t):
-            rows.append((float(ti),) + tuple(float(columns[c][i]) for c in columns))
         csv_path = os.path.join(args.out_dir, f"fig{which}.csv")
         svg_path = os.path.join(args.out_dir, f"fig{which}.svg")
         if args.format in ("csv", "both"):
-            _write_atomic(csv_path, _csv(meta, header, rows))
+            row_format = ",".join(["%.17g"] * (1 + len(columns)))
+            _write_atomic(csv_path, _csv(meta, header, row_format, _columns(t, *columns.values())))
             written.append(csv_path)
         if args.format in ("svg", "both"):
             svg = render_line_chart(
@@ -247,8 +253,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     grid = _grid(args)
     pol = _policy(args)
-    t = grid.points()
-    rows = []
+    t = grid.points().tolist()
+    blocks = []
     for value in args.values:
         fields = dict(
             n0=args.n0, d=args.d, nu=args.nu, mu=args.mu, c=args.c, k=args.k,
@@ -257,10 +263,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fields[args.param] = value
         problem = KineticProblem(**fields)
         sol = solve_closed_form(problem, grid, "sumudu_consistent", pol)
-        for ti, ni in zip(t, sol.values):
-            rows.append((args.param, float(value), float(ti), float(ni)))
+        blocks.append(zip(repeat(args.param), repeat(value), t, sol.values.tolist()))
+    rows = chain.from_iterable(blocks)
     path = f"{args.out}.csv"
-    _write_atomic(path, _csv(_meta_line(args), "param,value,t,N", rows))
+    _write_atomic(path, _csv(_meta_line(args), "param,value,t,N", "%s,%.17g,%.17g,%.17g", rows))
     print(path)
     return EXIT_OK
 

@@ -228,7 +228,10 @@ def solve_closed_form(
     The outer r-series follows the truncation policy per node (Kahan
     accumulation, stop on rel_tol or max_terms); the inner Mittag-Leffler
     factor is folded together with the large Gamma coefficient so neither
-    overflows on its own.
+    overflows on its own.  That factor is max_terms terms at every node:
+    the powers z^m are tabulated once per solve and the Gamma ratios once
+    per r, so each r costs one matrix-vector product.  One table of
+    log-Gammas holds every lower Gamma argument and the coefficient's.
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -253,6 +256,19 @@ def solve_closed_form(
     log_abs_c = math.log(abs(p.c)) if p.c != 0 else 0.0
     c_step = -1.0 if p.c > 0 else 1.0
 
+    # powers z^m of the Mittag-Leffler argument, m < max_terms, one row each
+    powers = np.empty((pol.max_terms, n))
+    powers[0] = 1.0
+    for m in range(1, pol.max_terms):
+        np.multiply(powers[m - 1], ml_arg, out=powers[m])
+    # every lower Gamma argument is nu*j + c0 with j = m + 2r; one table of
+    # (sign, ln|Gamma|) serves all r and grows with r
+    c0 = p.nu * q + 1.0 + ml_shift
+    big_index = 0 if variant == "sumudu_consistent" else 1
+    gamma_sign = np.empty(3 * pol.max_terms)
+    gamma_log = np.empty(3 * pol.max_terms)
+    filled = 0
+
     totals = np.zeros(n)
     carry = np.zeros(n)
     terms_used = np.zeros(n, dtype=int)
@@ -261,8 +277,12 @@ def solve_closed_form(
     for r in range(pol.max_terms if p.c != 0 else 1):
         if not active.any():
             break
-        big = p.nu * (2 * r + q + 1) + 1.0  # Gamma argument of the resummed coefficient
-        sign_big, log_big = _signed_log_gamma(big)
+        while filled < 2 * r + pol.max_terms:
+            gamma_sign[filled], gamma_log[filled] = _signed_log_gamma(p.nu * filled + c0)
+            filled += 1
+        # Gamma argument of the resummed coefficient, nu*(2r + q + 1) + 1
+        sign_big = gamma_sign[2 * r + big_index]
+        log_big = gamma_log[2 * r + big_index]
         if sign_big == 0.0:
             terms_used[active] = r + 1
             continue
@@ -273,18 +293,11 @@ def solve_closed_form(
             - math.lgamma(r + 1.5)
         )
         sign = c_step ** r * sign_big
-        beta = p.nu * (2 * r + q) + 1.0 + ml_shift
-        # scaled Mittag-Leffler: sum_m z^m exp(logGamma(big) - logGamma(nu*m+beta))
-        weights = np.empty(pol.max_terms)
-        for m in range(pol.max_terms):
-            g_sign, g_log = _signed_log_gamma(p.nu * m + beta)
-            weights[m] = 0.0 if g_sign == 0.0 else g_sign * math.exp(log_big - g_log)
-        ml = np.zeros(n)
-        zp = np.ones(n)
-        for m in range(pol.max_terms):
-            if weights[m] != 0.0:
-                ml += weights[m] * zp
-            zp *= ml_arg
+        # scaled Mittag-Leffler: sum_m z^m Gamma(big) / Gamma(nu*(m + 2r) + c0),
+        # a zero weight at a pole of the lower Gamma
+        lower = slice(2 * r, 2 * r + pol.max_terms)
+        weights = gamma_sign[lower] * np.exp(log_big - gamma_log[lower])
+        ml = weights @ powers
         log_mag = log_coeff + (2 * r + q + 1) * log_pref_base
         if over_t:
             log_mag = log_mag - log_t

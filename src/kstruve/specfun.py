@@ -249,14 +249,29 @@ def _wright_series(
     return total, len(terms), terms
 
 
-def _scalar_logs(v: np.ndarray) -> np.ndarray:
-    """math.log at every element of v, as the scalar loop computes its logs.
+_LOG_2 = math.log(2.0)
+
+
+def _log_half(x: float) -> float:
+    """ln(x/2) for x > 0.
+
+    Below the normal range x/2 loses bits or underflows to 0; there it is
+    ln x - ln 2.  Wherever x/2 is exact its log is taken, as before.
+    """
+    half = x / 2.0
+    if half * 2.0 == x:
+        return math.log(half)
+    return math.log(x) - _LOG_2
+
+
+def _scalar_logs(v: np.ndarray, log=math.log) -> np.ndarray:
+    """``log`` at every element of v, as the scalar loop takes its logs.
 
     numpy's log can differ from it by an ulp, and the term index multiplies
     that error in n log|z|; with the same logs the two loops' terms differ
     only by the last bit of exp.
     """
-    return np.fromiter(map(math.log, v.tolist()), float, v.size)
+    return np.fromiter(map(log, v.tolist()), float, v.size)
 
 
 def _wright_series_array(
@@ -351,7 +366,7 @@ def struve_h_info(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY):
     sign = -1.0 if (x < 0 and int(p) % 2 == 0) else 1.0
     value, used, _ = _wright_series(
         "struve_h", -half_x * half_x, (), ((1.5, 1.0), (p + 1.5, 1.0)), pol,
-        (p + 1.0) * math.log(half_x), sign,
+        (p + 1.0) * _log_half(abs(x)), sign,
     )
     return value, used
 
@@ -382,7 +397,7 @@ def k_struve_info(params: KStruveParams, x: float, pol: TruncationPolicy = _DEFA
     k = params.k
     value, used, _ = _wright_series(
         "k_struve", -params.c * x * x / (4.0 * k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
-        (q + 1.0) * math.log(x / 2.0) - (q + 0.5) * math.log(k),
+        (q + 1.0) * _log_half(x) - (q + 0.5) * math.log(k),
     )
     return value, used
 
@@ -402,7 +417,7 @@ def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy)
     k = params.k
     values[positive], used[positive] = _wright_series_array(
         "k_struve", -params.c * xp * xp / (4.0 * k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
-        (q + 1.0) * _scalar_logs(xp / 2.0) - (q + 0.5) * math.log(k),
+        (q + 1.0) * _scalar_logs(xp, _log_half) - (q + 0.5) * math.log(k),
     )
     return values, used
 
@@ -463,6 +478,9 @@ def mittag_leffler(
     return mittag_leffler_info(alpha, beta, z, pol)[0]
 
 
+_CVZ_RATE = 3.0 + math.sqrt(8.0)
+
+
 def _cvz_alternating(abs_terms: list[float]) -> float:
     """Cohen-Rodriguez Villegas-Zagier acceleration of sum (-1)^n b_n.
 
@@ -471,7 +489,7 @@ def _cvz_alternating(abs_terms: list[float]) -> float:
     convergence radius.
     """
     n = len(abs_terms)
-    d = (3.0 + math.sqrt(8.0)) ** n
+    d = _CVZ_RATE ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
     c = -d
@@ -508,10 +526,13 @@ def fox_wright_info(w: WrightParams, z: float, pol: TruncationPolicy = _DEFAULT_
     alternating = all(t != 0.0 for t in signed) and all(
         signed[i] * signed[i + 1] < 0 for i in range(len(signed) - 1)
     )
-    if alternating:
+    # 100 terms already give ~ 5.83^-100; more would overflow the divisor
+    window = signed[: min(len(signed), 100)]
+    # too short a window cannot reach the tolerance (the error bound is
+    # 5.83^-n); the plain partial sum then stands as a budget stop
+    accurate = _CVZ_RATE ** -len(window) <= max(pol.rel_tol, 2.0 ** -52)
+    if alternating and accurate:
         lead = 1.0 if signed[0] > 0 else -1.0
-        # 100 terms already give ~ 5.83^-100; more would overflow the divisor
-        window = signed[: min(len(signed), 100)]
         value = lead * _cvz_alternating([abs(t) for t in window])
     return value, used
 

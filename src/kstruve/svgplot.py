@@ -6,7 +6,7 @@ legend.  Output is deterministic: fixed float formatting, fixed palette.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 __all__ = ["render_line_chart"]
 
@@ -29,10 +29,12 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
 
 def render_line_chart(x, series, title: str, xlabel: str, ylabel: str) -> str:
     """Return an SVG document plotting each (label -> values) series over x."""
-    x = [float(v) for v in x]
-    xmin, xmax = min(x), max(x)
-    ymin = min(min(float(v) for v in ys) for ys in series.values())
-    ymax = max(max(float(v) for v in ys) for ys in series.values())
+    x = np.asarray(x, dtype=float)
+    columns = {label: np.asarray(ys, dtype=float) for label, ys in series.items()}
+    # Python's min and max, which skip a NaN that is not first, as before
+    xmin, xmax = min(x.tolist()), max(x.tolist())
+    ymin = min(min(ys.tolist()) for ys in columns.values())
+    ymax = max(max(ys.tolist()) for ys in columns.values())
     pad = 0.05 * (ymax - ymin) if ymax > ymin else max(abs(ymax), 1.0) * 0.05
     ymin -= pad
     ymax += pad
@@ -86,13 +88,15 @@ def render_line_chart(x, series, title: str, xlabel: str, ylabel: str) -> str:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {_MT + plot_h // 2})">{ylabel}</text>'
     )
-    for idx, (label, ys) in enumerate(series.items()):
+    for idx, (label, ys) in enumerate(columns.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(
-            f"{_fmt(sx(xv))},{_fmt(sy(float(yv)))}"
-            for xv, yv in zip(x, ys)
-            if math.isfinite(float(yv))
-        )
+        finite = np.isfinite(ys)
+        # sx and sy at every finite point, in the same operation order; as in
+        # Python float arithmetic, an infinite axis bound gives inf or nan silently
+        with np.errstate(all="ignore"):
+            px = _ML + (x[finite] - xmin) / (xmax - xmin) * plot_w
+            py = _MT + (ymax - ys[finite]) / (ymax - ymin) * plot_h
+        pts = " ".join("%.6g,%.6g" % point for point in zip(px.tolist(), py.tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import roots_laguerre
 
 from .errors import DomainError, QuadratureError
 from .specfun import (
@@ -66,6 +64,8 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=16)
 def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import roots_laguerre  # scipy loads only for the numeric transform
+
     nodes, weights = roots_laguerre(n)
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
         raise QuadratureError(f"Gauss-Laguerre rule unstable at node_count={n}")
@@ -111,6 +111,8 @@ def sumudu_numeric(f, u: float, q: QuadratureSpec = QuadratureSpec()) -> float:
                 raise QuadratureError(f"integrand non-finite at node t={t!r}")
             weighted.append(w * v)
         return math.fsum(weighted)
+    from scipy.integrate import quad
+
     value, _ = quad(
         lambda t: math.exp(-t) * f(u * t),
         0.0,

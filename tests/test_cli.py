@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kstruve
+from kstruve import cli
 from kstruve.cli import (
     EXIT_DISAGREE,
     EXIT_INPUT,
@@ -62,6 +67,16 @@ class TestEval:
         assert rc == EXIT_OK
         rows = _data_rows(_read(tmp_path / "su.csv"))
         assert [int(r[2]) for r in rows] == [5, 27]
+
+    def test_subnormal_argument(self, tmp_path):
+        out = tmp_path / "sub"
+        argv = ["eval", "--fn", "kstruve", "--x", "5e-324", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert main(argv[:-2] + ["--nu", "-0.5", "--out", str(out)]) == EXIT_OK
+        # nu/k = -1/2: sqrt(2x/pi)
+        x, value, used = _data_rows(_read(tmp_path / "sub.csv"))[0]
+        assert float(value) == pytest.approx(math.sqrt(2 * 5e-324 / math.pi), rel=1e-14)
+        assert used == "1"
 
     def test_domain_error_exit_code(self, tmp_path):
         rc = main(["eval", "--fn", "struve", "--p", "-2.0", "--x", "1.0", "--out", str(tmp_path / "bad")])
@@ -227,3 +242,34 @@ class TestOutputContract:
         value = _data_rows(raw.decode())[0][1]
         # 17 significant digits round-trip doubles exactly
         assert float(value) == float(format(float(value), ".17g"))
+
+    def test_row_format_matches_per_cell_format(self):
+        # the old writer: format(float(v), ".17g") per float cell, str() otherwise
+        def per_cell(row):
+            return ",".join(
+                format(float(c), ".17g") if isinstance(c, float) else str(c) for c in row
+            )
+
+        floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308, 0.1, 1 / 3]
+        rows = [(a, b, 7, "nu") for a in floats for b in floats]
+        text = cli._csv("# meta", "a,b,n,s", "%.17g,%.17g,%d,%s", rows)
+        expect = "\n".join(["# meta", "a,b,n,s"] + [per_cell(r) for r in rows]) + "\n"
+        assert text == expect
+        column = np.array(floats)
+        assert cli._csv("#", "h", "%.17g,%.17g", cli._columns(column, column[::-1])) == (
+            "\n".join(["#", "h"] + [per_cell(r) for r in zip(floats, floats[::-1])]) + "\n"
+        )
+
+
+def test_import_does_not_load_scipy():
+    # scipy is needed only by the numeric Sumudu transform
+    code = (
+        "import sys, kstruve, kstruve.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kstruve.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

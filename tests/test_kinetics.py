@@ -14,7 +14,7 @@ from kstruve.kinetics import (
     solve_corollary_k1,
     volterra_oracle,
 )
-from kstruve.specfun import TruncationPolicy, mittag_leffler
+from kstruve.specfun import TruncationPolicy, _signed_log_gamma, mittag_leffler
 from kstruve.transforms import TimeGrid, rl_fractional_integral
 
 # Frozen with a 40-digit mpmath evaluation of the resummed series during the
@@ -75,7 +75,69 @@ class TestClassicalDecay:
         assert classical_decay(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
+def _closed_form_reference(p, grid, variant, pol):
+    """The closed-form r-series with its Mittag-Leffler factor summed term by term.
+
+    For each r and each m it takes the Gamma ratio Gamma(big)/Gamma(nu*m + beta)
+    and adds weight * z^m over the grid, skipping zero weights.  Returns
+    (values, terms_used, truncation_flag).
+    """
+    t = grid.points()
+    n = grid.n_points
+    q = p.mu / p.k
+    x, ml_arg, ml_shift, over_t = kinetics._variant_inputs(p, t, variant)
+    log_pref_base = np.log(x / 2.0)
+    totals = np.zeros(n)
+    carry = np.zeros(n)
+    terms_used = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    for r in range(pol.max_terms):
+        if not active.any():
+            break
+        sign_big, log_big = _signed_log_gamma(p.nu * (2 * r + q + 1) + 1.0)
+        log_coeff = (
+            r * math.log(abs(p.c))
+            - ((r + q + 0.5) * math.log(p.k) + math.lgamma(r + q + 1.5))
+            - math.lgamma(r + 1.5)
+        )
+        sign = (-1.0 if p.c > 0 else 1.0) ** r * sign_big
+        beta = p.nu * (2 * r + q) + 1.0 + ml_shift
+        ml = np.zeros(n)
+        zp = np.ones(n)
+        for m in range(pol.max_terms):
+            g_sign, g_log = _signed_log_gamma(p.nu * m + beta)
+            if g_sign != 0.0:
+                ml += g_sign * math.exp(log_big - g_log) * zp
+            zp *= ml_arg
+        log_mag = log_coeff + (2 * r + q + 1) * log_pref_base
+        if over_t:
+            log_mag = log_mag - np.log(t)
+        term = np.where(active, sign * np.exp(log_mag) * ml, 0.0)
+        y = term - carry
+        tot = totals + y
+        carry = np.where(active, (tot - totals) - y, carry)
+        totals = tot
+        terms_used[active] = r + 1
+        active &= ~((totals != 0.0) & (np.abs(term) <= pol.rel_tol * np.abs(totals)))
+    return p.n0 * totals, terms_used, active
+
+
 class TestClosedForm:
+    @pytest.mark.parametrize("k", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("c", [1.3, -0.8])
+    @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
+    @pytest.mark.parametrize("forcing", ["thm1", "thm2", "thm3"])
+    @pytest.mark.parametrize("max_terms", [6, 60])  # 6 truncates the later nodes
+    def test_matches_term_by_term_reference(self, k, c, variant, forcing, max_terms):
+        grid = TimeGrid(t_max=1.0, n_points=48)
+        pol = TruncationPolicy(max_terms=max_terms, rel_tol=1e-16)
+        p = _problem(k=k, c=c, forcing=forcing, nu=1.3 if k == 3.0 else 0.7, mu=0.5, d=1.4, a=2.5)
+        sol = solve_closed_form(p, grid, variant, pol)
+        values, terms_used, flags = _closed_form_reference(p, grid, variant, pol)
+        assert np.max(np.abs(sol.values - values)) <= 1e-14 * np.max(np.abs(values))
+        np.testing.assert_array_equal(sol.terms_used, terms_used)
+        np.testing.assert_array_equal(sol.truncation_flag, flags)
+
     def test_frozen_values(self):
         grid = TimeGrid(t_max=0.5, n_points=50)
         p1 = _problem(nu=1.0)

@@ -123,6 +123,13 @@ class TestStruveH:
         with pytest.raises(DomainError):
             struve_h(0.5, -1.0)
 
+    def test_subnormal_argument(self):
+        # H_{-1/2}(x) = sqrt(2/(pi x)) sin x, about sqrt(2x/pi) at tiny x
+        for x in (5e-324, 1e-320, 3e-310):
+            assert struve_h(-0.5, x) == pytest.approx(math.sqrt(2 * x / math.pi), rel=1e-14)
+        assert struve_h_info(0.5, 5e-324) == (0.0, 1)
+        assert struve_h(1.0, -5e-324) == 0.0
+
     def test_negative_x_integer_order_parity(self, tight):
         # H_p(-x) = (-1)^(p+1) H_p(x) for integer p
         assert struve_h(0.0, -1.0, tight) == pytest.approx(-STRUVE_0_1, rel=1e-14)
@@ -205,6 +212,27 @@ class TestKStruve:
                 float(ref), rel=1e-13
             )
 
+    @pytest.mark.parametrize("k,nu", [(1.0, -0.5), (2.0, -1.0), (0.5, 0.2)])
+    def test_subnormal_argument(self, k, nu):
+        # x/2 underflows below the normal range, but for nu/k < 0 the value,
+        # about (x/2)^(q+1), does not
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        params = KStruveParams(k=k, nu=nu)
+        q = mp.mpf(nu) / k
+        xs = (5e-324, 1.5e-323, 1e-320, 3e-310)
+        for x in xs:
+            # c = 1: k^-(q+1/2) k^((q+1)/2) H_q(x / sqrt(k))
+            ref = k ** -(q + 0.5) * mp.mpf(k) ** ((q + 1) / 2) * mp.struveh(q, x / mp.sqrt(k))
+            value, used = k_struve_info(params, x)
+            assert value == pytest.approx(float(ref), rel=1e-14)
+            assert used == 1
+            assert value > 0.0 or q > 0
+        np.testing.assert_allclose(
+            k_struve(params, np.array(xs)), [k_struve(params, x) for x in xs], rtol=1e-15
+        )
+
     def test_stop_rule_binds_not_max_terms(self):
         # raising max_terms from 50 to 200 must not move the value when
         # rel_tol triggers first
@@ -263,7 +291,9 @@ def _abs_term_sum_kstruve(params, x, used):
     """Sum of |term| over the first ``used`` terms of the k-Struve series."""
     q = params.order_ratio
     w = abs(params.c) * x * x / (4.0 * params.k)
-    pref = params.k ** -(q + 0.5) * (x / 2.0) ** (q + 1.0)
+    # (x/2)^(q+1) from logs: x/2 underflows at a subnormal x
+    half_pow = math.exp((q + 1.0) * (math.log(x) - math.log(2.0))) if x > 0 else 0.0
+    pref = params.k ** -(q + 0.5) * half_pow
     return pref * sum(
         w ** r * math.exp(-math.lgamma(r + 1.5) - math.lgamma(r + q + 1.5)) for r in range(used)
     )
@@ -295,7 +325,7 @@ class TestArrayPath:
     @pytest.mark.parametrize("c", [1.3, -0.7, 0.0])
     @given(
         xs=st.lists(
-            st.floats(min_value=0.0, max_value=20.0, allow_subnormal=False), min_size=1, max_size=25
+            st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=25
         ),
         k=st.sampled_from([0.5, 1.0, 2.5]),
         nu=st.floats(min_value=-0.4, max_value=3.0),
@@ -414,6 +444,38 @@ class TestFoxWright:
         assert w.radius == pytest.approx(0.25, rel=1e-15)
         with pytest.raises(DomainError):
             fox_wright(w, -0.3)
+
+    @pytest.mark.parametrize("max_terms", [1, 2])
+    def test_short_window_is_not_accelerated(self, max_terms):
+        # one or two terms bound nothing: the partial sum stands as a budget stop
+        w = WrightParams(upper=((3.0, 2.0), (1.0, 1.0)), lower=((2.5, 1.0), (1.5, 1.0)))
+        z = -0.1
+        terms = [
+            z ** n * math.gamma(3.0 + 2 * n) / (math.gamma(2.5 + n) * math.gamma(1.5 + n))
+            for n in range(max_terms)
+        ]
+        value, used = fox_wright_info(w, z, TruncationPolicy(max_terms=max_terms))
+        assert used == max_terms
+        assert value == pytest.approx(sum(terms), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "q,z,expect",
+        [
+            (0.0, -0.25, 0.7935150210236566),
+            (0.0, -0.24, 0.8047721534133291),
+            (1.0, -0.249, 0.9610751129204328),
+            (1.0, -0.22, 1.010881515653568),
+            (2.5, -0.25, 1.0515329923092929),
+            (2.5, -0.24, 1.0746855564402893),
+        ],
+    )
+    def test_default_policy_radius_cases(self, q, z, expect):
+        # frozen from the default policy before the window check; 50 terms
+        # pass it, so these values are still accelerated
+        w = WrightParams(upper=((q + 2.0, 2.0), (1.0, 1.0)), lower=((q + 1.5, 1.0), (1.5, 1.0)))
+        value, used = fox_wright_info(w, z)
+        assert used == 50
+        assert value == pytest.approx(expect, rel=1e-14)
 
     def test_boundary_acceleration(self):
         # frozen mpmath nsum value of the image series at the convergence radius
