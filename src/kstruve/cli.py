@@ -13,6 +13,7 @@ endings, whole-file atomic writes.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -301,8 +302,9 @@ def _add_grid_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-points", type=int, default=4096, help="grid points on (0, t_max]")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    """The top-level parser and the subcommand parsers it dispatches to."""
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="kstruve",
         description="k-Struve functions and fractional kinetic equation solvers",
@@ -356,18 +358,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     _add_grid_args(p_sweep)
     _add_policy_args(p_sweep)
     p_sweep.add_argument("--out", default="sweep")
-    return parser, [p_eval, p_solve, p_val, p_fig, p_sweep]
+    return parser, {
+        "eval": p_eval,
+        "solve": p_solve,
+        "validate": p_val,
+        "figures": p_fig,
+        "sweep": p_sweep,
+    }
 
 
-def _apply_config(subcommands: list[argparse.ArgumentParser], argv: list[str]) -> None:
-    """Resolve --config key=value defaults; explicit flags still override.
+def _with_config(subcommands: dict[str, argparse.ArgumentParser], argv: list[str]) -> list[str]:
+    """argv with the --config key=value pairs as flags right after the subcommand.
 
-    Each subcommand takes the keys it has an option for and ignores the rest.
-    The values stay strings: argparse converts a string default with the
-    option's type when the flag is not given.
+    Only keys the subcommand has an option for become ``--key=value`` tokens
+    (every optional flag has a non-None default; a required flag takes none),
+    so the key matches an option exactly, never by prefix.  Flags given on
+    the command line come later, and argparse keeps the last occurrence, so
+    they win.  The parsers themselves are never changed.
     """
     if "--config" not in argv:
-        return
+        return argv
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise DomainError("--config requires a path")
@@ -377,7 +387,7 @@ def _apply_config(subcommands: list[argparse.ArgumentParser], argv: list[str]) -
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DomainError(f"cannot read config file {path}: {exc}") from exc
-    defaults = {}
+    pairs = {}
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -385,20 +395,26 @@ def _apply_config(subcommands: list[argparse.ArgumentParser], argv: list[str]) -
         if "=" not in line:
             raise DomainError(f"malformed config line (expected key=value): {line!r}")
         key, value = line.split("=", 1)
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    for sub in subcommands:
-        # every optional flag has a non-None default; a required flag takes none
-        sub.set_defaults(
-            **{key: value for key, value in defaults.items() if sub.get_default(key) is not None}
-        )
+        pairs[key.strip().replace("-", "_")] = value.strip()
+    pos = next(
+        (i for i, tok in enumerate(argv) if tok in subcommands and i != idx + 1), None
+    )
+    if pos is None:
+        return argv  # argparse reports the missing subcommand
+    sub = subcommands[argv[pos]]
+    tokens = [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in pairs.items()
+        if sub.get_default(key) is not None
+    ]
+    return argv[: pos + 1] + tokens + argv[pos + 1 :]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subcommands = build_parser()
+    parser, subcommands = _parsers()
     try:
-        _apply_config(subcommands, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(subcommands, argv))
         return _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"input error: {exc}", file=sys.stderr)

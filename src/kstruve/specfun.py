@@ -507,7 +507,8 @@ def fox_wright_info(w: WrightParams, z: float, pol: TruncationPolicy = _DEFAULT_
     A Gamma pole in a numerator factor is a DomainError; a pole in a
     denominator factor zeroes the term.  On the borderline delta == 0 with
     |z| near the convergence radius, plain truncation cannot reach the stop
-    tolerance; if the collected terms alternate strictly in sign the tail is
+    tolerance; if three or more collected terms alternate strictly in sign
+    and the acceleration's error bound is the smaller one, the series is
     resummed with alternating-series acceleration instead.
     """
     if not math.isfinite(z):
@@ -528,10 +529,11 @@ def fox_wright_info(w: WrightParams, z: float, pol: TruncationPolicy = _DEFAULT_
     )
     # 100 terms already give ~ 5.83^-100; more would overflow the divisor
     window = signed[: min(len(signed), 100)]
-    # too short a window cannot reach the tolerance (the error bound is
-    # 5.83^-n); the plain partial sum then stands as a budget stop
-    accurate = _CVZ_RATE ** -len(window) <= max(pol.rel_tol, 2.0 ** -52)
-    if alternating and accurate:
+    # The CVZ error is at most 2 |b_0| / 5.83^n; the plain partial sum's is at
+    # most the first omitted term, below the last one taken.  One or two
+    # terms bound nothing, and a fast-decaying window keeps its partial sum.
+    better = 2.0 * abs(window[0]) * _CVZ_RATE ** -len(window) < abs(signed[-1])
+    if alternating and len(window) >= 3 and better:
         lead = 1.0 if signed[0] > 0 else -1.0
         value = lead * _cvz_alternating([abs(t) for t in window])
     return value, used

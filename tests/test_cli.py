@@ -232,6 +232,38 @@ class TestConfig:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    def test_parser_built_once(self, tmp_path):
+        cli._parsers.cache_clear()
+        for i in range(3):
+            out = tmp_path / f"k{i}"
+            assert main(["eval", "--fn", "kgamma", "--gamma", "2", "--out", str(out)]) == EXIT_OK
+        assert cli._parsers.cache_info().misses == 1
+
+    def test_config_does_not_leak_into_later_calls(self, tmp_path):
+        cfg_a = tmp_path / "a.cfg"
+        cfg_a.write_text("nu = 0.5\nforcing = thm3\n", encoding="utf-8")
+        cfg_b = tmp_path / "b.cfg"
+        cfg_b.write_text("mu = 2\nt-max = 0.5\n", encoding="utf-8")
+        out = tmp_path / "sol"
+        metas = []
+        for prefix in (["--config", str(cfg_a)], ["--config", str(cfg_b)], []):
+            argv = prefix + ["solve", "--n-points", "4", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            metas.append(set(_read(tmp_path / "sol.csv").splitlines()[0].split()))
+        assert {"nu=0.5", "forcing=thm3", "mu=1.0", "t_max=1.0"} <= metas[0]
+        assert {"nu=0.9", "forcing=thm1", "mu=2.0", "t_max=0.5"} <= metas[1]
+        assert {"nu=0.9", "forcing=thm1", "mu=1.0", "t_max=1.0"} <= metas[2]
+
+    def test_negative_config_value(self, tmp_path):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("nu = -0.5\n", encoding="utf-8")
+        out = tmp_path / "neg"
+        argv = ["--config", str(cfg), "eval", "--fn", "kstruve", "--x", "1", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert "nu=-0.5" in _read(tmp_path / "neg.csv").splitlines()[0].split()
+
+
 class TestOutputContract:
     def test_unix_line_endings_and_float_format(self, tmp_path):
         out = tmp_path / "fmt"

@@ -6,6 +6,7 @@ import pytest
 from kstruve import kinetics
 from kstruve.errors import DomainError
 from kstruve.kinetics import (
+    _ORACLE_POLICY,
     FORCINGS,
     KineticProblem,
     adjudicate,
@@ -15,7 +16,13 @@ from kstruve.kinetics import (
     volterra_oracle,
 )
 from kstruve.specfun import TruncationPolicy, _signed_log_gamma, mittag_leffler
-from kstruve.transforms import TimeGrid, rl_fractional_integral
+from kstruve.transforms import (
+    TimeGrid,
+    rl_boundary_weights,
+    rl_fractional_integral,
+    rl_interior_kernel,
+    rl_weight_scale,
+)
 
 # Frozen with a 40-digit mpmath evaluation of the resummed series during the
 # build (n0=d=mu=c=k=1, thm1 forcing, t = 0.5, sumudu_consistent variant).
@@ -226,7 +233,68 @@ class TestCorollaryReduction:
             )
 
 
+def _oracle_reference(p, grid):
+    """The node-by-node recurrence N_i = (F_i - d^nu sum_{j<i} w_ij N_j) / (1 + d^nu w_ii).
+
+    Returns the solution and each node's local scale
+    s_i = (|F_i| + d^nu |w0_i N(0)| + d^nu sum_{j<i} |kernel_{i-1-j}| |N_j|) / (1 + d^nu w_ii),
+    the size of what the recurrence sums at that node.
+    """
+    n = grid.n_points
+    dn = p.d ** p.nu
+    forcing = p.forcing_value(grid.points(), _ORACLE_POLICY)
+    n_zero = p.forcing_at_zero()
+    scale = rl_weight_scale(p.nu, grid.spacing)
+    w0 = scale * rl_boundary_weights(p.nu, n)
+    kernel = scale * rl_interior_kernel(p.nu, n)
+    values = np.empty(n)
+    local = np.empty(n)
+    for i in range(1, n + 1):
+        hist = w0[i - 1] * n_zero
+        hist_abs = abs(hist)
+        if i >= 2:
+            lags = kernel[: i - 1][::-1]
+            hist += float(np.dot(lags, values[: i - 1]))
+            hist_abs += float(np.dot(np.abs(lags), np.abs(values[: i - 1])))
+        values[i - 1] = (forcing[i - 1] - dn * hist) / (1.0 + dn * scale)
+        local[i - 1] = (abs(forcing[i - 1]) + dn * hist_abs) / (1.0 + dn * scale)
+    return values, local
+
+
 class TestVolterraOracle:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, 2048])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(forcing="thm1", nu=1.5, k=0.5, mu=1.5),
+            dict(forcing="thm2", nu=0.3, k=2.0, c=-0.7, mu=0.5),
+            dict(forcing="thm3", nu=0.9, k=3.0, c=1.3),
+            dict(forcing="constant", nu=0.5, d=2.0),
+        ],
+    )
+    def test_each_node_matches_recurrence(self, n, kw):
+        # every node within 64 eps of its own local scale, however small the
+        # node is next to max|N|
+        p = _problem(**kw)
+        grid = TimeGrid(t_max=1.0, n_points=n)
+        ref, local = _oracle_reference(p, grid)
+        got = volterra_oracle(p, grid).values
+        assert np.all(np.abs(got - ref) <= 64 * np.finfo(float).eps * local)
+
+    @pytest.mark.parametrize(
+        "forcing,c", [("thm1", 1.0), ("thm2", 1.3), ("thm3", -0.7)]
+    )
+    def test_early_nodes_keep_verdicts(self, forcing, c):
+        # N_1 is ~1e-21 here; an error of eps * max|N| makes it negative and
+        # the solution non-monotone
+        p = _problem(forcing=forcing, nu=1.5, k=0.5, mu=1.5, c=c)
+        grid = TimeGrid(t_max=1.0, n_points=2048)
+        ref, _ = _oracle_reference(p, grid)
+        report = adjudicate(p, grid)
+        got = report.oracle.values
+        assert report.oracle_monotone_increasing == bool(np.all(np.diff(ref) >= 0))
+        assert bool(np.all(got > 0)) == bool(np.all(ref > 0))
+
     def test_residual_small(self):
         grid = TimeGrid(t_max=1.0, n_points=512)
         res = volterra_oracle(_problem(), grid)

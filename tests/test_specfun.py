@@ -398,6 +398,30 @@ class TestArrayPath:
             mittag_leffler(1.0, 1.0, np.array([0.5, np.nan]))
 
 
+def _image_series_terms(q, z, count):
+    """The first terms z^n Gamma(q+2+2n) / (Gamma(q+1.5+n) Gamma(1.5+n)) of the image series."""
+    return [
+        z ** n
+        * math.exp(math.lgamma(q + 2.0 + 2 * n) - math.lgamma(q + 1.5 + n) - math.lgamma(1.5 + n))
+        for n in range(count)
+    ]
+
+
+def _image_series_mpmath(q, z):
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    q = mp.mpf(q)
+    return float(
+        mp.nsum(
+            lambda n: mp.mpf(z) ** n
+            * mp.gamma(q + 2 + 2 * n)
+            / (mp.gamma(q + 1.5 + n) * mp.gamma(1.5 + n)),
+            [0, mp.inf],
+        )
+    )
+
+
 class TestFoxWright:
     def test_empty_is_exponential(self, tight):
         w = WrightParams(upper=(), lower=())
@@ -457,6 +481,33 @@ class TestFoxWright:
         value, used = fox_wright_info(w, z, TruncationPolicy(max_terms=max_terms))
         assert used == max_terms
         assert value == pytest.approx(sum(terms), rel=1e-14)
+
+    @pytest.mark.parametrize("max_terms,z", [(3, -0.1), (10, -0.25), (20, -0.25)])
+    def test_short_window_near_radius_is_accelerated(self, max_terms, z):
+        # near the radius the plain partial sum stalls; CVZ on the same window
+        # gets closer to the mpmath value
+        q = 1.0
+        w = WrightParams(upper=((q + 2.0, 2.0), (1.0, 1.0)), lower=((q + 1.5, 1.0), (1.5, 1.0)))
+        exact = _image_series_mpmath(q, z)
+        plain = math.fsum(_image_series_terms(q, z, max_terms))
+        value, used = fox_wright_info(w, z, TruncationPolicy(max_terms=max_terms))
+        assert used == max_terms
+        assert abs(value - exact) < abs(plain - exact)
+
+    @pytest.mark.parametrize("max_terms", [3, 10])
+    def test_fast_window_keeps_partial_sum(self, max_terms):
+        # far inside the radius the partial sum is already closer than the
+        # CVZ bound 2 b_0 / 5.83^n, so it stands as a budget stop
+        q = 1.0
+        z = -0.01
+        w = WrightParams(upper=((q + 2.0, 2.0), (1.0, 1.0)), lower=((q + 1.5, 1.0), (1.5, 1.0)))
+        terms = _image_series_terms(q, z, max_terms)
+        value, used = fox_wright_info(w, z, TruncationPolicy(max_terms=max_terms))
+        assert used == max_terms
+        assert value == pytest.approx(sum(terms), rel=1e-14)
+        exact = _image_series_mpmath(q, z)
+        cvz = specfun._cvz_alternating([abs(t) for t in terms])
+        assert abs(value - exact) < abs(cvz - exact)
 
     @pytest.mark.parametrize(
         "q,z,expect",
