@@ -308,6 +308,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     parser = argparse.ArgumentParser(
         prog="kstruve",
         description="k-Struve functions and fractional kinetic equation solvers",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", default=None, help="key=value defaults file (flags override)")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -367,21 +368,15 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     }
 
 
-def _with_config(subcommands: dict[str, argparse.ArgumentParser], argv: list[str]) -> list[str]:
-    """argv with the --config key=value pairs as flags right after the subcommand.
+def _with_config(sub: argparse.ArgumentParser, argv: list[str], path: str) -> list[str]:
+    """argv with the key=value pairs of config file ``path`` as flags right after the subcommand.
 
-    Only keys the subcommand has an option for become ``--key=value`` tokens
-    (every optional flag has a non-None default; a required flag takes none),
-    so the key matches an option exactly, never by prefix.  Flags given on
+    Only keys the subcommand parser ``sub`` has an option for become
+    ``--key=value`` tokens (an optional flag has a non-None default, a
+    required one none), so the key matches an option exactly, never by prefix.  Flags given on
     the command line come later, and argparse keeps the last occurrence, so
     they win.  The parsers themselves are never changed.
     """
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise DomainError("--config requires a path")
-    path = argv[idx + 1]
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -396,17 +391,15 @@ def _with_config(subcommands: dict[str, argparse.ArgumentParser], argv: list[str
             raise DomainError(f"malformed config line (expected key=value): {line!r}")
         key, value = line.split("=", 1)
         pairs[key.strip().replace("-", "_")] = value.strip()
-    pos = next(
-        (i for i, tok in enumerate(argv) if tok in subcommands and i != idx + 1), None
-    )
-    if pos is None:
-        return argv  # argparse reports the missing subcommand
-    sub = subcommands[argv[pos]]
     tokens = [
         f"--{key.replace('_', '-')}={value}"
         for key, value in pairs.items()
         if sub.get_default(key) is not None
     ]
+    # only --config PATH and --config=PATH come before the subcommand
+    pos = 0
+    while argv[pos] == "--config" or argv[pos].startswith("--config="):
+        pos += 2 if argv[pos] == "--config" else 1
     return argv[: pos + 1] + tokens + argv[pos + 1 :]
 
 
@@ -414,9 +407,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands = _parsers()
     try:
-        args = parser.parse_args(_with_config(subcommands, argv))
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            args = parser.parse_args(_with_config(subcommands[args.command], argv, args.config))
         return _COMMANDS[args.command](args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, QuadratureError, SolverError) as exc:

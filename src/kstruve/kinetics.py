@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SolverError
+from .errors import DomainError, SolverError
 from .specfun import (
     KStruveParams,
     TruncationPolicy,
     _signed_log_gamma,
+    _wright_series_array,
     k_struve,
     mittag_leffler,
 )
@@ -225,13 +226,15 @@ def solve_closed_form(
 ) -> SeriesSolution:
     """Evaluate the closed-form solution series on the grid.
 
-    The outer r-series follows the truncation policy per node (Kahan
-    accumulation, stop on rel_tol or max_terms); the inner Mittag-Leffler
-    factor is folded together with the large Gamma coefficient so neither
-    overflows on its own.  That factor is max_terms terms at every node:
-    the powers z^m are tabulated once per solve and the Gamma ratios once
-    per r, so each r costs one matrix-vector product.  One table of
-    log-Gammas holds every lower Gamma argument and the coefficient's.
+    The outer r-series is the k-Struve series of the forcing argument x
+    (divided by t for ``as_printed``) with term r multiplied at each node by
+    a Mittag-Leffler factor, scaled by the large Gamma coefficient so that
+    neither overflows alone.  The shared array loop ``_wright_series_array``
+    sums it under the truncation policy and flags the nodes that stop on
+    the term budget.  The powers of the Mittag-Leffler argument are
+    tabulated once per solve, so each r costs one matrix-vector product
+    over the nodes still summing; one lazily grown table of log-Gammas
+    holds every lower Gamma argument and the coefficient's.
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -250,11 +253,10 @@ def solve_closed_form(
 
     q = p.mu / p.k
     x, ml_arg, ml_shift, over_t = _variant_inputs(p, t, variant)
-    log_pref_base = np.log(x / 2.0)
-    log_t = np.log(t)
-    log_k = math.log(p.k)
-    log_abs_c = math.log(abs(p.c)) if p.c != 0 else 0.0
-    c_step = -1.0 if p.c > 0 else 1.0
+    log_half = np.log(x / 2.0)
+    log_pref = (q + 1.0) * log_half - (q + 0.5) * math.log(p.k)
+    if over_t:
+        log_pref = log_pref - np.log(t)
 
     # powers z^m of the Mittag-Leffler argument, m < max_terms, one row each
     powers = np.empty((pol.max_terms, n))
@@ -269,60 +271,28 @@ def solve_closed_form(
     gamma_log = np.empty(3 * pol.max_terms)
     filled = 0
 
-    totals = np.zeros(n)
-    carry = np.zeros(n)
-    terms_used = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
-    # at c = 0 only the r = 0 term is nonzero, so the series is exact after it
-    for r in range(pol.max_terms if p.c != 0 else 1):
-        if not active.any():
-            break
+    def ml_factor(r: int, nodes: np.ndarray) -> np.ndarray | None:
+        # sum_m z^m Gamma(big) / Gamma(nu*(m + 2r) + c0) with big = nu*(2r + q + 1) + 1;
+        # None at a pole of Gamma(big), a zero weight at a pole of the lower Gamma
+        nonlocal filled
         while filled < 2 * r + pol.max_terms:
             gamma_sign[filled], gamma_log[filled] = _signed_log_gamma(p.nu * filled + c0)
             filled += 1
-        # Gamma argument of the resummed coefficient, nu*(2r + q + 1) + 1
-        sign_big = gamma_sign[2 * r + big_index]
-        log_big = gamma_log[2 * r + big_index]
-        if sign_big == 0.0:
-            terms_used[active] = r + 1
-            continue
-        # ln Gamma_k(r k + mu + 3k/2) = (r + q + 1/2) ln k + ln Gamma(r + q + 3/2)
-        log_coeff = (
-            r * log_abs_c
-            - ((r + q + 0.5) * log_k + math.lgamma(r + q + 1.5))
-            - math.lgamma(r + 1.5)
-        )
-        sign = c_step ** r * sign_big
-        # scaled Mittag-Leffler: sum_m z^m Gamma(big) / Gamma(nu*(m + 2r) + c0),
-        # a zero weight at a pole of the lower Gamma
+        big = 2 * r + big_index
+        if gamma_sign[big] == 0.0:
+            return None
         lower = slice(2 * r, 2 * r + pol.max_terms)
-        weights = gamma_sign[lower] * np.exp(log_big - gamma_log[lower])
+        weights = gamma_sign[big] * gamma_sign[lower] * np.exp(gamma_log[big] - gamma_log[lower])
         ml = weights @ powers
-        log_mag = log_coeff + (2 * r + q + 1) * log_pref_base
-        if over_t:
-            log_mag = log_mag - log_t
-        peak = float(np.max(log_mag[active]))
-        if peak > pol.overflow_guard:
-            raise ConvergenceError(
-                f"closed-form term r={r} has log-magnitude {peak:.3g} exceeding "
-                f"the overflow guard {pol.overflow_guard:.3g}"
-            )
-        term = np.where(active, sign * np.exp(log_mag) * ml, 0.0)
-        y = term - carry
-        tot = totals + y
-        carry = np.where(active, (tot - totals) - y, carry)
-        totals = tot
-        terms_used[active] = r + 1
-        done = active & (totals != 0.0) & (np.abs(term) <= pol.rel_tol * np.abs(totals))
-        active &= ~done
-    values = p.n0 * totals
-    return SeriesSolution(
-        grid=grid,
-        values=values,
-        variant=variant,
-        terms_used=terms_used,
-        truncation_flag=active & (p.c != 0),
+        return ml if nodes.size == n else ml[nodes]
+
+    # z = -c x^2/(4k), log|z| from the same log(x/2); at c = 0 the series ends after r = 0
+    log_abs_z = 2.0 * log_half + (math.log(abs(p.c) / p.k) if p.c != 0 else 0.0)
+    totals, terms_used, converged = _wright_series_array(
+        "closed form", -p.c * x * x / (4.0 * p.k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
+        log_pref, log_abs_z=log_abs_z, factor=ml_factor,
     )
+    return SeriesSolution(grid, p.n0 * totals, variant, terms_used, ~converged)
 
 
 def solve_corollary_k1(

@@ -7,7 +7,8 @@ them all.  It assembles every term in log space with an explicit sign bit
 (naive Gamma products overflow doubles well inside a 50-term sum) and
 accumulates with compensated summation.  k-Struve is the classical Struve
 series with a rescaled argument.  An array form of the loop sums a whole
-grid of arguments at once for ``k_struve`` and ``mittag_leffler``.
+grid of arguments at once for ``k_struve``, ``mittag_leffler`` and the
+kinetic closed form.
 """
 
 from __future__ import annotations
@@ -274,6 +275,10 @@ def _scalar_logs(v: np.ndarray, log=math.log) -> np.ndarray:
     return np.fromiter(map(log, v.tolist()), float, v.size)
 
 
+def _unit_factor(n: int, nodes: np.ndarray) -> float:
+    return 1.0
+
+
 def _wright_series_array(
     what: str,
     z: np.ndarray,
@@ -282,31 +287,38 @@ def _wright_series_array(
     pol: TruncationPolicy,
     log_pref: np.ndarray | float = 0.0,
     sign_pref: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
+    log_abs_z: np.ndarray | None = None,
+    factor=_unit_factor,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_wright_series`` at every node of a 1-D array z, with one stop mask per node.
 
     Each node follows the scalar loop's arithmetic and stop rules.  The
     working arrays hold only the nodes still summing, so a converged node
     costs nothing further.  The overflow guard raises if any of them trips
-    it.  Returns (values, terms_used).
+    it.  ``log_abs_z`` is log|z| per node, any finite value where z = 0;
+    by default the scalar loop's logs.  ``factor(n, nodes)`` multiplies
+    term n at the working nodes, or is None where the term vanishes, as at
+    a lower Gamma pole.  Returns (values, terms_used, converged); converged
+    is False on a term-budget stop.
     """
     values = np.zeros(z.shape)
     used = np.full(z.shape, pol.max_terms)
     nonzero = z != 0.0
-    log_abs_z = np.zeros(z.shape)
-    log_abs_z[nonzero] = _scalar_logs(np.abs(z[nonzero]))
+    if log_abs_z is None:
+        log_abs_z = np.zeros(z.shape)
+        log_abs_z[nonzero] = _scalar_logs(np.abs(z[nonzero]))
     z_sign = np.where(z < 0, -1.0, 1.0)
     # the working set, indexed by node
     nodes = np.arange(z.size)
     log_pref = np.broadcast_to(log_pref, z.shape)
-    sign = np.full(z.shape, sign_pref)
     total = np.zeros(z.shape)
     carry = np.zeros(z.shape)
     for n in range(pol.max_terms):
         if nodes.size == 0:
             break
         g_sign, log_ratio = _term_gamma_ratio(n, upper, lower)
-        if g_sign == 0.0:
+        scale = factor(n, nodes) if g_sign != 0.0 else None
+        if scale is None:
             stop = np.zeros(nodes.size, dtype=bool)
         else:
             log_mag = log_pref + n * log_abs_z + log_ratio
@@ -316,7 +328,8 @@ def _wright_series_array(
                     f"{what}: term {n} has log-magnitude {peak:.3g} "
                     f"exceeding the overflow guard {pol.overflow_guard:.3g}"
                 )
-            term = sign * g_sign * np.exp(log_mag)
+            sign = sign_pref * g_sign * (z_sign if n % 2 else 1.0)
+            term = np.exp(log_mag) * (sign * scale)
             compensated = term + carry
             previous = total
             total = total + compensated
@@ -325,15 +338,17 @@ def _wright_series_array(
         if n == 0:  # z == 0: exact after the n = 0 term
             stop |= ~nonzero
         if stop.any():
-            values[nodes[stop]] = total[stop]
-            used[nodes[stop]] = n + 1
-            keep = ~stop
-            nodes, log_pref, log_abs_z, z_sign, sign, total, carry = (
-                arr[keep] for arr in (nodes, log_pref, log_abs_z, z_sign, sign, total, carry)
+            done = nodes[stop]
+            values[done] = total[stop]
+            used[done] = n + 1
+            keep = np.flatnonzero(~stop)
+            nodes, log_pref, log_abs_z, z_sign, total, carry = (
+                arr[keep] for arr in (nodes, log_pref, log_abs_z, z_sign, total, carry)
             )
-        sign = sign * z_sign
     values[nodes] = total
-    return values, used
+    converged = np.ones(z.shape, dtype=bool)
+    converged[nodes] = False  # still summing when the term budget ran out
+    return values, used, converged
 
 
 def _check_nodes(x: np.ndarray, name: str) -> None:
@@ -415,7 +430,7 @@ def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy)
     used = np.ones(x.shape, dtype=int)
     xp = x[positive]
     k = params.k
-    values[positive], used[positive] = _wright_series_array(
+    values[positive], used[positive], _ = _wright_series_array(
         "k_struve", -params.c * xp * xp / (4.0 * k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
         (q + 1.0) * _scalar_logs(xp, _log_half) - (q + 0.5) * math.log(k),
     )
@@ -463,7 +478,7 @@ def _mittag_leffler_array(alpha: float, beta: float, z: np.ndarray, pol: Truncat
     """``mittag_leffler_info`` at every node of a 1-D array z; returns (values, terms_used)."""
     _check_ml_params(alpha, beta)
     _check_nodes(z, "z")
-    return _wright_series_array("mittag_leffler", z, (), ((beta, alpha),), pol)
+    return _wright_series_array("mittag_leffler", z, (), ((beta, alpha),), pol)[:2]
 
 
 def mittag_leffler(

@@ -15,6 +15,7 @@ from kstruve.cli import (
     EXIT_OK,
     main,
 )
+from kstruve.specfun import TruncationPolicy
 
 
 def _read(path):
@@ -112,6 +113,20 @@ class TestSolve:
         rc = main(["solve", "--nu", "-1", "--out", str(tmp_path / "x")])
         assert rc == EXIT_INPUT
 
+    def test_missing_output_directory(self, tmp_path, capsys):
+        rc = main(["solve", "--n-points", "4", "--out", str(tmp_path / "nope" / "sol")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
+
+    def test_overflow_guard_exit(self, tmp_path, monkeypatch):
+        def policy(args):
+            return TruncationPolicy(args.max_terms, args.rel_tol, overflow_guard=-10.0)
+
+        monkeypatch.setattr(cli, "_policy", policy)
+        rc = main(["solve", "--n-points", "4", "--out", str(tmp_path / "sol")])
+        assert rc == EXIT_NUMERICAL
+        assert not (tmp_path / "sol.csv").exists()
+
 
 class TestValidate:
     def test_agreement_run(self, tmp_path):
@@ -166,6 +181,12 @@ class TestFigures:
             assert svg.startswith("<?xml")
             assert "<svg" in svg and "</svg>" in svg
 
+    def test_missing_output_directory(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "nope")
+        rc = main(["figures", "--which", "1", "--n-points", "8", "--out-dir", out_dir])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_deterministic_bytes(self, tmp_path):
         a_dir = tmp_path / "a"
         b_dir = tmp_path / "b"
@@ -212,6 +233,20 @@ class TestConfig:
         rc = main(["--config", str(cfg), "solve", "--nu", "0.9", "--t-max", "1", "--out", str(out)])
         assert rc == EXIT_OK
         assert "nu=0.9" in _read(tmp_path / "sol.csv").splitlines()[0]
+
+    def test_config_spellings(self, tmp_path):
+        # --config PATH and --config=PATH apply the file; an abbreviation is a usage error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n-points = 4\n", encoding="utf-8")
+        out = tmp_path / "sol"
+        for prefix in (["--config", str(cfg)], [f"--config={cfg}"]):
+            assert main(prefix + ["solve", "--out", str(out)]) == EXIT_OK
+            assert len(_data_rows(_read(tmp_path / "sol.csv"))) == 4
+        for prefix in (["--conf", str(cfg)], [f"--conf={cfg}"]):
+            with pytest.raises(SystemExit) as exc:
+                main(prefix + ["solve", "--out", str(tmp_path / "abbrev")])
+            assert exc.value.code == 2
+        assert not (tmp_path / "abbrev.csv").exists()
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["--config", str(tmp_path / "nope.cfg"), "solve"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kstruve import kinetics
-from kstruve.errors import DomainError
+from kstruve.errors import ConvergenceError, DomainError
 from kstruve.kinetics import (
     _ORACLE_POLICY,
     FORCINGS,
@@ -86,8 +86,9 @@ def _closed_form_reference(p, grid, variant, pol):
     """The closed-form r-series with its Mittag-Leffler factor summed term by term.
 
     For each r and each m it takes the Gamma ratio Gamma(big)/Gamma(nu*m + beta)
-    and adds weight * z^m over the grid, skipping zero weights.  Returns
-    (values, terms_used, truncation_flag).
+    and adds weight * z^m over the grid, skipping zero weights.  A term r
+    whose Gamma(big) is at a pole is zero and skipped.  Returns (values,
+    terms_used, truncation_flag).
     """
     t = grid.points()
     n = grid.n_points
@@ -102,6 +103,9 @@ def _closed_form_reference(p, grid, variant, pol):
         if not active.any():
             break
         sign_big, log_big = _signed_log_gamma(p.nu * (2 * r + q + 1) + 1.0)
+        if sign_big == 0.0:  # the coefficient 1/Gamma(big) is 0: a zero term, no stop test
+            terms_used[active] = r + 1
+            continue
         log_coeff = (
             r * math.log(abs(p.c))
             - ((r + q + 0.5) * math.log(p.k) + math.lgamma(r + q + 1.5))
@@ -136,14 +140,32 @@ class TestClosedForm:
     @pytest.mark.parametrize("forcing", ["thm1", "thm2", "thm3"])
     @pytest.mark.parametrize("max_terms", [6, 60])  # 6 truncates the later nodes
     def test_matches_term_by_term_reference(self, k, c, variant, forcing, max_terms):
+        p = _problem(k=k, c=c, forcing=forcing, nu=1.3 if k == 3.0 else 0.7, mu=0.5, d=1.4, a=2.5)
+        self._check_reference(p, variant, max_terms)
+
+    @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
+    @pytest.mark.parametrize("forcing", ["thm1", "thm3"])
+    @pytest.mark.parametrize("max_terms", [6, 60])
+    def test_coefficient_pole_matches_reference(self, variant, forcing, max_terms):
+        # nu = 4, mu/k = -1.25: Gamma(nu*(2r + mu/k + 1) + 1) = Gamma(0) at r = 0
+        p = _problem(k=1.0, forcing=forcing, nu=4.0, mu=-1.25, d=1.4)
+        assert _signed_log_gamma(p.nu * (p.mu / p.k + 1) + 1.0)[0] == 0.0
+        self._check_reference(p, variant, max_terms)
+
+    @staticmethod
+    def _check_reference(p, variant, max_terms):
         grid = TimeGrid(t_max=1.0, n_points=48)
         pol = TruncationPolicy(max_terms=max_terms, rel_tol=1e-16)
-        p = _problem(k=k, c=c, forcing=forcing, nu=1.3 if k == 3.0 else 0.7, mu=0.5, d=1.4, a=2.5)
         sol = solve_closed_form(p, grid, variant, pol)
         values, terms_used, flags = _closed_form_reference(p, grid, variant, pol)
         assert np.max(np.abs(sol.values - values)) <= 1e-14 * np.max(np.abs(values))
         np.testing.assert_array_equal(sol.terms_used, terms_used)
         np.testing.assert_array_equal(sol.truncation_flag, flags)
+
+    def test_overflow_guard(self):
+        pol = TruncationPolicy(overflow_guard=-10.0)
+        with pytest.raises(ConvergenceError):
+            solve_closed_form(_problem(), TimeGrid(t_max=1.0, n_points=8), "as_printed", pol)
 
     def test_frozen_values(self):
         grid = TimeGrid(t_max=0.5, n_points=50)
