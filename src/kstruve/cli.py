@@ -51,7 +51,10 @@ _FIGURE_NUS = (0.5, 0.7, 0.9, 1.0, 1.5)
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -254,7 +257,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     grid = _grid(args)
     pol = _policy(args)
-    t = grid.points().tolist()
+    # each t cell and each block's "param,value," prefix is formatted once
+    t = ["%.17g," % v for v in grid.points().tolist()]
     blocks = []
     for value in args.values:
         fields = dict(
@@ -264,10 +268,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fields[args.param] = value
         problem = KineticProblem(**fields)
         sol = solve_closed_form(problem, grid, "sumudu_consistent", pol)
-        blocks.append(zip(repeat(args.param), repeat(value), t, sol.values.tolist()))
+        prefix = "%s,%.17g," % (args.param, value)
+        blocks.append(zip(repeat(prefix), t, sol.values.tolist()))
     rows = chain.from_iterable(blocks)
     path = f"{args.out}.csv"
-    _write_atomic(path, _csv(_meta_line(args), "param,value,t,N", "%s,%.17g,%.17g,%.17g", rows))
+    _write_atomic(path, _csv(_meta_line(args), "param,value,t,N", "%s%s%.17g", rows))
     print(path)
     return EXIT_OK
 

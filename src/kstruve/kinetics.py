@@ -232,9 +232,10 @@ def solve_closed_form(
     neither overflows alone.  The shared array loop ``_wright_series_array``
     sums it under the truncation policy and flags the nodes that stop on
     the term budget.  The powers of the Mittag-Leffler argument are
-    tabulated once per solve, so each r costs one matrix-vector product
-    over the nodes still summing; one lazily grown table of log-Gammas
-    holds every lower Gamma argument and the coefficient's.
+    tabulated once per solve, only up to the row where the factor's weights
+    times max|z|^m fall below 2^-64 of its leading term, so each r costs one
+    matrix-vector product of that many rows; one lazily grown table of
+    log-Gammas holds every lower Gamma argument and the coefficient's.
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -258,14 +259,22 @@ def solve_closed_form(
     if over_t:
         log_pref = log_pref - np.log(t)
 
-    # powers z^m of the Mittag-Leffler argument, m < max_terms, one row each
-    powers = np.empty((pol.max_terms, n))
-    powers[0] = 1.0
-    for m in range(1, pol.max_terms):
-        np.multiply(powers[m - 1], ml_arg, out=powers[m])
     # every lower Gamma argument is nu*j + c0 with j = m + 2r; one table of
     # (sign, ln|Gamma|) serves all r and grows with r
     c0 = p.nu * q + 1.0 + ml_shift
+    # The powers z^m end before the first row whose r = 0 weight times
+    # max|z|^m is below 2^-64 of the leading term.  Its log is concave in m,
+    # so no later row comes back, and rows fall faster for r > 0, since
+    # Gamma(a)/Gamma(a + m nu) decreases in a > 0.  c0 <= 0 keeps every row.
+    rows = pol.max_terms
+    z_max = float(np.max(np.abs(ml_arg)))
+    if c0 > 0 and z_max > 0:
+        log_z, cut = math.log(z_max), -math.lgamma(c0) - 64 * math.log(2.0)
+        rows = next((m for m in range(rows) if m * log_z - math.lgamma(p.nu * m + c0) < cut), rows)
+    powers = np.empty((rows, n))
+    powers[0] = 1.0
+    for m in range(1, rows):
+        np.multiply(powers[m - 1], ml_arg, out=powers[m])
     big_index = 0 if variant == "sumudu_consistent" else 1
     gamma_sign = np.empty(3 * pol.max_terms)
     gamma_log = np.empty(3 * pol.max_terms)
@@ -275,13 +284,13 @@ def solve_closed_form(
         # sum_m z^m Gamma(big) / Gamma(nu*(m + 2r) + c0) with big = nu*(2r + q + 1) + 1;
         # None at a pole of Gamma(big), a zero weight at a pole of the lower Gamma
         nonlocal filled
-        while filled < 2 * r + pol.max_terms:
+        while filled < 2 * r + max(rows, 2):  # rows and Gamma(big)
             gamma_sign[filled], gamma_log[filled] = _signed_log_gamma(p.nu * filled + c0)
             filled += 1
         big = 2 * r + big_index
         if gamma_sign[big] == 0.0:
             return None
-        lower = slice(2 * r, 2 * r + pol.max_terms)
+        lower = slice(2 * r, 2 * r + rows)
         weights = gamma_sign[big] * gamma_sign[lower] * np.exp(gamma_log[big] - gamma_log[lower])
         ml = weights @ powers
         return ml if nodes.size == n else ml[nodes]

@@ -292,14 +292,16 @@ def _wright_series_array(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_wright_series`` at every node of a 1-D array z, with one stop mask per node.
 
-    Each node follows the scalar loop's arithmetic and stop rules.  The
-    working arrays hold only the nodes still summing, so a converged node
-    costs nothing further.  The overflow guard raises if any of them trips
-    it.  ``log_abs_z`` is log|z| per node, any finite value where z = 0;
-    by default the scalar loop's logs.  ``factor(n, nodes)`` multiplies
-    term n at the working nodes, or is None where the term vanishes, as at
-    a lower Gamma pole.  Returns (values, terms_used, converged); converged
-    is False on a term-budget stop.
+    Each node follows the scalar loop's arithmetic and stop rules.  A node
+    that stops is written out at once and parked: log-prefactor -inf makes
+    its terms exactly 0, and a ``live`` mask keeps it from stopping again.
+    The working arrays are compacted only when the live count has fallen to
+    half their length.  The overflow guard raises if a live node trips it.
+    ``log_abs_z`` is log|z| per node, any finite value where z = 0; by
+    default the scalar loop's logs.  ``factor(n, nodes)`` multiplies term n
+    at the working nodes, or is None where the term vanishes, as at a lower
+    Gamma pole.  Returns (values, terms_used, converged); converged is
+    False on a term-budget stop.
     """
     values = np.zeros(z.shape)
     used = np.full(z.shape, pol.max_terms)
@@ -308,9 +310,10 @@ def _wright_series_array(
         log_abs_z = np.zeros(z.shape)
         log_abs_z[nonzero] = _scalar_logs(np.abs(z[nonzero]))
     z_sign = np.where(z < 0, -1.0, 1.0)
-    # the working set, indexed by node
+    # the working set, indexed by node; parked nodes stay until it halves
     nodes = np.arange(z.size)
-    log_pref = np.broadcast_to(log_pref, z.shape)
+    live = np.ones(z.shape, dtype=bool)
+    log_pref = np.full(z.shape, log_pref, dtype=float)  # a copy: parked entries are written
     total = np.zeros(z.shape)
     carry = np.zeros(z.shape)
     for n in range(pol.max_terms):
@@ -334,20 +337,23 @@ def _wright_series_array(
             previous = total
             total = total + compensated
             carry = compensated - (total - previous)
-            stop = (total != 0.0) & (np.abs(term) <= pol.rel_tol * np.abs(total))
+            stop = live & (total != 0.0) & (np.abs(term) <= pol.rel_tol * np.abs(total))
         if n == 0:  # z == 0: exact after the n = 0 term
             stop |= ~nonzero
         if stop.any():
             done = nodes[stop]
             values[done] = total[stop]
             used[done] = n + 1
-            keep = np.flatnonzero(~stop)
-            nodes, log_pref, log_abs_z, z_sign, total, carry = (
-                arr[keep] for arr in (nodes, log_pref, log_abs_z, z_sign, total, carry)
-            )
-    values[nodes] = total
+            live &= ~stop
+            log_pref[stop] = -np.inf
+            if 2 * np.count_nonzero(live) <= nodes.size:
+                keep = np.flatnonzero(live)
+                nodes, live, log_pref, log_abs_z, z_sign, total, carry = (
+                    arr[keep] for arr in (nodes, live, log_pref, log_abs_z, z_sign, total, carry)
+                )
+    values[nodes[live]] = total[live]
     converged = np.ones(z.shape, dtype=bool)
-    converged[nodes] = False  # still summing when the term budget ran out
+    converged[nodes[live]] = False  # still summing when the term budget ran out
     return values, used, converged
 
 

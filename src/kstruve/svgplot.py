@@ -6,6 +6,8 @@ legend.  Output is deterministic: fixed float formatting, fixed palette.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 __all__ = ["render_line_chart"]
@@ -88,15 +90,17 @@ def render_line_chart(x, series, title: str, xlabel: str, ylabel: str) -> str:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {_MT + plot_h // 2})">{ylabel}</text>'
     )
+    # sx and sy at every point, in the same operation order; as in Python
+    # float arithmetic, an infinite axis bound gives inf or nan silently.
+    # Each x coordinate is formatted once per chart.
+    with np.errstate(all="ignore"):
+        px = ["%.6g," % v for v in (_ML + (x - xmin) / (xmax - xmin) * plot_w).tolist()]
     for idx, (label, ys) in enumerate(columns.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         finite = np.isfinite(ys)
-        # sx and sy at every finite point, in the same operation order; as in
-        # Python float arithmetic, an infinite axis bound gives inf or nan silently
         with np.errstate(all="ignore"):
-            px = _ML + (x[finite] - xmin) / (xmax - xmin) * plot_w
             py = _MT + (ymax - ys[finite]) / (ymax - ymin) * plot_h
-        pts = " ".join("%.6g,%.6g" % point for point in zip(px.tolist(), py.tolist()))
+        pts = " ".join(map("%s%.6g".__mod__, zip(compress(px, finite.tolist()), py.tolist())))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

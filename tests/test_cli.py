@@ -116,7 +116,10 @@ class TestSolve:
     def test_missing_output_directory(self, tmp_path, capsys):
         rc = main(["solve", "--n-points", "4", "--out", str(tmp_path / "nope" / "sol")])
         assert rc == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("input error:")
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        # the message names the requested file, not a temporary one
+        assert repr(str(tmp_path / "nope" / "sol.csv")) in err and ".tmp-" not in err
 
     def test_overflow_guard_exit(self, tmp_path, monkeypatch):
         def policy(args):
@@ -185,7 +188,9 @@ class TestFigures:
         out_dir = str(tmp_path / "nope")
         rc = main(["figures", "--which", "1", "--n-points", "8", "--out-dir", out_dir])
         assert rc == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("input error:")
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert repr(os.path.join(out_dir, "fig1.csv")) in err and ".tmp-" not in err
 
     def test_deterministic_bytes(self, tmp_path):
         a_dir = tmp_path / "a"

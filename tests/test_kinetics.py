@@ -152,6 +152,20 @@ class TestClosedForm:
         assert _signed_log_gamma(p.nu * (p.mu / p.k + 1) + 1.0)[0] == 0.0
         self._check_reference(p, variant, max_terms)
 
+    @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
+    @pytest.mark.parametrize("forcing", ["thm1", "thm2", "thm3"])
+    @pytest.mark.parametrize(
+        "nu,d,max_terms",
+        [
+            (0.3, 2.0, 100),  # Mittag-Leffler weights fall slowly: 86 to 95 rows of 100
+            (1.5, 1.0, 100),  # they fall fast: 13 to 18 rows
+            (0.9, 1.0, 1),  # one term: Gamma(big) of as_printed lies past the single row
+        ],
+    )
+    def test_row_cut_matches_reference(self, variant, forcing, nu, d, max_terms):
+        p = _problem(k=1.0, c=1.0, forcing=forcing, nu=nu, mu=1.0, d=d, a=2.5)
+        self._check_reference(p, variant, max_terms)
+
     @staticmethod
     def _check_reference(p, variant, max_terms):
         grid = TimeGrid(t_max=1.0, n_points=48)

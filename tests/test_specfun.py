@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,75 @@ class TestArrayPath:
             [_abs_term_sum_ml(alpha, beta, zi, used) for zi, (_, used) in zip(zs, scalar)],
         )
         np.testing.assert_array_equal(mittag_leffler(alpha, beta, z, pol), array[0])
+
+    def test_spread_stops_match_scalar(self):
+        # nodes over seven decades, with z = 0 nodes between them, stop anywhere
+        # from term 1 to past term 200; rel_tol = 0 stops only on underflow
+        mags = np.logspace(-6.0, 0.8, 40)
+        for rel_tol in (1e-16, 0.0):
+            pol = TruncationPolicy(max_terms=400, rel_tol=rel_tol)
+            z = np.insert(-mags, [0, 7, 23, 40], 0.0)
+            scalar = [mittag_leffler_info(1.0, 1.0, zi, pol) for zi in z.tolist()]
+            array = specfun._mittag_leffler_array(1.0, 1.0, z, pol)
+            abs_sums = [_abs_term_sum_ml(1.0, 1.0, zi, used) for zi, (_, used) in zip(z, scalar)]
+            _assert_matches_scalar(array, scalar, abs_sums)
+            assert len(set(array[1].tolist())) > 10
+            params = KStruveParams(k=1.5, nu=0.7, c=-0.9)
+            x = np.insert(mags * 3.0, [0, 11, 40], 0.0)
+            scalar = [k_struve_info(params, xi, pol) for xi in x.tolist()]
+            array = specfun._k_struve_array(params, x, pol)
+            abs_sums = [
+                _abs_term_sum_kstruve(params, xi, used) for xi, (_, used) in zip(x, scalar)
+            ]
+            _assert_matches_scalar(array, scalar, abs_sums)
+            assert len(set(array[1].tolist())) > 10
+
+    def test_parked_node_is_inert(self):
+        # node 1 stops at term 1 (its factor is 0 there).  It stays parked in the
+        # working arrays, four of five live, while its term 2 would have
+        # log-magnitude 2 ln(1e200) - ln 2 ~ 920, past the overflow guard
+        z = np.array([0.5, 1e200, 0.3, 0.2, 0.1])
+        seen = []
+
+        def factor(n, nodes):
+            seen.append(nodes.copy())
+            return np.where(nodes == 1, 0.0, 1.0) if n else 1.0
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, used, converged = specfun._wright_series_array(
+                "test", z, (), ((1.0, 1.0),), TruncationPolicy(), factor=factor
+            )
+        assert 1 in seen[2] and len(seen[2]) == 5
+        assert values[1] == 1.0 and used[1] == 2
+        for zi, value, terms in zip(z[[0, 2, 3, 4]], values[[0, 2, 3, 4]], used[[0, 2, 3, 4]]):
+            assert (value, terms) == mittag_leffler_info(1.0, 1.0, zi)
+        assert converged.all()
+
+    def test_working_set_compacts_at_half(self):
+        sizes = []
+
+        def factor(n, nodes):
+            sizes.append(nodes.size)
+            return 1.0
+
+        pol = TruncationPolicy(max_terms=60)
+        z = -np.logspace(-8.0, 0.5, 64)
+        values, used = specfun._wright_series_array(
+            "test", z, (), ((1.0, 1.0),), pol, factor=factor
+        )[:2]
+        # live[n]: nodes still summing at term n
+        live = [int((used > n).sum()) for n in range(len(sizes))]
+        assert sizes[0] == 64 and sizes[-1] < 64
+        # some terms park stopped nodes without compacting
+        assert any(live[n] < live[n - 1] == sizes[n] for n in range(1, len(sizes)))
+        for n in range(1, len(sizes)):
+            # every live node is in the working set; it was compacted at term
+            # n - 1 exactly when the live count fell to half its length
+            assert live[n] <= sizes[n]
+            assert (sizes[n] < sizes[n - 1]) == (2 * live[n] <= sizes[n - 1])
+            assert sizes[n] in (sizes[n - 1], live[n])
+        np.testing.assert_array_equal(values, specfun._mittag_leffler_array(1.0, 1.0, z, pol)[0])
 
     def test_zero_node_inside_array(self):
         values, used = specfun._k_struve_array(
