@@ -9,6 +9,12 @@ accumulates with compensated summation.  k-Struve is the classical Struve
 series with a rescaled argument.  An array form of the loop sums a whole
 grid of arguments at once for ``k_struve``, ``mittag_leffler`` and the
 kinetic closed form.
+
+Both loops read each term's Gamma ratio, as a (sign, log-magnitude) pair,
+from a table cached per parameter set: the key is the (upper, lower)
+tuples alone, never the argument.  A table grows only as far as a call
+reaches.  At most 1024 tables of at most 256 rows are kept; the cache is cleared
+when a new table finds it full.
 """
 
 from __future__ import annotations
@@ -106,7 +112,9 @@ class WrightParams:
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple((float(a), float(A)) for a, A in self.upper))
         object.__setattr__(self, "lower", tuple((float(b), float(B)) for b, B in self.lower))
-        for _, step in self.upper + self.lower:
+        for offset, step in self.upper + self.lower:
+            if not math.isfinite(offset):
+                raise DomainError(f"all a, b offsets must be finite, got {offset}")
             if not (step > 0 and math.isfinite(step)):
                 raise DomainError(f"all A, B coefficients must be strictly positive, got {step}")
         if self.delta < 0:
@@ -204,6 +212,25 @@ def _term_gamma_ratio(
     return sign, log_up - log_low
 
 
+# Row n of the table under key (upper, lower) is _term_gamma_ratio(n, upper,
+# lower).  A published table is an immutable tuple, replaced only by a
+# longer one, so a caller still reading an older table reads the same rows.
+# A call that raises publishes nothing, and an upper pole has no row, so the
+# pole raises on every call that reaches its term.
+_RATIO_TABLE_CAP = 1024  # tables; the cache is cleared when a new one finds it full
+_RATIO_ROW_CAP = 256  # rows published per table; later rows are computed per call
+_ratio_tables: dict[tuple, tuple[tuple[float, float], ...]] = {}
+
+
+def _publish_ratio_table(key: tuple, rows: list[tuple[float, float]]) -> None:
+    """Cache rows under key if they extend the published table."""
+    if min(len(rows), _RATIO_ROW_CAP) <= len(_ratio_tables.get(key, ())):
+        return
+    if key not in _ratio_tables and len(_ratio_tables) >= _RATIO_TABLE_CAP:
+        _ratio_tables.clear()
+    _ratio_tables[key] = tuple(rows[:_RATIO_ROW_CAP])
+
+
 def _wright_series(
     what: str,
     z: float,
@@ -224,11 +251,16 @@ def _wright_series(
     Returns (value, terms_used, signed_term_values).
     """
     log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
-    z_sign = -1.0 if z < 0 else 1.0
+    # the sign of z^n, times the prefactor's, for even and odd n
+    power_sign = (sign_pref, -sign_pref if z < 0 else sign_pref)
+    key = (upper, lower)
+    table = list(_ratio_tables.get(key, ()))  # extended here, published at the end
     total = carry = 0.0
     terms: list[float] = []
     for n in range(pol.max_terms if z != 0.0 else 1):
-        g_sign, log_ratio = _term_gamma_ratio(n, upper, lower)
+        if n == len(table):
+            table.append(_term_gamma_ratio(n, upper, lower))
+        g_sign, log_ratio = table[n]
         if g_sign == 0.0:
             terms.append(0.0)
             continue
@@ -238,7 +270,7 @@ def _wright_series(
                 f"{what}: term {n} has log-magnitude {log_mag:.3g} "
                 f"exceeding the overflow guard {pol.overflow_guard:.3g}"
             )
-        term = sign_pref * z_sign ** n * g_sign * math.exp(log_mag)
+        term = power_sign[n & 1] * g_sign * math.exp(log_mag)
         terms.append(term)
         # Kahan step: alternating series lose digits otherwise
         compensated = term + carry
@@ -247,6 +279,7 @@ def _wright_series(
         carry = compensated - (total - previous)
         if total != 0.0 and abs(term) <= pol.rel_tol * abs(total):
             break
+    _publish_ratio_table(key, table)
     return total, len(terms), terms
 
 
@@ -316,10 +349,14 @@ def _wright_series_array(
     log_pref = np.full(z.shape, log_pref, dtype=float)  # a copy: parked entries are written
     total = np.zeros(z.shape)
     carry = np.zeros(z.shape)
+    key = (upper, lower)
+    table = list(_ratio_tables.get(key, ()))  # extended here, published at the end
     for n in range(pol.max_terms):
         if nodes.size == 0:
             break
-        g_sign, log_ratio = _term_gamma_ratio(n, upper, lower)
+        if n == len(table):
+            table.append(_term_gamma_ratio(n, upper, lower))
+        g_sign, log_ratio = table[n]
         scale = factor(n, nodes) if g_sign != 0.0 else None
         if scale is None:
             stop = np.zeros(nodes.size, dtype=bool)
@@ -351,6 +388,7 @@ def _wright_series_array(
                 nodes, live, log_pref, log_abs_z, z_sign, total, carry = (
                     arr[keep] for arr in (nodes, live, log_pref, log_abs_z, z_sign, total, carry)
                 )
+    _publish_ratio_table(key, table)
     values[nodes[live]] = total[live]
     converged = np.ones(z.shape, dtype=bool)
     converged[nodes[live]] = False  # still summing when the term budget ran out
@@ -382,6 +420,7 @@ def struve_h_info(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY):
             f"struve_h at x < 0 requires an integer order (fractional power of a "
             f"negative base), got p={p}, x={x}"
         )
+    p = float(p)  # a float key: an equal float32 would sum its table's rows in float32
     half_x = abs(x) / 2.0
     # H_p(-x) = (-1)^(p+1) H_p(x) for integer p
     sign = -1.0 if (x < 0 and int(p) % 2 == 0) else 1.0
@@ -455,11 +494,13 @@ def k_struve(
     return k_struve_info(params, x, pol)[0]
 
 
-def _check_ml_params(alpha: float, beta: float) -> None:
+def _ml_params(alpha: float, beta: float) -> tuple[float, float]:
+    """alpha and beta, checked, as floats, so equal ratio-table keys mean equal rows."""
     if not (alpha > 0 and math.isfinite(alpha)):
         raise DomainError(f"alpha must be > 0, got {alpha!r}")
     if not math.isfinite(beta):
         raise DomainError("beta must be finite")
+    return float(alpha), float(beta)
 
 
 def mittag_leffler_info(
@@ -473,7 +514,7 @@ def mittag_leffler_info(
     and the overflow guard trips near 700.  The kinetic solvers only need
     z = -(d t)^nu on bounded time windows, well inside the envelope.
     """
-    _check_ml_params(alpha, beta)
+    alpha, beta = _ml_params(alpha, beta)
     if not math.isfinite(z):
         raise DomainError("z must be finite")
     value, used, _ = _wright_series("mittag_leffler", z, (), ((beta, alpha),), pol)
@@ -482,7 +523,7 @@ def mittag_leffler_info(
 
 def _mittag_leffler_array(alpha: float, beta: float, z: np.ndarray, pol: TruncationPolicy):
     """``mittag_leffler_info`` at every node of a 1-D array z; returns (values, terms_used)."""
-    _check_ml_params(alpha, beta)
+    alpha, beta = _ml_params(alpha, beta)
     _check_nodes(z, "z")
     return _wright_series_array("mittag_leffler", z, (), ((beta, alpha),), pol)[:2]
 

@@ -1,5 +1,9 @@
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -524,6 +528,18 @@ class TestFoxWright:
         with pytest.raises(DomainError):
             WrightParams(upper=((1.0, 0.0),), lower=())
 
+    @pytest.mark.parametrize(
+        "upper,lower",
+        [
+            (((math.nan, 1.0),), ()),  # once a raw ValueError
+            ((), ((-math.inf, 1.0),)),  # once a raw OverflowError
+            ((), ((math.inf, 1.0),)),  # once a silent (0.0, 50)
+        ],
+    )
+    def test_nonfinite_offset_rejected(self, upper, lower):
+        with pytest.raises(DomainError, match="offsets must be finite"):
+            WrightParams(upper=upper, lower=lower)
+
     def test_numerator_pole_rejected(self, tight):
         w = WrightParams(upper=((-2.0, 1.0),), lower=((1.0, 1.0), (1.0, 1.0)))
         with pytest.raises(DomainError):
@@ -605,3 +621,203 @@ class TestFoxWright:
         )
         v = fox_wright(w, -0.25, TruncationPolicy(max_terms=50))
         assert v == pytest.approx(PSI22_BOUNDARY, rel=1e-12)
+
+
+def _reference_series(what, z, upper, lower, pol, log_pref=0.0, sign_pref=1.0):
+    """The series loop with no ratio table: every term calls _term_gamma_ratio."""
+    log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
+    z_sign = -1.0 if z < 0 else 1.0
+    total = carry = 0.0
+    terms = []
+    for n in range(pol.max_terms if z != 0.0 else 1):
+        g_sign, log_ratio = specfun._term_gamma_ratio(n, upper, lower)
+        if g_sign == 0.0:
+            terms.append(0.0)
+            continue
+        log_mag = log_pref + n * log_abs_z + log_ratio
+        if log_mag > pol.overflow_guard:
+            raise ConvergenceError(
+                f"{what}: term {n} has log-magnitude {log_mag:.3g} "
+                f"exceeding the overflow guard {pol.overflow_guard:.3g}"
+            )
+        term = sign_pref * z_sign ** n * g_sign * math.exp(log_mag)
+        terms.append(term)
+        compensated = term + carry
+        previous = total
+        total += compensated
+        carry = compensated - (total - previous)
+        if total != 0.0 and abs(term) <= pol.rel_tol * abs(total):
+            break
+    return total, len(terms), terms
+
+
+def _outcome(fn, args, pol):
+    """The bits and terms of a kernel call, or the type and message of its error."""
+    try:
+        value, used = fn(*args, pol)
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return float(value).hex(), used
+
+
+_POLICIES = [
+    TruncationPolicy(),
+    TruncationPolicy(max_terms=200, rel_tol=0.0),
+    TruncationPolicy(max_terms=7),
+    TruncationPolicy(overflow_guard=30.0),
+]
+# integers among the orders put poles into the lower Gammas
+_orders = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), st.floats(-3.0, 4.0))
+_steps = st.floats(0.2, 1.5)
+_kernel_calls = st.one_of(
+    st.builds(
+        lambda p, x: (struve_h_info, (p, x)),
+        st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-1.4, 4.0)),
+        st.floats(-40.0, 40.0),
+    ),
+    st.builds(
+        lambda k, ratio, c, x: (k_struve_info, (KStruveParams(k, ratio * k, c), x)),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        st.floats(-1.45, 3.0),
+        st.one_of(st.sampled_from([1.0, -1.0, 0.0]), st.floats(-2.0, 2.0)),
+        st.floats(0.0, 50.0),
+    ),
+    st.builds(
+        lambda alpha, beta, z: (mittag_leffler_info, (alpha, beta, z)),
+        st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.2, 3.0)),
+        _orders,
+        st.floats(-35.0, 10.0),
+    ),
+    # at most one upper pair, with A <= 1, keeps delta = 1 + sum(B) - A >= 0,
+    # so WrightParams accepts every draw; a borderline draw outside its
+    # radius raises DomainError, compared like any other outcome
+    st.builds(
+        lambda upper, lower, z: (fox_wright_info, (WrightParams(upper, lower), z)),
+        st.lists(st.tuples(_orders, st.floats(0.2, 1.0)), max_size=1),
+        st.lists(st.tuples(_orders, _steps), max_size=2),
+        st.floats(-20.0, 5.0),
+    ),
+)
+
+
+class TestRatioTable:
+    """The per-parameter-set Gamma-ratio cache of the series loops."""
+
+    @given(case=_kernel_calls, pol=st.sampled_from(_POLICIES))
+    @settings(max_examples=400, deadline=None)
+    def test_cold_warm_and_reference_agree(self, case, pol):
+        fn, args = case
+        specfun._ratio_tables.clear()
+        cold = _outcome(fn, args, pol)
+        warm = _outcome(fn, args, pol)
+        with mock.patch.object(specfun, "_wright_series", _reference_series):
+            reference = _outcome(fn, args, pol)
+        assert cold == warm == reference
+
+    def test_tables_are_keyed_on_both_sides(self):
+        # the same lower pairs with and without an upper pair, and the same
+        # pairs as upper and as lower, are three parameter sets
+        sets = [
+            WrightParams(upper=((0.5, 0.5),), lower=((1.5, 1.0),)),
+            WrightParams(upper=(), lower=((1.5, 1.0),)),
+            WrightParams(upper=((1.5, 1.0),), lower=((0.5, 0.5),)),
+        ]
+        pol = TruncationPolicy(max_terms=200)
+        with mock.patch.object(specfun, "_wright_series", _reference_series):
+            expected = [_outcome(fox_wright_info, (w, -1.5), pol) for w in sets]
+        specfun._ratio_tables.clear()
+        for _ in range(2):
+            assert [_outcome(fox_wright_info, (w, -1.5), pol) for w in sets] == expected
+        assert len(specfun._ratio_tables) == 3
+
+    def test_float32_parameters_sum_in_double(self):
+        # an equal float32 key must not sum its table's rows in float32
+        p, alpha = np.float32(0.3), np.float32(0.7)
+        for _ in range(2):
+            assert struve_h(p, 2.0) == struve_h(float(p), 2.0)
+            assert mittag_leffler(alpha, 1.0, -1.5) == mittag_leffler(float(alpha), 1.0, -1.5)
+
+    def test_lower_pole_rows_are_cached(self):
+        # E_{1,-1}(z) = z^2 e^z: 1/Gamma is 0 at the first two terms
+        specfun._ratio_tables.clear()
+        for _ in range(2):
+            value, used = mittag_leffler_info(1.0, -1.0, 0.5)
+            assert value == pytest.approx(0.25 * math.exp(0.5), rel=1e-14)
+        rows = specfun._ratio_tables[((), ((-1.0, 1.0),))]
+        assert len(rows) == used
+        assert rows[:2] == ((0.0, 0.0), (0.0, 0.0))
+
+    def test_upper_pole_raises_at_its_term_every_call(self):
+        # Gamma(-2.5 + n/2) has its first pole at n = 1
+        w = WrightParams(upper=((-2.5, 0.5),), lower=((1.0, 1.0),))
+        specfun._ratio_tables.clear()
+        for _ in range(3):
+            with pytest.raises(DomainError) as info:
+                fox_wright_info(w, 0.5)
+            assert str(info.value) == "Gamma pole in a numerator factor at term 1: argument -2.0"
+        # one term stops short of the pole; its row is cached and the pole still raises
+        value, used = fox_wright_info(w, 0.5, TruncationPolicy(max_terms=1))
+        assert (value, used) == (pytest.approx(math.gamma(-2.5), rel=1e-14), 1)
+        assert len(specfun._ratio_tables[(w.upper, w.lower + ((1.0, 1.0),))]) == 1
+        with pytest.raises(DomainError, match="at term 1: argument -2.0"):
+            fox_wright_info(w, 0.5)
+
+    def test_short_table_serves_a_longer_call(self):
+        # E_{0.3,0.7}(-2) is still summing at term 200, so both calls use every term
+        alpha, beta, z = 0.3, 0.7, -2.0
+        key = ((), ((beta, alpha),))
+        short = TruncationPolicy(max_terms=50, rel_tol=0.0)
+        long = TruncationPolicy(max_terms=200, rel_tol=0.0)
+        specfun._ratio_tables.clear()
+        assert mittag_leffler_info(alpha, beta, z, short)[1] == 50
+        assert len(specfun._ratio_tables[key]) == 50
+        got = mittag_leffler_info(alpha, beta, z, long)
+        assert len(specfun._ratio_tables[key]) == 200
+        with mock.patch.object(specfun, "_wright_series", _reference_series):
+            assert got == mittag_leffler_info(alpha, beta, z, long)
+        # the array loop reads the same table, and gives its cold result
+        nodes = np.array([z, -0.5, 0.0])
+        warm = specfun._mittag_leffler_array(alpha, beta, nodes, long)
+        specfun._ratio_tables.clear()
+        cold = specfun._mittag_leffler_array(alpha, beta, nodes, long)
+        assert warm[0].tobytes() == cold[0].tobytes()
+        assert warm[1].tolist() == cold[1].tolist()
+
+    def test_cache_is_bounded(self):
+        specfun._ratio_tables.clear()
+        cap = specfun._RATIO_TABLE_CAP
+        for i in range(cap + 100):
+            mittag_leffler(1.0, 1.0 + i / 4096, 0.5)
+            assert len(specfun._ratio_tables) <= cap
+        assert ((), ((1.0 + (cap + 99) / 4096, 1.0),)) in specfun._ratio_tables
+        # a long call computes every row but publishes at most the row cap
+        value, used = mittag_leffler_info(0.3, 0.7, -2.0, TruncationPolicy(max_terms=300, rel_tol=0.0))
+        assert used == 300
+        assert len(specfun._ratio_tables[((), ((0.7, 0.3),))]) == specfun._RATIO_ROW_CAP
+
+    def test_threads_share_a_fresh_table(self):
+        # each round, 4 threads start one fresh parameter set together, so
+        # its rows are grown and read at the same time; a short switch
+        # interval interleaves them term by term
+        sets = [WrightParams(upper=((0.3 + j / 64, 0.7),), lower=((-0.5, 1.3),)) for j in range(24)]
+        pol = TruncationPolicy(max_terms=120, rel_tol=0.0)
+        specfun._ratio_tables.clear()
+        expected = [_outcome(fox_wright_info, (w, -0.9), pol) for w in sets]
+        specfun._ratio_tables.clear()
+        barrier = threading.Barrier(4)
+
+        def work(_):
+            got = []
+            for w in sets:
+                barrier.wait()
+                got.append(_outcome(fox_wright_info, (w, -0.9), pol))
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(work, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
