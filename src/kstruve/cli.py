@@ -5,8 +5,9 @@ kinetic solutions), ``validate`` (oracle adjudication), ``sweep`` (parameter
 sweeps) and ``figures`` (the six CSV+SVG figure files).
 
 Contracts: CSV output is UTF-8 with a leading ``#`` metadata line recording
-the resolved configuration, 17-significant-digit floats, ``\\n`` line
-endings, whole-file atomic writes.  Exit codes: 0 success, 2 input error,
+the resolved configuration, floats written exactly as ``%.17g`` writes them,
+``\\n`` line endings, whole-file atomic writes with the permissions the
+umask gives a new file.  Exit codes: 0 success, 2 input error,
 3 numerical failure, 4 adjudication disagreement.
 """
 
@@ -16,11 +17,10 @@ import argparse
 import functools
 import os
 import sys
-import tempfile
-from itertools import chain, repeat
 
 import numpy as np
 
+from ._floatfmt import cells, csv_rows, join
 from .errors import ConvergenceError, DomainError, QuadratureError, SolverError
 from .kinetics import (
     FORCINGS,
@@ -49,15 +49,17 @@ EXIT_DISAGREE = 4
 _FIGURE_NUS = (0.5, 0.7, 0.9, 1.0, 1.5)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        # mode 0o666 less the umask, as for a file opened plainly
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # name the file asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -74,19 +76,8 @@ def _meta_line(args: argparse.Namespace, skip=("config",)) -> str:
     return "# " + " ".join(items)
 
 
-def _csv(meta: str, header: str, row_format: str, rows) -> str:
-    """The metadata and header lines, then ``row_format % row`` for each row.
-
-    Floats take ``%.17g``, which prints the same digits as ``format(v, ".17g")``.
-    """
-    lines = [meta, header]
-    lines.extend(row_format % row for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _columns(*columns: np.ndarray):
-    """Rows of Python floats, one from each column."""
-    return zip(*(col.tolist() for col in columns))
+def _head(meta: str, header: str) -> bytes:
+    return f"{meta}\n{header}\n".encode("utf-8")
 
 
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
@@ -141,8 +132,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for x in args.u:
             value, used = _sumudu_kstruve_image(params, x, pol)
             rows.append((x, value, used))
+    # terms_used is an integer below 1e17, which %.17g writes as %d does
+    columns = np.array(rows, dtype=float).reshape(-1, 3).T
     path = f"{args.out}.csv"
-    _write_atomic(path, _csv(_meta_line(args), "x,value,terms_used", "%.17g,%.17g,%d", rows))
+    _write_atomic(path, _head(_meta_line(args), "x,value,terms_used") + csv_rows(columns))
     print(path)
     return EXIT_OK
 
@@ -157,11 +150,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    rows = _columns(grid.points(), printed.values, consistent.values)
+    rows = csv_rows((grid.points(), printed.values, consistent.values))
     path = f"{args.out}.csv"
-    _write_atomic(
-        path, _csv(_meta_line(args), "t,N_printed,N_consistent", "%.17g,%.17g,%.17g", rows)
-    )
+    _write_atomic(path, _head(_meta_line(args), "t,N_printed,N_consistent") + rows)
     print(path)
     return EXIT_OK
 
@@ -175,23 +166,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
     printed = report.printed.values
     consistent = report.consistent.values
     norm = float(np.max(np.abs(oracle))) or 1.0
-    rows = _columns(
-        grid.points(),
-        oracle,
-        printed,
-        consistent,
-        np.abs(printed - oracle) / norm,
-        np.abs(consistent - oracle) / norm,
+    rows = csv_rows(
+        (
+            grid.points(),
+            oracle,
+            printed,
+            consistent,
+            np.abs(printed - oracle) / norm,
+            np.abs(consistent - oracle) / norm,
+        )
     )
-    body = _csv(
-        _meta_line(args),
-        "t,N_oracle,N_printed,N_consistent,dev_printed,dev_consistent",
-        ",".join(["%.17g"] * 6),
-        rows,
-    )
-    body += f"# summary: {report.summary()}\n"
+    head = _head(_meta_line(args), "t,N_oracle,N_printed,N_consistent,dev_printed,dev_consistent")
     path = f"{args.out}.csv"
-    _write_atomic(path, body)
+    _write_atomic(path, head + rows + f"# summary: {report.summary()}\n".encode("utf-8"))
     print(path)
     print(report.summary())
     return EXIT_OK if report.agreeing else EXIT_DISAGREE
@@ -230,8 +217,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         csv_path = os.path.join(args.out_dir, f"fig{which}.csv")
         svg_path = os.path.join(args.out_dir, f"fig{which}.svg")
         if args.format in ("csv", "both"):
-            row_format = ",".join(["%.17g"] * (1 + len(columns)))
-            _write_atomic(csv_path, _csv(meta, header, row_format, _columns(t, *columns.values())))
+            _write_atomic(csv_path, _head(meta, header) + csv_rows((t, *columns.values())))
             written.append(csv_path)
         if args.format in ("svg", "both"):
             svg = render_line_chart(
@@ -241,7 +227,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
                 xlabel="t",
                 ylabel="N(t)",
             )
-            _write_atomic(svg_path, svg)
+            _write_atomic(svg_path, svg.encode("utf-8"))
             written.append(svg_path)
     for path in written:
         print(path)
@@ -257,10 +243,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     grid = _grid(args)
     pol = _policy(args)
-    # each t cell and each block's "param,value," prefix is formatted once
-    t = ["%.17g," % v for v in grid.points().tolist()]
+    t = grid.points()
+    value_cells = cells(args.values, 17)
     blocks = []
-    for value in args.values:
+    for value, value_cell in zip(args.values, value_cells):
         fields = dict(
             n0=args.n0, d=args.d, nu=args.nu, mu=args.mu, c=args.c, k=args.k,
             a=args.a, forcing=args.forcing,
@@ -268,11 +254,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fields[args.param] = value
         problem = KineticProblem(**fields)
         sol = solve_closed_form(problem, grid, "sumudu_consistent", pol)
-        prefix = "%s,%.17g," % (args.param, value)
-        blocks.append(zip(repeat(prefix), t, sol.values.tolist()))
-    rows = chain.from_iterable(blocks)
+        # "param,value," is a constant first field of the block's rows
+        prefix = join(value_cell[None, None], b",", f"{args.param},".encode("ascii"))
+        blocks.append(csv_rows((t, sol.values), prefix))
     path = f"{args.out}.csv"
-    _write_atomic(path, _csv(_meta_line(args), "param,value,t,N", "%s%s%.17g", rows))
+    _write_atomic(path, _head(_meta_line(args), "param,value,t,N") + b"".join(blocks))
     print(path)
     return EXIT_OK
 

@@ -1,14 +1,15 @@
 """Minimal self-contained SVG line charts (no plotting dependency).
 
 Emits SVG 1.1 with linear axes, tick labels, one polyline per series and a
-legend.  Output is deterministic: fixed float formatting, fixed palette.
+legend.  Output is deterministic: every float is written as ``%.6g`` writes
+it, and the palette is fixed.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-
 import numpy as np
+
+from ._floatfmt import cells, join
 
 __all__ = ["render_line_chart"]
 
@@ -94,13 +95,13 @@ def render_line_chart(x, series, title: str, xlabel: str, ylabel: str) -> str:
     # float arithmetic, an infinite axis bound gives inf or nan silently.
     # Each x coordinate is formatted once per chart.
     with np.errstate(all="ignore"):
-        px = ["%.6g," % v for v in (_ML + (x - xmin) / (xmax - xmin) * plot_w).tolist()]
+        px = cells(_ML + (x - xmin) / (xmax - xmin) * plot_w, 6)
     for idx, (label, ys) in enumerate(columns.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         finite = np.isfinite(ys)
         with np.errstate(all="ignore"):
             py = _MT + (ymax - ys[finite]) / (ymax - ymin) * plot_h
-        pts = " ".join(map("%s%.6g".__mod__, zip(compress(px, finite.tolist()), py.tolist())))
+        pts = join(np.stack([px[finite], cells(py, 6)], axis=1), b", ")[:-1].decode("ascii")
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

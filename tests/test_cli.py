@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
 
@@ -15,7 +17,12 @@ from kstruve.cli import (
     EXIT_OK,
     main,
 )
-from kstruve.specfun import TruncationPolicy
+from kstruve._floatfmt import _BLOCK as BLOCK
+from kstruve._floatfmt import csv_rows
+from kstruve.kinetics import KineticProblem, adjudicate, solve_closed_form
+from kstruve.specfun import TruncationPolicy, struve_h_info
+from kstruve.transforms import TimeGrid
+from reference_writers import reference_columns, reference_csv, reference_points
 
 
 def _read(path):
@@ -324,13 +331,145 @@ class TestOutputContract:
 
         floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308, 0.1, 1 / 3]
         rows = [(a, b, 7, "nu") for a in floats for b in floats]
-        text = cli._csv("# meta", "a,b,n,s", "%.17g,%.17g,%d,%s", rows)
-        expect = "\n".join(["# meta", "a,b,n,s"] + [per_cell(r) for r in rows]) + "\n"
-        assert text == expect
+        # the string field is the one constant field the writer has: a row prefix
+        a, b, n = (np.array(col, dtype=float) for col in list(zip(*rows))[:3])
+        text = csv_rows((a, b, n), prefix=b"nu,").decode()
+        assert text == "".join(per_cell((s, a, b, n)) + "\n" for a, b, n, s in rows)
         column = np.array(floats)
-        assert cli._csv("#", "h", "%.17g,%.17g", cli._columns(column, column[::-1])) == (
-            "\n".join(["#", "h"] + [per_cell(r) for r in zip(floats, floats[::-1])]) + "\n"
+        assert csv_rows((column, column[::-1])).decode() == "".join(
+            per_cell(r) + "\n" for r in zip(floats, floats[::-1])
         )
+
+    def test_write_keeps_umask_permissions(self, tmp_path):
+        saved = os.umask(0o022)
+        try:
+            for mask, mode in ((0o022, 0o644), (0o077, 0o600)):
+                os.umask(mask)
+                out = tmp_path / f"sol{mask:o}"
+                assert main(["solve", "--n-points", "4", "--out", str(out)]) == EXIT_OK
+                plain = tmp_path / f"plain{mask:o}"
+                plain.write_text("x", encoding="utf-8")
+                assert stat.S_IMODE(os.stat(f"{out}.csv").st_mode) == mode
+                assert stat.S_IMODE(os.stat(plain).st_mode) == mode
+        finally:
+            os.umask(saved)
+
+
+def _csv_body(path):
+    """The file's text after its metadata and header lines."""
+    return path.read_text(encoding="utf-8").split("\n", 2)[2]
+
+
+def _reference_body(row_format, rows):
+    return reference_csv("#", "h", row_format, rows).split("\n", 2)[2]
+
+
+_BLOCK_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1)
+_POLICY = TruncationPolicy(max_terms=50, rel_tol=1e-16)
+_VARIANTS = ("as_printed", "sumudu_consistent")
+
+
+class TestDataRowsMatchReferenceWriter:
+    """Every command's data rows equal the per-row ``%`` writer on the same numbers."""
+
+    @pytest.mark.parametrize("n", _BLOCK_SIZES)
+    def test_solve(self, tmp_path, n):
+        out = tmp_path / "sol"
+        assert main(["solve", "--n-points", str(n), "--out", str(out)]) == EXIT_OK
+        problem = KineticProblem(n0=1.0, d=1.0, nu=0.9, mu=1.0)
+        grid = TimeGrid(t_max=1.0, n_points=n)
+        cols = [solve_closed_form(problem, grid, v, _POLICY).values for v in _VARIANTS]
+        rows = reference_columns(grid.points(), *cols)
+        assert _csv_body(tmp_path / "sol.csv") == _reference_body("%.17g,%.17g,%.17g", rows)
+
+    def test_solve_with_huge_and_infinite_values(self, tmp_path):
+        # n0 near the largest double: values above 1e250, and n0 * sum overflows to -inf
+        out = tmp_path / "sol"
+        argv = ["solve", "--n0", "1.7e308", "--t-max", "20", "--n-points", "8"]
+        problem = KineticProblem(n0=1.7e308, d=1.0, nu=0.9, mu=1.0)
+        grid = TimeGrid(t_max=20.0, n_points=8)
+        with np.errstate(over="ignore"):
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            cols = [solve_closed_form(problem, grid, v, _POLICY).values for v in _VARIANTS]
+        assert np.isinf(cols[0]).any()
+        assert ((np.abs(cols[0]) > 1e250) & np.isfinite(cols[0])).any()
+        rows = reference_columns(grid.points(), *cols)
+        assert _csv_body(tmp_path / "sol.csv") == _reference_body("%.17g,%.17g,%.17g", rows)
+
+    @pytest.mark.parametrize("n", _BLOCK_SIZES)
+    def test_validate(self, tmp_path, n):
+        out = tmp_path / "val"
+        assert main(["validate", "--n-points", str(n), "--out", str(out)]) in (
+            EXIT_OK,
+            EXIT_DISAGREE,
+        )
+        problem = KineticProblem(n0=1.0, d=1.0, nu=0.9, mu=1.0)
+        grid = TimeGrid(t_max=1.0, n_points=n)
+        report = adjudicate(problem, grid, _POLICY, tol=1e-3)
+        oracle, printed = report.oracle.values, report.printed.values
+        consistent = report.consistent.values
+        norm = float(np.max(np.abs(oracle))) or 1.0
+        rows = reference_columns(
+            grid.points(),
+            oracle,
+            printed,
+            consistent,
+            np.abs(printed - oracle) / norm,
+            np.abs(consistent - oracle) / norm,
+        )
+        expect = _reference_body(",".join(["%.17g"] * 6), rows)
+        expect += f"# summary: {report.summary()}\n"
+        assert _csv_body(tmp_path / "val.csv") == expect
+
+    @pytest.mark.parametrize("n", _BLOCK_SIZES)
+    def test_figures(self, tmp_path, n):
+        # a chart of one point divides by xmax - xmin = 0 on its x ticks, so n = 1 writes CSV only
+        fmt = "csv" if n == 1 else "both"
+        argv = ["figures", "--which", "4", "--n-points", str(n), "--format", fmt]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_OK
+        grid = TimeGrid(t_max=1.0, n_points=n)
+        pol = TruncationPolicy(max_terms=50, rel_tol=0.0)
+        series = {}
+        for nu in (0.5, 0.7, 0.9, 1.0, 1.5):
+            problem = KineticProblem(n0=1.0, d=1.0, nu=nu, mu=1.0, k=1.0, forcing="thm3")
+            series[f"nu_{nu:g}"] = solve_closed_form(problem, grid, "as_printed", pol).values
+        rows = reference_columns(grid.points(), *series.values())
+        assert _csv_body(tmp_path / "fig4.csv") == _reference_body(",".join(["%.17g"] * 6), rows)
+        if n == 1:
+            return
+        svg = (tmp_path / "fig4.svg").read_text(encoding="utf-8")
+        points = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert points == reference_points(grid.points(), series)
+
+    @pytest.mark.parametrize(
+        # the last case writes values above 1e250 and -inf
+        "n, n0, t_max", [(n, 1.0, 1.0) for n in _BLOCK_SIZES] + [(8, 1.7e308, 20.0)]
+    )
+    def test_sweep(self, tmp_path, n, n0, t_max):
+        out = tmp_path / "sw"
+        argv = ["sweep", "--param", "d", "--values", "0.5,1.25", "--n-points", str(n)]
+        argv += ["--n0", repr(n0), "--t-max", repr(t_max)]
+        grid = TimeGrid(t_max=t_max, n_points=n)
+        rows = []
+        with np.errstate(over="ignore"):
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            for d in (0.5, 1.25):
+                problem = KineticProblem(n0=n0, d=d, nu=0.9, mu=1.0)
+                sol = solve_closed_form(problem, grid, "sumudu_consistent", _POLICY)
+                rows += [("d", d, t, v) for t, v in reference_columns(grid.points(), sol.values)]
+        if n0 > 1.0:
+            assert any(math.isinf(r[3]) for r in rows)
+            assert any(1e250 < abs(r[3]) < math.inf for r in rows)
+        assert _csv_body(tmp_path / "sw.csv") == _reference_body("%s,%.17g,%.17g,%.17g", rows)
+
+    @pytest.mark.parametrize("n", _BLOCK_SIZES)
+    def test_eval(self, tmp_path, n):
+        xs = np.linspace(0.05, 12.0, n).tolist()
+        out = tmp_path / "ev"
+        argv = ["eval", "--fn", "struve", "--p", "0.5", "--x=" + ",".join(map(repr, xs))]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        rows = [(x, *struve_h_info(0.5, x, _POLICY)) for x in xs]
+        assert _csv_body(tmp_path / "ev.csv") == _reference_body("%.17g,%.17g,%d", rows)
 
 
 def test_import_does_not_load_scipy():

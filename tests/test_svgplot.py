@@ -5,33 +5,15 @@ import numpy as np
 import pytest
 
 from kstruve.svgplot import render_line_chart
+from reference_writers import reference_points
 
 
-def _reference_points(x, series):
-    """Polyline points as the per-point writer made them: sx, sy and ".6g" per point."""
-    x = [float(v) for v in x]
-    xmin, xmax = min(x), max(x)
-    ymin = min(min(float(v) for v in ys) for ys in series.values())
-    ymax = max(max(float(v) for v in ys) for ys in series.values())
-    pad = 0.05 * (ymax - ymin) if ymax > ymin else max(abs(ymax), 1.0) * 0.05
-    ymin -= pad
-    ymax += pad
-    plot_w, plot_h = 720 - 70 - 160, 480 - 40 - 55
-
-    def sx(v):
-        return 70 + (v - xmin) / (xmax - xmin) * plot_w
-
-    def sy(v):
-        return 40 + (ymax - v) / (ymax - ymin) * plot_h
-
-    return [
-        " ".join(
-            f"{format(sx(xv), '.6g')},{format(sy(float(yv)), '.6g')}"
-            for xv, yv in zip(x, ys)
-            if math.isfinite(float(yv))
-        )
-        for ys in series.values()
-    ]
+def _with_gaps(ys):
+    ys = ys.copy()
+    ys[::9] = math.nan
+    ys[4::17] = math.inf
+    ys[6::19] = -math.inf
+    return ys
 
 
 def _points(svg):
@@ -46,13 +28,16 @@ def _points(svg):
         {"a": [1.0, math.inf, 2.0, -1.0, 0.0], "b": [0.1, 0.2, 0.3, 0.4, 0.5]},
         {"a": [-math.inf, 1.0, 2.0, 3.0, 4.0], "b": [math.nan, 1.0, 1.0, 1.0, 1.0]},
         {"flat": [2.5, 2.5, 2.5, 2.5, 2.5]},
+        # the float writer's row block less and more one, with non-finite points
+        {"a": _with_gaps(np.cos(np.linspace(0.0, 9.0, 1023))), "b": np.linspace(-1.0, 1.0, 1023)},
+        {"a": _with_gaps(np.linspace(-3.0, 1e3, 1025) ** 2)},
     ],
 )
 def test_polyline_points_match_per_point_reference(series):
     n = len(next(iter(series.values())))
     x = np.linspace(0.01, 1.0, n)
     svg = render_line_chart(x, series, title="t", xlabel="x", ylabel="y")
-    assert _points(svg) == _reference_points(x, series)
+    assert _points(svg) == reference_points(x, series)
 
 
 def test_list_and_array_inputs_agree():
