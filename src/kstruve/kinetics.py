@@ -35,7 +35,6 @@ from .specfun import (
 from .transforms import (
     TimeGrid,
     rl_boundary_weights,
-    rl_fractional_integral,
     rl_interior_kernel,
     rl_weight_scale,
 )
@@ -191,31 +190,20 @@ def classical_decay(n0: float, c: float, t: float) -> float:
 
 
 def _variant_inputs(p: KineticProblem, t: np.ndarray, variant: str):
-    """Per-variant prefactor base X, Mittag-Leffler argument, index shift and 1/t flag."""
+    """Per-variant prefactor base X, Mittag-Leffler argument, index shift and 1/t flag.
+
+    ``as_printed`` keeps the displayed forms: d in the power for thm2 and a
+    plain (t/2)^e for thm3, with 1/t in front.  ``sumudu_consistent`` puts
+    the forcing's own argument in the power and shifts the index by nu.
+    """
     tn = t ** p.nu
+    d_tn = (p.d ** p.nu) * tn
     if variant == "as_printed":
-        ml_shift = 0.0
-        over_t = True
-        if p.forcing == "thm1":
-            x = (p.d ** p.nu) * tn
-            ml_arg = -(p.d ** p.nu) * tn
-        elif p.forcing == "thm2":
-            x = (p.d ** p.nu) * tn  # the displayed form keeps d in the power
-            ml_arg = -(p.a ** p.nu) * tn
-        else:  # thm3, printed: plain (t/2)^e with 1/t in front
-            x = t.copy()
-            ml_arg = -(p.d ** p.nu) * tn
-    else:
-        ml_shift = p.nu
-        over_t = False
-        if p.forcing == "thm1":
-            x = (p.d ** p.nu) * tn
-        elif p.forcing == "thm2":
-            x = (p.a ** p.nu) * tn  # re-derived: forcing scale in the power
-        else:
-            x = tn.copy()
-        ml_arg = -(p.d ** p.nu) * tn
-    return x, ml_arg, ml_shift, over_t
+        ml_arg = -(p.a ** p.nu) * tn if p.forcing == "thm2" else -d_tn
+        return (t if p.forcing == "thm3" else d_tn), ml_arg, 0.0, True
+    if p.forcing == "thm2":
+        return (p.a ** p.nu) * tn, -d_tn, p.nu, False
+    return (tn if p.forcing == "thm3" else d_tn), -d_tn, p.nu, False
 
 
 def solve_closed_form(
@@ -309,78 +297,17 @@ def solve_corollary_k1(
     grid: TimeGrid,
     pol: TruncationPolicy = TruncationPolicy(),
 ) -> SeriesSolution:
-    """The k=1 corollary formulas, evaluated by an independent scalar path.
+    """The k=1 corollary formulas: the printed solution with k set to 1.
 
-    Implements the printed k=1 reductions directly (classical Struve
-    coefficients, no k-Gamma), for reduction testing against
-    ``solve_closed_form(..., "as_printed")`` at k=1.
+    The corollaries are the general k-Struve solution at k=1, so this is
+    ``solve_closed_form(p, grid, "as_printed", pol)`` behind the corollaries'
+    domain checks.
     """
     if p.k != 1.0:
         raise DomainError(f"corollary path requires k=1, got k={p.k}")
     if p.forcing == "constant":
         raise DomainError("constant forcing has no corollary formula")
-    t = grid.points()
-    n = grid.n_points
-    mu, nu, c, d = p.mu, p.nu, p.c, p.d
-    values = np.empty(n)
-    terms_used = np.zeros(n, dtype=int)
-    flags = np.zeros(n, dtype=bool)
-    for i, ti in enumerate(t):
-        if p.forcing == "thm1":
-            xb = (d * ti) ** nu
-            z = -((d * ti) ** nu)
-        elif p.forcing == "thm2":
-            xb = (d * ti) ** nu
-            z = -((p.a * ti) ** nu)
-        else:
-            xb = ti
-            z = -((d * ti) ** nu)
-        total = 0.0
-        comp = 0.0
-        used = 0
-        converged = False
-        for r in range(pol.max_terms):
-            used = r + 1
-            big = nu * (2 * r + mu + 1) + 1.0
-            sb, lb = _signed_log_gamma(big)
-            if sb == 0.0:
-                continue
-            coeff_sign = ((-1.0 if c > 0 else 1.0) ** r if c != 0 else (1.0 if r == 0 else 0.0))
-            if coeff_sign == 0.0:
-                continue
-            log_c_r = r * math.log(abs(c)) if c != 0 else 0.0
-            log_coeff = log_c_r - math.lgamma(r + mu + 1.5) - math.lgamma(r + 1.5)
-            beta = nu * (2 * r + mu) + 1.0
-            ml = 0.0
-            zp = 1.0
-            for m in range(pol.max_terms):
-                gs, gl = _signed_log_gamma(nu * m + beta)
-                if gs != 0.0:
-                    ml += gs * math.exp(lb - gl) * zp
-                zp *= z
-            term = (
-                coeff_sign
-                * sb
-                * math.exp(log_coeff + (2 * r + mu + 1) * math.log(xb / 2.0) - math.log(ti))
-                * ml
-            )
-            y = term - comp
-            tot = total + y
-            comp = (tot - total) - y
-            total = tot
-            if total != 0.0 and abs(term) <= pol.rel_tol * abs(total):
-                converged = True
-                break
-        values[i] = p.n0 * total
-        terms_used[i] = used
-        flags[i] = not converged
-    return SeriesSolution(
-        grid=grid,
-        values=values,
-        variant="as_printed",
-        terms_used=terms_used,
-        truncation_flag=flags,
-    )
+    return solve_closed_form(p, grid, "as_printed", pol)
 
 
 _ORACLE_POLICY = TruncationPolicy(max_terms=200, rel_tol=1e-17)
@@ -446,8 +373,8 @@ def volterra_oracle(
     a node stays relative to its forcing and history, as in the node-by-node
     recurrence; one global FFT product would err by eps * max|N| at every
     node, which swamps the small values near t = 0.  The residual norm is
-    recomputed a posteriori by re-applying the fractional integral to the
-    solution.
+    max|c * N - rhs| over the grid, with the Toeplitz column and right-hand
+    side of the solve, computed by one zero-padded FFT product.
     """
     n = grid.n_points
     h = grid.spacing
@@ -468,10 +395,15 @@ def volterra_oracle(
     c[1:] = dn * kernel
     rhs = forcing - dn * (w0 * n_zero)
     values = np.empty(n)
-    _solve_toeplitz(c, rhs, values, 0, n, _leaf_inverse(c[:_LEAF]))
+    _solve_toeplitz(c, rhs.copy(), values, 0, n, _leaf_inverse(c[:_LEAF]))
 
-    rl = rl_fractional_integral(values, grid, p.nu, f_zero=n_zero)
-    residual = float(np.max(np.abs(values - forcing + dn * rl)))
+    # A product of length 2n has the linear convolution's first n entries with
+    # no wrap-around.  N and rhs are scaled by the power of two that brings
+    # max|N| into [1/2, 1), which rounds nothing and keeps the FFT's sums from
+    # overflowing when |N| nears the largest double.
+    shift = math.frexp(float(np.max(np.abs(values))))[1]
+    applied = np.fft.irfft(np.fft.rfft(c, 2 * n) * np.fft.rfft(np.ldexp(values, -shift), 2 * n))
+    residual = math.ldexp(float(np.max(np.abs(applied[:n] - np.ldexp(rhs, -shift)))), shift)
     return OracleResult(
         grid=grid,
         values=values,

@@ -171,7 +171,13 @@ def log_k_gamma(gamma: float, k: float) -> float:
 
 def k_gamma(gamma: float, k: float) -> float:
     """k-Gamma function k^(gamma/k - 1) Gamma(gamma/k)."""
-    return math.exp(log_k_gamma(gamma, k))
+    log_value = log_k_gamma(gamma, k)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ConvergenceError(
+            f"k_gamma({gamma!r}, {k!r}) overflows a double: its log is {log_value:.6g}"
+        ) from None
 
 
 def _term_gamma_ratio(
@@ -319,7 +325,6 @@ def _wright_series_array(
     lower: tuple[tuple[float, float], ...],
     pol: TruncationPolicy,
     log_pref: np.ndarray | float = 0.0,
-    sign_pref: float = 1.0,
     log_abs_z: np.ndarray | None = None,
     factor=_unit_factor,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -368,7 +373,7 @@ def _wright_series_array(
                     f"{what}: term {n} has log-magnitude {peak:.3g} "
                     f"exceeding the overflow guard {pol.overflow_guard:.3g}"
                 )
-            sign = sign_pref * g_sign * (z_sign if n % 2 else 1.0)
+            sign = g_sign * (z_sign if n % 2 else 1.0)
             term = np.exp(log_mag) * (sign * scale)
             compensated = term + carry
             previous = total

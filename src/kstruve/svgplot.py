@@ -24,8 +24,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi == lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -36,6 +34,10 @@ def render_line_chart(x, series, title: str, xlabel: str, ylabel: str) -> str:
     columns = {label: np.asarray(ys, dtype=float) for label, ys in series.items()}
     # Python's min and max, which skip a NaN that is not first, as before
     xmin, xmax = min(x.tolist()), max(x.tolist())
+    if xmax == xmin:  # a single x value sits in the middle of a padded range
+        xpad = max(abs(xmax), 1.0) * 0.05
+        xmin -= xpad
+        xmax += xpad
     ymin = min(min(ys.tolist()) for ys in columns.values())
     ymax = max(max(ys.tolist()) for ys in columns.values())
     pad = 0.05 * (ymax - ymin) if ymax > ymin else max(abs(ymax), 1.0) * 0.05

@@ -25,11 +25,13 @@ def reference_columns(*columns):
 def reference_points(x, series):
     """Polyline points as the per-point writer made them: sx, sy and ".6g" per point.
 
-    The bounds are numpy scalars, so a single point (xmin == xmax) gives nan
-    coordinates, as the chart's array arithmetic does, instead of raising.
+    A single x value (xmin == xmax) is padded by max(|x|, 1) * 0.05 on each
+    side, as a flat y range is.
     """
     x = [float(v) for v in x]
-    xmin, xmax = np.float64(min(x)), np.float64(max(x))
+    xmin, xmax = min(x), max(x)
+    if xmax == xmin:
+        xmin, xmax = xmin - max(abs(xmax), 1.0) * 0.05, xmax + max(abs(xmax), 1.0) * 0.05
     ymin = min(min(float(v) for v in ys) for ys in series.values())
     ymax = max(max(float(v) for v in ys) for ys in series.values())
     pad = 0.05 * (ymax - ymin) if ymax > ymin else max(abs(ymax), 1.0) * 0.05

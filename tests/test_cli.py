@@ -59,6 +59,14 @@ class TestEval:
         rows = _data_rows(_read(tmp_path / "kg.csv"))
         assert float(rows[0][1]) == pytest.approx(1.2533141373155003, rel=1e-13)
 
+    def test_kgamma_overflow_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "kg"
+        rc = main(["eval", "--fn", "kgamma", "--gamma", "300", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "300" in err
+        assert not (tmp_path / "kg.csv").exists()
+
     def test_mittag_leffler_table(self, tmp_path):
         out = tmp_path / "ml"
         rc = main(
@@ -190,6 +198,14 @@ class TestFigures:
             svg = _read(tmp_path / f"fig{which}.svg")
             assert svg.startswith("<?xml")
             assert "<svg" in svg and "</svg>" in svg
+
+    def test_one_point_writes_every_figure(self, tmp_path):
+        # one node makes the x range a single value, which the charts pad
+        assert main(["figures", "--n-points", "1", "--out-dir", str(tmp_path)]) == EXIT_OK
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == sorted(f"fig{i}.{ext}" for i in range(1, 7) for ext in ("csv", "svg"))
+        for which in range(1, 7):
+            assert len(_data_rows(_read(tmp_path / f"fig{which}.csv"))) == 1
 
     def test_missing_output_directory(self, tmp_path, capsys):
         out_dir = str(tmp_path / "nope")
@@ -423,9 +439,7 @@ class TestDataRowsMatchReferenceWriter:
 
     @pytest.mark.parametrize("n", _BLOCK_SIZES)
     def test_figures(self, tmp_path, n):
-        # a chart of one point divides by xmax - xmin = 0 on its x ticks, so n = 1 writes CSV only
-        fmt = "csv" if n == 1 else "both"
-        argv = ["figures", "--which", "4", "--n-points", str(n), "--format", fmt]
+        argv = ["figures", "--which", "4", "--n-points", str(n)]
         assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_OK
         grid = TimeGrid(t_max=1.0, n_points=n)
         pol = TruncationPolicy(max_terms=50, rel_tol=0.0)
@@ -435,8 +449,6 @@ class TestDataRowsMatchReferenceWriter:
             series[f"nu_{nu:g}"] = solve_closed_form(problem, grid, "as_printed", pol).values
         rows = reference_columns(grid.points(), *series.values())
         assert _csv_body(tmp_path / "fig4.csv") == _reference_body(",".join(["%.17g"] * 6), rows)
-        if n == 1:
-            return
         svg = (tmp_path / "fig4.svg").read_text(encoding="utf-8")
         points = re.findall(r'<polyline points="([^"]*)"', svg)
         assert points == reference_points(grid.points(), series)

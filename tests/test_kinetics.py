@@ -23,6 +23,7 @@ from kstruve.transforms import (
     rl_interior_kernel,
     rl_weight_scale,
 )
+from closed_form_reference import closed_form_reference
 
 # Frozen with a 40-digit mpmath evaluation of the resummed series during the
 # build (n0=d=mu=c=k=1, thm1 forcing, t = 0.5, sumudu_consistent variant).
@@ -82,66 +83,30 @@ class TestClassicalDecay:
         assert classical_decay(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
-def _closed_form_reference(p, grid, variant, pol):
-    """The closed-form r-series with its Mittag-Leffler factor summed term by term.
+# general k and c, then the k = 1 corollaries (mu = c = d = 1, a = 2)
+_REFERENCE_CASES = [
+    dict(k=k, c=c, forcing=forcing, nu=1.3 if k == 3.0 else 0.7, mu=0.5, d=1.4, a=2.5)
+    for k in (0.5, 2.0, 3.0)
+    for c in (1.3, -0.8)
+    for forcing in ("thm1", "thm2", "thm3")
+] + [
+    dict(k=1.0, forcing=forcing, nu=nu, a=2.0)
+    for forcing in ("thm1", "thm2", "thm3")
+    for nu in (0.5, 1.0, 1.5)
+]
 
-    For each r and each m it takes the Gamma ratio Gamma(big)/Gamma(nu*m + beta)
-    and adds weight * z^m over the grid, skipping zero weights.  A term r
-    whose Gamma(big) is at a pole is zero and skipped.  Returns (values,
-    terms_used, truncation_flag).
-    """
-    t = grid.points()
-    n = grid.n_points
-    q = p.mu / p.k
-    x, ml_arg, ml_shift, over_t = kinetics._variant_inputs(p, t, variant)
-    log_pref_base = np.log(x / 2.0)
-    totals = np.zeros(n)
-    carry = np.zeros(n)
-    terms_used = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
-    for r in range(pol.max_terms):
-        if not active.any():
-            break
-        sign_big, log_big = _signed_log_gamma(p.nu * (2 * r + q + 1) + 1.0)
-        if sign_big == 0.0:  # the coefficient 1/Gamma(big) is 0: a zero term, no stop test
-            terms_used[active] = r + 1
-            continue
-        log_coeff = (
-            r * math.log(abs(p.c))
-            - ((r + q + 0.5) * math.log(p.k) + math.lgamma(r + q + 1.5))
-            - math.lgamma(r + 1.5)
-        )
-        sign = (-1.0 if p.c > 0 else 1.0) ** r * sign_big
-        beta = p.nu * (2 * r + q) + 1.0 + ml_shift
-        ml = np.zeros(n)
-        zp = np.ones(n)
-        for m in range(pol.max_terms):
-            g_sign, g_log = _signed_log_gamma(p.nu * m + beta)
-            if g_sign != 0.0:
-                ml += g_sign * math.exp(log_big - g_log) * zp
-            zp *= ml_arg
-        log_mag = log_coeff + (2 * r + q + 1) * log_pref_base
-        if over_t:
-            log_mag = log_mag - np.log(t)
-        term = np.where(active, sign * np.exp(log_mag) * ml, 0.0)
-        y = term - carry
-        tot = totals + y
-        carry = np.where(active, (tot - totals) - y, carry)
-        totals = tot
-        terms_used[active] = r + 1
-        active &= ~((totals != 0.0) & (np.abs(term) <= pol.rel_tol * np.abs(totals)))
-    return p.n0 * totals, terms_used, active
+
+
+def _case_id(kw):
+    return f"{kw['forcing']}-k{kw['k']:g}-c{kw.get('c', 1.0):g}-nu{kw['nu']:g}"
 
 
 class TestClosedForm:
-    @pytest.mark.parametrize("k", [0.5, 2.0, 3.0])
-    @pytest.mark.parametrize("c", [1.3, -0.8])
+    @pytest.mark.parametrize("kw", _REFERENCE_CASES, ids=_case_id)
     @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
-    @pytest.mark.parametrize("forcing", ["thm1", "thm2", "thm3"])
     @pytest.mark.parametrize("max_terms", [6, 60])  # 6 truncates the later nodes
-    def test_matches_term_by_term_reference(self, k, c, variant, forcing, max_terms):
-        p = _problem(k=k, c=c, forcing=forcing, nu=1.3 if k == 3.0 else 0.7, mu=0.5, d=1.4, a=2.5)
-        self._check_reference(p, variant, max_terms)
+    def test_matches_term_by_term_reference(self, kw, variant, max_terms):
+        self._check_reference(_problem(**kw), variant, max_terms)
 
     @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
     @pytest.mark.parametrize("forcing", ["thm1", "thm3"])
@@ -171,7 +136,7 @@ class TestClosedForm:
         grid = TimeGrid(t_max=1.0, n_points=48)
         pol = TruncationPolicy(max_terms=max_terms, rel_tol=1e-16)
         sol = solve_closed_form(p, grid, variant, pol)
-        values, terms_used, flags = _closed_form_reference(p, grid, variant, pol)
+        values, terms_used, flags = closed_form_reference(p, grid, variant, pol)
         assert np.max(np.abs(sol.values - values)) <= 1e-14 * np.max(np.abs(values))
         np.testing.assert_array_equal(sol.terms_used, terms_used)
         np.testing.assert_array_equal(sol.truncation_flag, flags)
@@ -251,12 +216,15 @@ class TestCorollaryReduction:
     @pytest.mark.parametrize("forcing", ["thm1", "thm2", "thm3"])
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5])
     def test_k1_reduction(self, forcing, nu):
+        # the corollary is the printed solution at k = 1, bit for bit
         grid = TimeGrid(t_max=1.0, n_points=16)
         p = _problem(forcing=forcing, nu=nu, a=2.0)
         general = solve_closed_form(p, grid, "as_printed", POL)
         corollary = solve_corollary_k1(p, grid, POL)
-        scale = float(np.max(np.abs(corollary.values))) or 1.0
-        assert float(np.max(np.abs(general.values - corollary.values))) / scale <= 1e-14
+        assert corollary.variant == "as_printed"
+        np.testing.assert_array_equal(corollary.values, general.values)
+        np.testing.assert_array_equal(corollary.terms_used, general.terms_used)
+        np.testing.assert_array_equal(corollary.truncation_flag, general.truncation_flag)
 
     def test_requires_k1(self):
         with pytest.raises(DomainError):
@@ -297,17 +265,18 @@ def _oracle_reference(p, grid):
     return values, local
 
 
+_ORACLE_SIZES = [1, 2, 63, 64, 65, 1000, 2048]
+_ORACLE_PROBLEMS = [
+    dict(forcing="thm1", nu=1.5, k=0.5, mu=1.5),
+    dict(forcing="thm2", nu=0.3, k=2.0, c=-0.7, mu=0.5),
+    dict(forcing="thm3", nu=0.9, k=3.0, c=1.3),
+    dict(forcing="constant", nu=0.5, d=2.0),
+]
+
+
 class TestVolterraOracle:
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, 2048])
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(forcing="thm1", nu=1.5, k=0.5, mu=1.5),
-            dict(forcing="thm2", nu=0.3, k=2.0, c=-0.7, mu=0.5),
-            dict(forcing="thm3", nu=0.9, k=3.0, c=1.3),
-            dict(forcing="constant", nu=0.5, d=2.0),
-        ],
-    )
+    @pytest.mark.parametrize("n", _ORACLE_SIZES)
+    @pytest.mark.parametrize("kw", _ORACLE_PROBLEMS)
     def test_each_node_matches_recurrence(self, n, kw):
         # every node within 64 eps of its own local scale, however small the
         # node is next to max|N|
@@ -330,6 +299,23 @@ class TestVolterraOracle:
         got = report.oracle.values
         assert report.oracle_monotone_increasing == bool(np.all(np.diff(ref) >= 0))
         assert bool(np.all(got > 0)) == bool(np.all(ref > 0))
+
+    @pytest.mark.parametrize(
+        "n,t_max,kw",
+        [(n, 1.0, kw) for n in _ORACLE_SIZES for kw in _ORACLE_PROBLEMS]
+        + [(1000, 30.0, _ORACLE_PROBLEMS[1])],
+    )
+    def test_residual_matches_fractional_integral(self, n, t_max, kw):
+        # max|c * N - rhs| from the solve's own Toeplitz system against
+        # max|N - F + d^nu D^(-nu) N| with the separately built RL integral
+        p = _problem(**kw)
+        grid = TimeGrid(t_max=t_max, n_points=n)
+        res = volterra_oracle(p, grid)
+        forcing = p.forcing_value(grid.points(), _ORACLE_POLICY)
+        rl = rl_fractional_integral(res.values, grid, p.nu, f_zero=p.forcing_at_zero())
+        old = float(np.max(np.abs(res.values - forcing + p.d**p.nu * rl)))
+        size = max(float(np.max(np.abs(res.values))), float(np.max(np.abs(forcing))))
+        assert abs(res.residual_norm - old) <= 64 * np.finfo(float).eps * size
 
     def test_residual_small(self):
         grid = TimeGrid(t_max=1.0, n_points=512)

@@ -115,6 +115,12 @@ class TestKGamma:
         with pytest.raises(DomainError):
             k_gamma(g, k)
 
+    @pytest.mark.parametrize("g,k", [(300.0, 1.0), (400.0, 2.0)])
+    def test_overflow_raises(self, g, k):
+        with pytest.raises(ConvergenceError, match=f"k_gamma\\({g!r}, {k!r}\\)"):
+            k_gamma(g, k)
+        assert math.isfinite(k_gamma(171.0, 1.0))  # Gamma(171) ~ 7.3e306 still fits
+
 
 class TestStruveH:
     def test_zero_argument(self):

@@ -40,6 +40,17 @@ def test_polyline_points_match_per_point_reference(series):
     assert _points(svg) == reference_points(x, series)
 
 
+@pytest.mark.parametrize("x", [[0.5], [3.0, 3.0, 3.0], [-2e3]])
+def test_single_x_value_is_padded(x):
+    # xmax == xmin: the x range is widened by max(|x|, 1) * 0.05 on each side
+    series = {"a": [float(i) for i in range(len(x))]}
+    svg = render_line_chart(x, series, title="t", xlabel="x", ylabel="y")
+    points = _points(svg)
+    assert points == reference_points(x, series)
+    assert {p.split(",")[0] for p in points[0].split()} == {"315"}  # the middle of the plot
+    assert svg.count("<line x1=") == 12 + len(series)  # six ticks on each axis and the legend
+
+
 def test_list_and_array_inputs_agree():
     x = [0.1 * i for i in range(1, 40)]
     ys = [math.cos(v) for v in x]
