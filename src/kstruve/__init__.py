@@ -8,6 +8,7 @@ from .errors import (
     DomainError,
     KStruveError,
     QuadratureError,
+    QuadratureWarning,
     SolverError,
 )
 from .kinetics import (
@@ -56,6 +57,7 @@ __all__ = [
     "OracleResult",
     "QuadratureError",
     "QuadratureSpec",
+    "QuadratureWarning",
     "SeriesSolution",
     "SolverError",
     "TimeGrid",

@@ -19,3 +19,15 @@ class QuadratureError(KStruveError, ArithmeticError):
 
 class SolverError(KStruveError, RuntimeError):
     """The Volterra recurrence became singular (cannot happen for valid input)."""
+
+
+class QuadratureWarning(UserWarning):
+    """An adaptive rule spent its subinterval budget above tolerance.
+
+    The rule still returns its value; ``error_estimate`` is its absolute
+    error estimate at the stop.
+    """
+
+    def __init__(self, message: str, error_estimate: float):
+        super().__init__(message)
+        self.error_estimate = error_estimate

@@ -394,13 +394,23 @@ def volterra_oracle(
     c[0] = 1.0 + dn * diag
     c[1:] = dn * kernel
     rhs = forcing - dn * (w0 * n_zero)
-    values = np.empty(n)
-    _solve_toeplitz(c, rhs.copy(), values, 0, n, _leaf_inverse(c[:_LEAF]))
+    # The solve is linear in rhs: it runs on rhs scaled by the power of two
+    # that brings max|rhs| into [1/2, 1), which rounds nothing, and keeps the
+    # FFT products' sums from overflowing when |N| nears the largest double.
+    peak = float(np.max(np.abs(rhs)))
+    if not math.isfinite(peak):
+        raise SolverError("oracle right-hand side is not finite")
+    shift = math.frexp(peak)[1]
+    scaled = np.empty(n)
+    _solve_toeplitz(c, np.ldexp(rhs, -shift), scaled, 0, n, _leaf_inverse(c[:_LEAF]))
+    peak = float(np.max(np.abs(scaled)))
+    if not (math.isfinite(peak) and math.frexp(peak)[1] + shift <= 1024):
+        raise SolverError("oracle solution exceeds the largest double")
+    values = np.ldexp(scaled, shift)
 
     # A product of length 2n has the linear convolution's first n entries with
-    # no wrap-around.  N and rhs are scaled by the power of two that brings
-    # max|N| into [1/2, 1), which rounds nothing and keeps the FFT's sums from
-    # overflowing when |N| nears the largest double.
+    # no wrap-around.  N and rhs are scaled as in the solve, by the power of
+    # two that brings max|N| into [1/2, 1).
     shift = math.frexp(float(np.max(np.abs(values))))[1]
     applied = np.fft.irfft(np.fft.rfft(c, 2 * n) * np.fft.rfft(np.ldexp(values, -shift), 2 * n))
     residual = math.ldexp(float(np.max(np.abs(applied[:n] - np.ldexp(rhs, -shift)))), shift)

@@ -4,17 +4,27 @@ Riemann-Liouville fractional integral discretization.
 The Sumudu transform is fixed as S[f](u) = int_0^inf e^(-t) f(u t) dt, the
 kernel under which the power rule S{t^(mu-1)} = u^(mu-1) Gamma(mu) and the
 fractional-integral rule S{D^(-nu) f} = u^nu S{f} both hold.
+
+``sumudu_numeric`` evaluates it with numpy alone: a Gauss-Laguerre rule whose
+nodes are the eigenvalues of the Laguerre Jacobi matrix (Golub & Welsch,
+Math. Comp. 23, 1969) polished by Newton steps, with Christoffel weights; or
+an adaptive Gauss-Kronrod 7-15 rule (QUADPACK's qk15, Piessens et al., 1983)
+on [0, upper_cut] that bisects the subinterval with the largest |K15 - G7|,
+at most 300 subintervals, and warns with ``QuadratureWarning`` when that
+budget ends above tolerance.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, QuadratureWarning
 from .specfun import (
     KStruveParams,
     TruncationPolicy,
@@ -44,9 +54,13 @@ _SCHEMES = ("gauss_laguerre", "truncated_adaptive")
 class QuadratureSpec:
     """How to evaluate the forward transform integral.
 
-    ``gauss_laguerre`` uses ``node_count`` nodes (the weights absorb the
-    e^(-t) kernel).  ``truncated_adaptive`` integrates adaptively on
-    [0, upper_cut] instead; ``node_count`` is not meaningful there.
+    ``gauss_laguerre`` uses ``node_count`` Gauss-Laguerre nodes (the weights
+    absorb the e^(-t) kernel); far weights below the smallest double are 0.
+    ``truncated_adaptive`` integrates e^(-t) f(u t) on [0, upper_cut] with an
+    adaptive Gauss-Kronrod 7-15 rule to absolute and relative tolerance
+    1e-12 in at most 300 subintervals; if the budget ends above tolerance
+    it returns its value and warns with ``QuadratureWarning``.
+    ``node_count`` is not meaningful there.
     """
 
     node_count: int = 64
@@ -62,16 +76,116 @@ class QuadratureSpec:
             raise DomainError(f"upper_cut must be a positive real, got {self.upper_cut!r}")
 
 
+def _laguerre_recurrence(x: np.ndarray, n: int):
+    """L_{n-1}(x), L_n(x), sum_{k<n} L_k(x)^2 and the shift they are scaled by.
+
+    The three-term recurrence scales its running values down by 2^256 (the
+    sum by 2^512) wherever |L_k| passes 2^256, so nothing overflows at the
+    far nodes; the true values are the returned ones times 2^shift (the sum
+    times 4^shift).
+    """
+    prev, cur, total = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+    shift = np.zeros(x.shape, dtype=int)
+    for k in range(1, n + 1):
+        prev, cur = cur, ((2 * k - 1 - x) * cur - (k - 1) * prev) / k
+        if k < n:
+            total += cur * cur
+        big = np.abs(cur) > 2.0**256
+        if big.any():
+            down = np.where(big, -256, 0)
+            prev, cur, total = np.ldexp(prev, down), np.ldexp(cur, down), np.ldexp(total, 2 * down)
+            shift -= down
+    return prev, cur, total, shift
+
+
 @lru_cache(maxsize=16)
 def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.special import roots_laguerre  # scipy loads only for the numeric transform
+    """n-point Gauss-Laguerre nodes and weights for int_0^inf e^(-t) f(t) dt.
 
-    nodes, weights = roots_laguerre(n)
+    The nodes are the eigenvalues of the Jacobi matrix (diagonal 2k+1,
+    off-diagonal k), polished by two Newton steps on L_n with
+    x L_n' = n (L_n - L_{n-1}).  The weights are the Christoffel sums
+    1 / sum_{k<n} L_k(x_i)^2, sums of positive terms, so each weight is
+    accurate relative to itself even where it is 1e-101 (1.2e-14 at n = 64
+    against 60-digit values).  The squared first eigenvector components are
+    accurate only relative to the largest weight, and the samplers reach
+    1e74 at the far nodes.
+    """
+    k = np.arange(1.0, n)
+    nodes = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(k, 1) + np.diag(k, -1))
+    for _ in range(2):
+        prev, cur, _, _ = _laguerre_recurrence(nodes, n)
+        nodes = nodes - nodes * cur / (n * (cur - prev))
+    _, _, total, shift = _laguerre_recurrence(nodes, n)
+    weights = np.ldexp(1.0 / total, -2 * shift)
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
         raise QuadratureError(f"Gauss-Laguerre rule unstable at node_count={n}")
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+# QUADPACK's qk15 on [-1, 1]: the Kronrod abscissae x > 0 and x = 0, their
+# weights, and the 7-point Gauss weights at x[1], x[3], x[5] and x = 0.
+_KRONROD_X = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_KRONROD_W = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_GAUSS_W = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+
+
+def _g7k15(g, lo: float, hi: float) -> tuple[float, float]:
+    """K15 value of g on [lo, hi] and its error estimate |K15 - G7|."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    pairs = [g(mid - half * x) + g(mid + half * x) for x in _KRONROD_X]
+    centre = g(mid)
+    kronrod = math.fsum(w * v for w, v in zip(_KRONROD_W, pairs + [centre]))
+    gauss = math.fsum(w * v for w, v in zip(_GAUSS_W, pairs[1::2] + [centre]))
+    return half * kronrod, half * abs(kronrod - gauss)
+
+
+_ADAPTIVE_TOL = 1e-12  # absolute and relative
+_ADAPTIVE_LIMIT = 300  # subintervals
+
+
+def _adaptive_g7k15(g, a: float, b: float) -> float:
+    """int_a^b g to max(tol, tol * |value|), bisecting the worst subinterval.
+
+    With ``_ADAPTIVE_LIMIT`` subintervals used above tolerance it returns
+    its value and warns with ``QuadratureWarning``.
+    """
+    value, error = _g7k15(g, a, b)
+    parts = [(-error, value, a, b)]
+    while True:
+        value = math.fsum(part[1] for part in parts)
+        error = -math.fsum(part[0] for part in parts)
+        if error <= _ADAPTIVE_TOL * max(1.0, abs(value)):
+            return value
+        if len(parts) >= _ADAPTIVE_LIMIT:
+            warnings.warn(
+                QuadratureWarning(
+                    f"adaptive quadrature used {_ADAPTIVE_LIMIT} subintervals with "
+                    f"error estimate {error:.3g} above tolerance {_ADAPTIVE_TOL:g}",
+                    error,
+                ),
+                stacklevel=3,
+            )
+            return value
+        _, _, lo, hi = heapq.heappop(parts)
+        for piece in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)):
+            piece_value, piece_error = _g7k15(g, *piece)
+            heapq.heappush(parts, (-piece_error, piece_value, *piece))
 
 
 @dataclass(frozen=True)
@@ -99,28 +213,26 @@ class TimeGrid:
 
 
 def sumudu_numeric(f, u: float, q: QuadratureSpec = QuadratureSpec()) -> float:
-    """Numerical Sumudu transform of a sampler f at u > 0."""
+    """Numerical Sumudu transform of a sampler f at u > 0.
+
+    f is called with one Python float at a time; a non-finite value raises
+    ``QuadratureError``.  ``q`` selects the rule (see ``QuadratureSpec``);
+    the adaptive rule warns with ``QuadratureWarning`` when its
+    300-subinterval budget ends above tolerance.
+    """
     if not (u > 0 and math.isfinite(u)):
         raise DomainError(f"u must be a positive real, got {u!r}")
+
+    def sample(t: float) -> float:
+        v = f(u * t)
+        if not math.isfinite(v):
+            raise QuadratureError(f"integrand non-finite at node t={t!r}")
+        return v
+
     if q.scheme == "gauss_laguerre":
         nodes, weights = _laguerre_rule(q.node_count)
-        weighted = []
-        for t, w in zip(nodes, weights):
-            v = f(u * t)
-            if not math.isfinite(v):
-                raise QuadratureError(f"integrand non-finite at node t={t!r}")
-            weighted.append(w * v)
-        return math.fsum(weighted)
-    from scipy.integrate import quad
-
-    value, _ = quad(
-        lambda t: math.exp(-t) * f(u * t),
-        0.0,
-        q.upper_cut,
-        limit=300,
-        epsabs=1e-12,
-        epsrel=1e-12,
-    )
+        return math.fsum(w * sample(t) for t, w in zip(nodes.tolist(), weights.tolist()))
+    value = _adaptive_g7k15(lambda t: math.exp(-t) * sample(t), 0.0, q.upper_cut)
     if not math.isfinite(value):
         raise QuadratureError("adaptive quadrature returned a non-finite value")
     return value

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from kstruve.cli import EXIT_OK, main
+from kstruve.errors import QuadratureWarning
 from kstruve.kinetics import (
     KineticProblem,
     solve_closed_form,
@@ -115,7 +116,9 @@ def test_criterion_04_transform_composition(capsys):
             t = grid.points()
             samples = np.array([f(ti) for ti in t])
             rl = rl_fractional_integral(samples, grid, nu)
-            lhs = sumudu_numeric(lambda s: float(np.interp(s, t, rl)), u, ADAPTIVE)
+            # the interpolant's kinks stop the adaptive rule on its budget
+            with pytest.warns(QuadratureWarning):
+                lhs = sumudu_numeric(lambda s: float(np.interp(s, t, rl)), u, ADAPTIVE)
             rhs = u**nu * image(u)
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
     _report(capsys, 4, f"S(RL^nu f) = u^nu S(f) composition (max rel {worst:.3g})", worst <= 1e-5)

@@ -485,9 +485,13 @@ class TestDataRowsMatchReferenceWriter:
 
 
 def test_import_does_not_load_scipy():
-    # scipy is needed only by the numeric Sumudu transform
+    # neither the import nor the numeric Sumudu transform, under both schemes,
+    # loads scipy
     code = (
         "import sys, kstruve, kstruve.cli; "
+        "from kstruve import QuadratureSpec, sumudu_numeric; "
+        "sumudu_numeric(lambda t: t, 0.5); "
+        "sumudu_numeric(lambda t: t, 0.5, QuadratureSpec(scheme='truncated_adaptive')); "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(kstruve.__file__)))

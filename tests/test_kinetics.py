@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kstruve import kinetics
-from kstruve.errors import ConvergenceError, DomainError
+from kstruve.cli import EXIT_NUMERICAL, main
+from kstruve.errors import ConvergenceError, DomainError, SolverError
 from kstruve.kinetics import (
     _ORACLE_POLICY,
     FORCINGS,
@@ -388,6 +389,26 @@ class TestVolterraOracle:
     def test_checks_starting_value(self):
         with pytest.raises(DomainError):
             volterra_oracle(_problem(mu=-1.2, k=1.0), TimeGrid(t_max=1.0, n_points=8))
+
+    def test_solution_near_largest_double(self):
+        # the solve runs on rhs scaled into [1/2, 1): unscaled, the split FFT
+        # products overflowed and 449 of the 513 nodes came back NaN
+        grid = TimeGrid(t_max=1.0, n_points=513)
+        big = volterra_oracle(_problem(forcing="constant", n0=1e307), grid)
+        one = volterra_oracle(_problem(forcing="constant", n0=1.0), grid)
+        assert np.all(np.isfinite(big.values))
+        assert math.isfinite(big.residual_norm)
+        assert np.allclose(big.values / 1e307, one.values, rtol=1e-13, atol=0)
+
+    def test_non_finite_forcing_raises(self, monkeypatch, tmp_path):
+        def infinite(self, t, pol):
+            return np.full(t.shape, math.inf)
+
+        monkeypatch.setattr(KineticProblem, "forcing_value", infinite)
+        with pytest.raises(SolverError):
+            volterra_oracle(_problem(), TimeGrid(t_max=1.0, n_points=8))
+        argv = ["validate", "--n-points", "8", "--out", str(tmp_path / "v")]
+        assert main(argv) == EXIT_NUMERICAL
 
 
 class TestAdjudicate:

@@ -1,15 +1,18 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstruve.errors import DomainError, QuadratureError
+from kstruve.errors import DomainError, QuadratureError, QuadratureWarning
 from kstruve.specfun import KStruveParams, TruncationPolicy, k_struve
 from kstruve.transforms import (
     QuadratureSpec,
     TimeGrid,
+    _g7k15,
     _laguerre_rule,
     inverse_sumudu_kstruve,
     rl_fractional_integral,
@@ -61,6 +64,33 @@ class TestLaguerreRule:
                 math.factorial(m), rel=1e-12
             )
 
+    def test_matches_mpmath_at_64(self):
+        # laguerre_64.json is written by tests/make_laguerre_reference.py
+        path = os.path.join(os.path.dirname(__file__), "laguerre_64.json")
+        with open(path) as fh:
+            ref = json.load(fh)
+        nodes, w = _laguerre_rule(64)
+        ref_nodes = np.array([float(v) for v in ref["nodes"]])
+        ref_w = np.array([float(v) for v in ref["weights"]])
+        assert ref_w[-1] == pytest.approx(2.0890635084369528e-101, rel=1e-15)
+        assert float(np.max(np.abs(nodes - ref_nodes) / ref_nodes)) <= 1e-13
+        assert float(np.max(np.abs(w - ref_w) / ref_w)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [400, 512])
+    def test_largest_node_counts(self, n):
+        # the far weights underflow to 0; nothing overflows
+        nodes, w = _laguerre_rule(n)
+        assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(w))
+        assert abs(math.fsum(w) - 1.0) <= 1e-13
+
+    def test_far_weights_relative_accuracy(self):
+        # the sampler reaches ~1e74 at the far nodes (budget stops), so the
+        # 1e-101 weights there must be right relative to themselves, not
+        # to the largest weight, or the transform is off by orders of magnitude
+        params = KStruveParams(3.0, 0.4, 1.4)
+        num = sumudu_numeric(lambda t: k_struve(params, t), 1.2)
+        assert num == pytest.approx(sumudu_kstruve_closed(params, 1.2), rel=1e-4)
+
 
 class TestTimeGrid:
     def test_points_exclude_zero(self):
@@ -95,6 +125,31 @@ class TestSumuduNumeric:
     def test_non_finite_integrand_rejected(self):
         with pytest.raises(QuadratureError):
             sumudu_numeric(lambda t: math.inf, 1.0, QuadratureSpec())
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_integrand_rejected_adaptive(self, bad):
+        with pytest.raises(QuadratureError):
+            sumudu_numeric(lambda t: bad if t > 3.0 else 1.0, 1.0, ADAPTIVE)
+
+    @pytest.mark.parametrize("q", [QuadratureSpec(), ADAPTIVE])
+    def test_sampler_gets_python_floats(self, q):
+        seen = set()
+
+        def f(t):
+            seen.add(type(t))
+            return t
+
+        sumudu_numeric(f, 0.5, q)
+        assert seen == {float}
+
+    def test_kronrod_rule_exact_to_degree_23(self):
+        # K15 integrates polynomials of degree <= 3*7 + 2 exactly, G7 those
+        # of degree <= 13, so |K15 - G7| is rounding alone up to degree 13
+        for m in range(24):
+            value, err = _g7k15(lambda t: t**m, 0.0, 2.0)
+            assert value == pytest.approx(2.0 ** (m + 1) / (m + 1), rel=1e-14)
+            if m <= 13:
+                assert err <= 1e-14 * value
 
     def test_constant_transform(self):
         assert sumudu_numeric(lambda t: 1.0, 0.4, QuadratureSpec()) == pytest.approx(
@@ -218,9 +273,13 @@ class TestRLFractionalIntegral:
         grid = TimeGrid(t_max=40.0 * u, n_points=6000)
         t = grid.points()
         rl = rl_fractional_integral(t, grid, nu)
-        num = sumudu_numeric(lambda s: float(np.interp(s, t, rl)), u, ADAPTIVE)
+        # the kinks of the 6000-node interpolant keep the error estimate
+        # above 1e-12 when the 300-subinterval budget ends
+        with pytest.warns(QuadratureWarning) as record:
+            num = sumudu_numeric(lambda s: float(np.interp(s, t, rl)), u, ADAPTIVE)
         expect = sumudu_rl_rule(sumudu_power_rule(2.0, u), u, nu)
         assert num == pytest.approx(expect, rel=1e-5)
+        assert 1e-12 < record[0].message.error_estimate < 1e-6
 
 
 class TestSumuduRLRule:
