@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import ConvergenceError, DomainError, SolverError
 from .specfun import (
     KStruveParams,
     TruncationPolicy,
@@ -32,12 +32,7 @@ from .specfun import (
     k_struve,
     mittag_leffler,
 )
-from .transforms import (
-    TimeGrid,
-    rl_boundary_weights,
-    rl_interior_kernel,
-    rl_weight_scale,
-)
+from .transforms import TimeGrid, _rl_weights, _toeplitz_product
 
 __all__ = [
     "FORCINGS",
@@ -152,7 +147,6 @@ class OracleResult:
     values: np.ndarray
     value_at_zero: float
     residual_norm: float
-    grid_spacing: float
 
 
 @dataclass(frozen=True)
@@ -206,6 +200,14 @@ def _variant_inputs(p: KineticProblem, t: np.ndarray, variant: str):
     return (tn if p.forcing == "thm3" else d_tn), -d_tn, p.nu, False
 
 
+def _times_n0(n0: float, totals: np.ndarray) -> np.ndarray:
+    """n0 * totals, or ConvergenceError if any product is not finite."""
+    # the largest product as a Python float overflows without a warning
+    if not math.isfinite(n0 * float(np.max(np.abs(totals)))):
+        raise ConvergenceError("closed form: n0 times the series sum is not finite")
+    return n0 * totals
+
+
 def solve_closed_form(
     p: KineticProblem,
     grid: TimeGrid,
@@ -224,6 +226,7 @@ def solve_closed_form(
     times max|z|^m fall below 2^-64 of its leading term, so each r costs one
     matrix-vector product of that many rows; one lazily grown table of
     log-Gammas holds every lower Gamma argument and the coefficient's.
+    A non-finite n0 times the sum raises ``ConvergenceError``.
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -231,10 +234,10 @@ def solve_closed_form(
     n = grid.n_points
     if p.forcing == "constant":
         # geometric resummation of the unit-forcing series, exact for both variants
-        values = p.n0 * mittag_leffler(p.nu, 1.0, -((p.d * t) ** p.nu), pol)
+        values = mittag_leffler(p.nu, 1.0, -((p.d * t) ** p.nu), pol)
         return SeriesSolution(
             grid=grid,
-            values=values,
+            values=_times_n0(p.n0, values),
             variant=variant,
             terms_used=np.ones(n, dtype=int),
             truncation_flag=np.zeros(n, dtype=bool),
@@ -289,7 +292,7 @@ def solve_closed_form(
         "closed form", -p.c * x * x / (4.0 * p.k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
         log_pref, log_abs_z=log_abs_z, factor=ml_factor,
     )
-    return SeriesSolution(grid, p.n0 * totals, variant, terms_used, ~converged)
+    return SeriesSolution(grid, _times_n0(p.n0, totals), variant, terms_used, ~converged)
 
 
 def solve_corollary_k1(
@@ -374,26 +377,20 @@ def volterra_oracle(
     recurrence; one global FFT product would err by eps * max|N| at every
     node, which swamps the small values near t = 0.  The residual norm is
     max|c * N - rhs| over the grid, with the Toeplitz column and right-hand
-    side of the solve, computed by one zero-padded FFT product.
+    side of the solve, computed by the Toeplitz product that
+    ``rl_fractional_integral`` uses.
     """
     n = grid.n_points
-    h = grid.spacing
-    t = grid.points()
     dn = p.d ** p.nu
-    forcing = p.forcing_value(t, pol)
+    forcing = p.forcing_value(grid.points(), pol)
     n_zero = p.forcing_at_zero()
 
-    scale = rl_weight_scale(p.nu, h)
-    diag = scale  # unscaled diagonal weight is exactly 1
-    if 1.0 + dn * diag <= 0.0:
+    boundary, column = _rl_weights(p.nu, grid.spacing, n)
+    c = dn * column
+    c[0] += 1.0
+    if c[0] <= 0.0:
         raise SolverError("recurrence denominator 1 + d^nu * w_ii not positive")
-    w0 = scale * rl_boundary_weights(p.nu, n)
-    kernel = scale * rl_interior_kernel(p.nu, n)
-
-    c = np.empty(n)
-    c[0] = 1.0 + dn * diag
-    c[1:] = dn * kernel
-    rhs = forcing - dn * (w0 * n_zero)
+    rhs = forcing - dn * (boundary * n_zero)
     # The solve is linear in rhs: it runs on rhs scaled by the power of two
     # that brings max|rhs| into [1/2, 1), which rounds nothing, and keeps the
     # FFT products' sums from overflowing when |N| nears the largest double.
@@ -407,20 +404,8 @@ def volterra_oracle(
     if not (math.isfinite(peak) and math.frexp(peak)[1] + shift <= 1024):
         raise SolverError("oracle solution exceeds the largest double")
     values = np.ldexp(scaled, shift)
-
-    # A product of length 2n has the linear convolution's first n entries with
-    # no wrap-around.  N and rhs are scaled as in the solve, by the power of
-    # two that brings max|N| into [1/2, 1).
-    shift = math.frexp(float(np.max(np.abs(values))))[1]
-    applied = np.fft.irfft(np.fft.rfft(c, 2 * n) * np.fft.rfft(np.ldexp(values, -shift), 2 * n))
-    residual = math.ldexp(float(np.max(np.abs(applied[:n] - np.ldexp(rhs, -shift)))), shift)
-    return OracleResult(
-        grid=grid,
-        values=values,
-        value_at_zero=n_zero,
-        residual_norm=residual,
-        grid_spacing=h,
-    )
+    residual = float(np.max(np.abs(_toeplitz_product(c, values) - rhs)))
+    return OracleResult(grid=grid, values=values, value_at_zero=n_zero, residual_norm=residual)
 
 
 def adjudicate(

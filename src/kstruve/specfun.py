@@ -244,9 +244,8 @@ def _wright_series(
     lower: tuple[tuple[float, float], ...],
     pol: TruncationPolicy,
     log_pref: float = 0.0,
-    sign_pref: float = 1.0,
 ) -> tuple[float, int, list[float]]:
-    """sign_pref e^log_pref sum_n z^n prod Gamma(a + A n) / prod Gamma(b + B n).
+    """e^log_pref sum_n z^n prod Gamma(a + A n) / prod Gamma(b + B n).
 
     ``upper`` and ``lower`` hold the (a, A) and (b, B) pairs.  Summation
     stops under the policy's rules.  A Gamma pole in an upper factor is a
@@ -257,8 +256,8 @@ def _wright_series(
     Returns (value, terms_used, signed_term_values).
     """
     log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
-    # the sign of z^n, times the prefactor's, for even and odd n
-    power_sign = (sign_pref, -sign_pref if z < 0 else sign_pref)
+    # the sign of z^n for even and odd n
+    power_sign = (1.0, -1.0 if z < 0 else 1.0)
     key = (upper, lower)
     table = list(_ratio_tables.get(key, ()))  # extended here, published at the end
     total = carry = 0.0
@@ -428,12 +427,12 @@ def struve_h_info(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY):
     p = float(p)  # a float key: an equal float32 would sum its table's rows in float32
     half_x = abs(x) / 2.0
     # H_p(-x) = (-1)^(p+1) H_p(x) for integer p
-    sign = -1.0 if (x < 0 and int(p) % 2 == 0) else 1.0
+    negate = x < 0 and int(p) % 2 == 0
     value, used, _ = _wright_series(
         "struve_h", -half_x * half_x, (), ((1.5, 1.0), (p + 1.5, 1.0)), pol,
-        (p + 1.0) * _log_half(abs(x)), sign,
+        (p + 1.0) * _log_half(abs(x)),
     )
-    return value, used
+    return (-value if negate else value), used
 
 
 def struve_h(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY) -> float:

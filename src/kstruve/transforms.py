@@ -41,9 +41,6 @@ __all__ = [
     "sumudu_kstruve_closed",
     "inverse_sumudu_kstruve",
     "rl_fractional_integral",
-    "rl_weight_scale",
-    "rl_boundary_weights",
-    "rl_interior_kernel",
     "sumudu_rl_rule",
 ]
 
@@ -55,7 +52,8 @@ class QuadratureSpec:
     """How to evaluate the forward transform integral.
 
     ``gauss_laguerre`` uses ``node_count`` Gauss-Laguerre nodes (the weights
-    absorb the e^(-t) kernel); far weights below the smallest double are 0.
+    absorb the e^(-t) kernel); f is not sampled at the far nodes whose
+    weights are below the smallest double.
     ``truncated_adaptive`` integrates e^(-t) f(u t) on [0, upper_cut] with an
     adaptive Gauss-Kronrod 7-15 rule to absolute and relative tolerance
     1e-12 in at most 300 subintervals; if the budget ends above tolerance
@@ -109,7 +107,8 @@ def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     accurate relative to itself even where it is 1e-101 (1.2e-14 at n = 64
     against 60-digit values).  The squared first eigenvector components are
     accurate only relative to the largest weight, and the samplers reach
-    1e74 at the far nodes.
+    1e74 at the far nodes.  Only nodes with a positive weight are kept
+    (239 of 256, 368 of 512).
     """
     k = np.arange(1.0, n)
     nodes = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(k, 1) + np.diag(k, -1))
@@ -120,6 +119,8 @@ def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     weights = np.ldexp(1.0 / total, -2 * shift)
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
         raise QuadratureError(f"Gauss-Laguerre rule unstable at node_count={n}")
+    keep = weights > 0.0  # weights below the smallest double are 0
+    nodes, weights = nodes[keep], weights[keep]
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -312,26 +313,38 @@ def inverse_sumudu_kstruve(
     return (t / 2.0) ** q * params.k ** (-0.5 - q) * fox_wright(wright, z, pol)
 
 
-def rl_weight_scale(nu: float, h: float) -> float:
-    """Common factor h^nu / Gamma(nu + 2) of the product-trapezoidal weights."""
-    return h ** nu / math.gamma(nu + 2.0)
+def _rl_weights(nu: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product-trapezoidal weights of D^(-nu) on n nodes of spacing h.
 
-
-def rl_boundary_weights(nu: float, n: int) -> np.ndarray:
-    """Unscaled weights multiplying f(0), indexed by target node i = 1..n."""
-    i = np.arange(1, n + 1, dtype=float)
-    return (i - 1.0) ** (nu + 1.0) - i ** nu * (i - nu - 1.0)
-
-
-def rl_interior_kernel(nu: float, n: int) -> np.ndarray:
-    """Unscaled convolution kernel d2[m] for interior nodes, m = 1..n-1.
-
-    d2[m] = (m+1)^(nu+1) - 2 m^(nu+1) + (m-1)^(nu+1), the exact integral of
-    the singular kernel against the piecewise-linear hat at lag m.
+    Returns (boundary, column), both scaled by h^nu / Gamma(nu + 2):
+    ``boundary[i-1]`` multiplies f(0) at node i = 1..n, and ``column`` is
+    the first column of the lower-triangular Toeplitz matrix on f_1..f_n,
+    with diagonal weight 1 and d2[m] = (m+1)^(nu+1) - 2 m^(nu+1) + (m-1)^(nu+1)
+    at lag m = 1..n-1, the exact integral of the singular kernel against the
+    piecewise-linear hat.
     """
-    m = np.arange(0, n + 1, dtype=float)
-    p = m ** (nu + 1.0)
-    return p[2:] - 2.0 * p[1:-1] + p[:-2]
+    scale = h ** nu / math.gamma(nu + 2.0)
+    i = np.arange(1, n + 1, dtype=float)
+    boundary = scale * ((i - 1.0) ** (nu + 1.0) - i ** nu * (i - nu - 1.0))
+    p = np.arange(0, n + 1, dtype=float) ** (nu + 1.0)
+    column = np.empty(n)
+    column[0] = scale
+    column[1:] = scale * (p[2:] - 2.0 * p[1:-1] + p[:-2])
+    return boundary, column
+
+
+def _toeplitz_product(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz product sum_{j<=i} c[i-j] v[j], i < len(v).
+
+    One zero-padded rfft product of length 2n, whose first n entries are the
+    linear convolution's with no wrap-around.  It runs on v scaled by the
+    power of two that brings max|v| into [1/2, 1), which rounds nothing and
+    keeps the sums from overflowing when |v| nears the largest double.
+    """
+    n = len(v)
+    shift = math.frexp(float(np.max(np.abs(v))))[1]
+    product = np.fft.irfft(np.fft.rfft(c, 2 * n) * np.fft.rfft(np.ldexp(v, -shift), 2 * n))
+    return np.ldexp(product[:n], shift)
 
 
 def rl_fractional_integral(
@@ -342,7 +355,9 @@ def rl_fractional_integral(
     Product-trapezoidal rule: (1/Gamma(nu)) int_0^t (t-s)^(nu-1) f(s) ds with
     the kernel integrated exactly against the piecewise-linear interpolant of
     the samples, so the t=0 singularity (0 < nu < 1) costs no accuracy order.
-    ``f_zero`` supplies the limit value f(0+), assumed 0 by default.
+    ``f_zero`` supplies the limit value f(0+), assumed 0 by default.  The
+    interior sum is one FFT product, O(n log n); its error at a node is
+    relative to max|f| times the weights' sum, not to that node's value.
     """
     if not (nu > 0 and math.isfinite(nu)):
         raise DomainError(f"nu must be a positive real, got {nu!r}")
@@ -352,15 +367,8 @@ def rl_fractional_integral(
         raise DomainError(f"expected {n} samples, got shape {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise DomainError("samples must be finite")
-    scale = rl_weight_scale(nu, grid.spacing)
-    out = samples.copy()  # diagonal weight is exactly 1 (unscaled)
-    out += f_zero * rl_boundary_weights(nu, n)
-    if n > 1:
-        kernel = rl_interior_kernel(nu, n)
-        # interior sum_{j=1}^{i-1} d2[i-j] f_j is a discrete convolution
-        conv = np.convolve(samples[:-1], kernel)[: n - 1]
-        out[1:] += conv
-    return scale * out
+    boundary, column = _rl_weights(nu, grid.spacing, n)
+    return _toeplitz_product(column, samples) + f_zero * boundary
 
 
 def sumudu_rl_rule(g_of_u: float, u: float, nu: float) -> float:

@@ -17,13 +17,7 @@ from kstruve.kinetics import (
     volterra_oracle,
 )
 from kstruve.specfun import TruncationPolicy, _signed_log_gamma, mittag_leffler
-from kstruve.transforms import (
-    TimeGrid,
-    rl_boundary_weights,
-    rl_fractional_integral,
-    rl_interior_kernel,
-    rl_weight_scale,
-)
+from kstruve.transforms import TimeGrid, _rl_weights, rl_fractional_integral
 from closed_form_reference import closed_form_reference
 
 # Frozen with a 40-digit mpmath evaluation of the resummed series during the
@@ -147,6 +141,23 @@ class TestClosedForm:
         with pytest.raises(ConvergenceError):
             solve_closed_form(_problem(), TimeGrid(t_max=1.0, n_points=8), "as_printed", pol)
 
+    @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
+    def test_n0_overflow_raises(self, variant):
+        # on the default 50-term budget max|sum| is 22.4 (as_printed) and
+        # 14.1 (sumudu_consistent) here, so n0 * sum passes the largest
+        # double; it used to come back -inf
+        p = _problem(n0=1.7e308)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            solve_closed_form(p, TimeGrid(t_max=20.0, n_points=8), variant)
+
+    def test_n0_overflow_raises_constant_forcing(self, monkeypatch):
+        # |E_nu(-x)| <= 1 for these orders, so the resummed branch is made
+        # to return 2
+        monkeypatch.setattr(kinetics, "mittag_leffler", lambda a, b, z, pol: np.full(z.shape, 2.0))
+        p = _problem(forcing="constant", n0=1.7e308)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            solve_closed_form(p, TimeGrid(t_max=1.0, n_points=8))
+
     def test_frozen_values(self):
         grid = TimeGrid(t_max=0.5, n_points=50)
         p1 = _problem(nu=1.0)
@@ -249,9 +260,8 @@ def _oracle_reference(p, grid):
     dn = p.d ** p.nu
     forcing = p.forcing_value(grid.points(), _ORACLE_POLICY)
     n_zero = p.forcing_at_zero()
-    scale = rl_weight_scale(p.nu, grid.spacing)
-    w0 = scale * rl_boundary_weights(p.nu, n)
-    kernel = scale * rl_interior_kernel(p.nu, n)
+    w0, column = _rl_weights(p.nu, grid.spacing, n)
+    scale, kernel = column[0], column[1:]
     values = np.empty(n)
     local = np.empty(n)
     for i in range(1, n + 1):

@@ -629,7 +629,7 @@ class TestFoxWright:
         assert v == pytest.approx(PSI22_BOUNDARY, rel=1e-12)
 
 
-def _reference_series(what, z, upper, lower, pol, log_pref=0.0, sign_pref=1.0):
+def _reference_series(what, z, upper, lower, pol, log_pref=0.0):
     """The series loop with no ratio table: every term calls _term_gamma_ratio."""
     log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
     z_sign = -1.0 if z < 0 else 1.0
@@ -646,7 +646,7 @@ def _reference_series(what, z, upper, lower, pol, log_pref=0.0, sign_pref=1.0):
                 f"{what}: term {n} has log-magnitude {log_mag:.3g} "
                 f"exceeding the overflow guard {pol.overflow_guard:.3g}"
             )
-        term = sign_pref * z_sign ** n * g_sign * math.exp(log_mag)
+        term = z_sign ** n * g_sign * math.exp(log_mag)
         terms.append(term)
         compensated = term + carry
         previous = total

@@ -14,6 +14,7 @@ from kstruve.transforms import (
     TimeGrid,
     _g7k15,
     _laguerre_rule,
+    _rl_weights,
     inverse_sumudu_kstruve,
     rl_fractional_integral,
     sumudu_kstruve_closed,
@@ -82,6 +83,24 @@ class TestLaguerreRule:
         nodes, w = _laguerre_rule(n)
         assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(w))
         assert abs(math.fsum(w) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("n,positive", [(64, 64), (256, 239), (512, 368)])
+    def test_samples_only_positive_weight_nodes(self, n, positive):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 1.0
+
+        assert sumudu_numeric(f, 1.0, QuadratureSpec(node_count=n)) == pytest.approx(1.0, rel=1e-12)
+        assert len(calls) == positive
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_non_finite_past_the_weights_is_not_sampled(self, n):
+        # e^(-t) is below the smallest double past t = 745; the nodes there
+        # have weight 0, and the last positive-weight node is below 745
+        value = sumudu_numeric(lambda t: math.inf if t > 745.0 else 1.0, 1.0, QuadratureSpec(node_count=n))
+        assert value == pytest.approx(1.0, rel=1e-12)
 
     def test_far_weights_relative_accuracy(self):
         # the sampler reaches ~1e74 at the far nodes (budget stops), so the
@@ -219,7 +238,43 @@ class TestInverseSumudu:
         assert math.isfinite(rel)
 
 
+def _rl_convolve_reference(samples, grid, nu, f_zero):
+    """The product-trapezoidal rule as one O(n^2) ``np.convolve``."""
+    n = grid.n_points
+    scale = grid.spacing**nu / math.gamma(nu + 2.0)
+    i = np.arange(1, n + 1, dtype=float)
+    out = samples + f_zero * ((i - 1.0) ** (nu + 1.0) - i**nu * (i - nu - 1.0))
+    if n > 1:
+        p = np.arange(0, n + 1, dtype=float) ** (nu + 1.0)
+        out[1:] += np.convolve(samples[:-1], p[2:] - 2.0 * p[1:-1] + p[:-2])[: n - 1]
+    return scale * out
+
+
 class TestRLFractionalIntegral:
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 2048])
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 1.5])
+    def test_matches_convolution(self, n, nu):
+        # the FFT product errs by at most a few eps times max|f| times the
+        # weights' sum at any node (2.7 of that at most in n <= 8192)
+        grid = TimeGrid(t_max=3.0, n_points=n)
+        t = grid.points()
+        f_zero = 0.7
+        for f in (np.cos(5.0 * t), np.random.default_rng(n).standard_normal(n)):
+            got = rl_fractional_integral(f, grid, nu, f_zero=f_zero)
+            ref = _rl_convolve_reference(f, grid, nu, f_zero)
+            boundary, column = _rl_weights(nu, grid.spacing, n)
+            size = np.sum(np.abs(column)) * np.max(np.abs(f)) + abs(f_zero) * np.abs(boundary)
+            assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * size)
+
+    def test_near_largest_double(self):
+        # D^(-1.5) of the constant 1e307 is 1e307 t^1.5 / Gamma(2.5); the
+        # unscaled convolution sums passed the largest double and gave inf
+        grid = TimeGrid(t_max=1.0, n_points=2048)
+        out = rl_fractional_integral(np.full(2048, 1e307), grid, 1.5, f_zero=1e307)
+        exact = 1e307 * grid.points() ** 1.5 / math.gamma(2.5)
+        assert np.all(np.isfinite(out))
+        assert float(np.max(np.abs(out - exact))) <= 1e-12 * 1e307
+
     def test_order_one_is_plain_integral(self):
         grid = TimeGrid(t_max=1.0, n_points=200)
         t = grid.points()
