@@ -9,6 +9,12 @@ the resolved configuration, floats written exactly as ``%.17g`` writes them,
 ``\\n`` line endings, whole-file atomic writes with the permissions the
 umask gives a new file.  Exit codes: 0 success, 2 input error,
 3 numerical failure, 4 adjudication disagreement.
+
+``figures`` sums each node's series under the package default policy, as
+``solve``, ``sweep`` and ``validate`` do by default: at most 50 terms,
+stopping once a term is at most 1e-16 of the running sum.  For each figure
+and nu with nodes that stopped on the 50-term budget instead, one line on
+stderr gives their count; the files and stdout do not change.
 """
 
 from __future__ import annotations
@@ -103,9 +109,12 @@ def _grid(args: argparse.Namespace) -> TimeGrid:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        values = [float(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one real, got {text!r}")
+    return values
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -193,7 +202,7 @@ def _figure_spec(which: int) -> tuple[str, float]:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    pol = TruncationPolicy(max_terms=50, rel_tol=0.0)  # fixed 50-term convention
+    pol = TruncationPolicy()
     grid = TimeGrid(t_max=args.t_max, n_points=args.n_points)
     which_list = range(1, 7) if args.which == "all" else [int(args.which)]
     t = grid.points()
@@ -209,9 +218,17 @@ def cmd_figures(args: argparse.Namespace) -> int:
                 print(f"numerical failure on figure {which}, nu={nu}: {exc}", file=sys.stderr)
                 return EXIT_NUMERICAL
             columns[f"nu_{nu:g}"] = sol.values
+            stopped = int(np.count_nonzero(sol.truncation_flag))
+            if stopped:
+                print(
+                    f"figure {which}, nu={nu:g}: {stopped} of {grid.n_points} nodes "
+                    f"stopped on the {pol.max_terms}-term budget",
+                    file=sys.stderr,
+                )
         meta = (
             f"# figure={which} forcing={forcing} k={k:g} n0=1 d=1 mu=1 c=1 "
-            f"variant=as_printed max_terms=50 t_max={args.t_max} n_points={args.n_points}"
+            f"variant=as_printed max_terms={pol.max_terms} rel_tol={pol.rel_tol:g} "
+            f"t_max={args.t_max} n_points={args.n_points}"
         )
         header = "t," + ",".join(columns)
         csv_path = os.path.join(args.out_dir, f"fig{which}.csv")

@@ -202,7 +202,8 @@ def _variant_inputs(p: KineticProblem, t: np.ndarray, variant: str):
 
 def _times_n0(n0: float, totals: np.ndarray) -> np.ndarray:
     """n0 * totals, or ConvergenceError if any product is not finite."""
-    # the largest product as a Python float overflows without a warning
+    # the largest product as a Python float overflows without a warning; a
+    # NaN total makes the maximum NaN
     if not math.isfinite(n0 * float(np.max(np.abs(totals)))):
         raise ConvergenceError("closed form: n0 times the series sum is not finite")
     return n0 * totals
@@ -226,22 +227,32 @@ def solve_closed_form(
     times max|z|^m fall below 2^-64 of its leading term, so each r costs one
     matrix-vector product of that many rows; one lazily grown table of
     log-Gammas holds every lower Gamma argument and the coefficient's.
-    A non-finite n0 times the sum raises ``ConvergenceError``.
+
+    A series sum that is not finite, or n0 times it, raises
+    ``ConvergenceError``.  At a large t_max the powers, the factor or a term
+    overflow: the sum is evaluated with numpy's overflow and invalid-value
+    warnings off, because an inf or NaN that reaches a node's running sum
+    keeps it non-finite to the end, and that one check after the loop
+    raises.
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    t = grid.points()
-    n = grid.n_points
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals, terms_used, converged = _closed_form_sums(p, grid.points(), variant, pol)
+    return SeriesSolution(grid, _times_n0(p.n0, totals), variant, terms_used, ~converged)
+
+
+def _closed_form_sums(
+    p: KineticProblem, t: np.ndarray, variant: str, pol: TruncationPolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed form over n0 at the nodes t: (sums, terms_used, converged)."""
+    n = t.size
     if p.forcing == "constant":
         # geometric resummation of the unit-forcing series, exact for both variants
-        values = mittag_leffler(p.nu, 1.0, -((p.d * t) ** p.nu), pol)
-        return SeriesSolution(
-            grid=grid,
-            values=_times_n0(p.n0, values),
-            variant=variant,
-            terms_used=np.ones(n, dtype=int),
-            truncation_flag=np.zeros(n, dtype=bool),
-        )
+        z = -((p.d * t) ** p.nu)
+        if not np.isfinite(z).all():
+            raise ConvergenceError("closed form: the Mittag-Leffler argument is not finite")
+        return mittag_leffler(p.nu, 1.0, z, pol), np.ones(n, dtype=int), np.ones(n, dtype=bool)
 
     q = p.mu / p.k
     x, ml_arg, ml_shift, over_t = _variant_inputs(p, t, variant)
@@ -288,11 +299,10 @@ def solve_closed_form(
 
     # z = -c x^2/(4k), log|z| from the same log(x/2); at c = 0 the series ends after r = 0
     log_abs_z = 2.0 * log_half + (math.log(abs(p.c) / p.k) if p.c != 0 else 0.0)
-    totals, terms_used, converged = _wright_series_array(
+    return _wright_series_array(
         "closed form", -p.c * x * x / (4.0 * p.k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
         log_pref, log_abs_z=log_abs_z, factor=ml_factor,
     )
-    return SeriesSolution(grid, _times_n0(p.n0, totals), variant, terms_used, ~converged)
 
 
 def solve_corollary_k1(
@@ -419,7 +429,10 @@ def adjudicate(
     Deviations are normalized by the oracle's maximum magnitude over the
     grid; the at-end deviations are relative at t = t_max, which is what the
     tolerance verdict uses.  Nothing about the printed formula is presumed.
+    A NaN, infinite or negative ``tol`` is a ``DomainError``.
     """
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be a finite real >= 0, got {tol!r}")
     oracle = volterra_oracle(p, grid)
     printed = solve_closed_form(p, grid, "as_printed", pol)
     consistent = solve_closed_form(p, grid, "sumudu_consistent", pol)

@@ -355,7 +355,7 @@ def rl_fractional_integral(
     Product-trapezoidal rule: (1/Gamma(nu)) int_0^t (t-s)^(nu-1) f(s) ds with
     the kernel integrated exactly against the piecewise-linear interpolant of
     the samples, so the t=0 singularity (0 < nu < 1) costs no accuracy order.
-    ``f_zero`` supplies the limit value f(0+), assumed 0 by default.  The
+    ``f_zero`` supplies the finite limit value f(0+), assumed 0 by default.  The
     interior sum is one FFT product, O(n log n); its error at a node is
     relative to max|f| times the weights' sum, not to that node's value.
     """
@@ -367,6 +367,8 @@ def rl_fractional_integral(
         raise DomainError(f"expected {n} samples, got shape {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise DomainError("samples must be finite")
+    if not math.isfinite(f_zero):
+        raise DomainError(f"f_zero must be finite, got {f_zero!r}")
     boundary, column = _rl_weights(nu, grid.spacing, n)
     return _toeplitz_product(column, samples) + f_zero * boundary
 

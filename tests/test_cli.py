@@ -108,6 +108,19 @@ class TestEval:
             main(["eval", "--fn", "struve", "--x", "1.0,zebra"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--fn", "struve", f"--{name}={text}"] for name in ("x", "z", "gamma", "u")
+         for text in (",", "", ",,")]
+        + [["sweep", "--param", "nu", "--values", ","]],
+    )
+    def test_empty_float_list(self, argv, tmp_path):
+        # an empty list used to write a CSV holding only its header
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
 
 class TestSolve:
     def test_writes_both_variants(self, tmp_path):
@@ -185,6 +198,25 @@ class TestValidate:
         )
         assert rc == EXIT_DISAGREE
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_input_error(self, tmp_path, capsys, tol):
+        rc = main(["validate", "--n-points", "8", f"--tol={tol}", "--out", str(tmp_path / "val")])
+        assert rc == EXIT_INPUT
+        assert "tol must be" in capsys.readouterr().err
+        assert not (tmp_path / "val.csv").exists()
+
+
+def _figure_reference(which, grid, pol):
+    """The columns of figure ``which``: each nu's as_printed solution under ``pol``."""
+    forcing, k = cli._figure_spec(which)
+    return [
+        solve_closed_form(
+            KineticProblem(n0=1.0, d=1.0, nu=nu, mu=1.0, k=k, forcing=forcing), grid,
+            "as_printed", pol,
+        )
+        for nu in cli._FIGURE_NUS
+    ]
+
 
 class TestFigures:
     def test_single_figure_csv_only(self, tmp_path):
@@ -231,6 +263,59 @@ class TestFigures:
             assert main(["figures", "--which", "2", "--n-points", "30", "--out-dir", str(d)]) == EXIT_OK
         for name in ("fig2.csv", "fig2.svg"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("n", [100, 1025])
+    @pytest.mark.parametrize("t_max", [1.0, 5.0, 10.0, 20.0])
+    def test_within_one_ulp_of_full_budget(self, tmp_path, capsys, t_max, n):
+        # each node stops on rel_tol = 1e-16; the 50-term sums without a
+        # tolerance stop are the reference, and the terms after the stop
+        # move a value by at most its last bit
+        argv = ["figures", "--t-max", repr(t_max), "--n-points", str(n), "--format", "csv"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_OK
+        grid = TimeGrid(t_max=t_max, n_points=n)
+        full = TruncationPolicy(max_terms=50, rel_tol=0.0)
+        for which in range(1, 7):
+            written = np.loadtxt(tmp_path / f"fig{which}.csv", delimiter=",", skiprows=2, ndmin=2)
+            np.testing.assert_array_equal(written[:, 0], grid.points())
+            for column, ref in zip(written[:, 1:].T, _figure_reference(which, grid, full)):
+                assert np.all(np.abs(column - ref.values) <= np.spacing(np.abs(ref.values)))
+        if t_max == 1.0:  # every node converges, and no budget note is written
+            assert capsys.readouterr().err == ""
+
+    def test_budget_stops_reported_on_stderr(self, tmp_path, capsys):
+        argv = ["figures", "--t-max", "10", "--n-points", "100", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        grid = TimeGrid(t_max=10.0, n_points=100)
+        expect = []
+        for which in range(1, 7):
+            for nu, sol in zip(cli._FIGURE_NUS, _figure_reference(which, grid, TruncationPolicy())):
+                stopped = int(np.count_nonzero(sol.truncation_flag))
+                if stopped:
+                    expect.append(
+                        f"figure {which}, nu={nu:g}: {stopped} of 100 nodes "
+                        "stopped on the 50-term budget"
+                    )
+        assert expect and err.splitlines() == expect
+        # the note goes to stderr only
+        assert out.splitlines() == [
+            str(tmp_path / f"fig{i}.{ext}") for i in range(1, 7) for ext in ("csv", "svg")
+        ]
+        head = _read(tmp_path / "fig1.csv").splitlines()[0]
+        assert head.endswith("max_terms=50 rel_tol=1e-16 t_max=10.0 n_points=100")
+
+    def test_overflowing_t_max_exits_without_warning(self, tmp_path):
+        # numpy's overflow warnings used to reach stderr before exit code 3
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kstruve.__file__)))
+        argv = ["figures", "--t-max", "1e308", "--n-points", "8", "--out-dir", str(tmp_path)]
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "kstruve.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert done.returncode == EXIT_NUMERICAL
+        assert done.stderr.startswith("numerical failure on figure 1")
+        assert "Warning" not in done.stderr
+        assert not list(tmp_path.iterdir())
 
 
 class TestSweep:
@@ -448,11 +533,10 @@ class TestDataRowsMatchReferenceWriter:
         argv = ["figures", "--which", "4", "--n-points", str(n)]
         assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_OK
         grid = TimeGrid(t_max=1.0, n_points=n)
-        pol = TruncationPolicy(max_terms=50, rel_tol=0.0)
         series = {}
         for nu in (0.5, 0.7, 0.9, 1.0, 1.5):
             problem = KineticProblem(n0=1.0, d=1.0, nu=nu, mu=1.0, k=1.0, forcing="thm3")
-            series[f"nu_{nu:g}"] = solve_closed_form(problem, grid, "as_printed", pol).values
+            series[f"nu_{nu:g}"] = solve_closed_form(problem, grid, "as_printed", _POLICY).values
         rows = reference_columns(grid.points(), *series.values())
         assert _csv_body(tmp_path / "fig4.csv") == _reference_body(",".join(["%.17g"] * 6), rows)
         svg = (tmp_path / "fig4.svg").read_text(encoding="utf-8")

@@ -158,6 +158,20 @@ class TestClosedForm:
         with pytest.raises(ConvergenceError, match="not finite"):
             solve_closed_form(p, TimeGrid(t_max=1.0, n_points=8))
 
+    @pytest.mark.parametrize("t_max", [1e10, 1e30, 1e308])
+    @pytest.mark.parametrize(
+        "forcing, nu",
+        [(f, nu) for f in ("thm1", "thm2", "thm3") for nu in (0.5, 0.9, 1.5)]
+        + [("constant", 0.9), ("constant", 1.5)],
+    )
+    def test_extreme_t_max_raises_without_warning(self, t_max, forcing, nu):
+        # the power table, the term times its factor or t^nu overflow; under
+        # the suite's "error" warning filter a RuntimeWarning would escape
+        # in place of the ConvergenceError
+        for variant in ("as_printed", "sumudu_consistent"):
+            with pytest.raises(ConvergenceError):
+                solve_closed_form(_problem(forcing=forcing, nu=nu), TimeGrid(t_max, 16), variant)
+
     def test_frozen_values(self):
         grid = TimeGrid(t_max=0.5, n_points=50)
         p1 = _problem(nu=1.0)
@@ -441,3 +455,9 @@ class TestAdjudicate:
         grid = TimeGrid(t_max=1.0, n_points=64)
         report = adjudicate(_problem(), grid, tol=1e-15)
         assert report.agreeing == ()
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        # a NaN bound agreed with nothing, and an infinite one with everything
+        with pytest.raises(DomainError, match="tol"):
+            adjudicate(_problem(), TimeGrid(t_max=1.0, n_points=8), tol=tol)

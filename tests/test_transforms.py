@@ -322,6 +322,12 @@ class TestRLFractionalIntegral:
         with pytest.raises(DomainError):
             rl_fractional_integral(np.ones(8), grid, -0.5)
 
+    @pytest.mark.parametrize("f_zero", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_f_zero(self, f_zero):
+        # f_zero * boundary used to make every node NaN or inf
+        with pytest.raises(DomainError, match="f_zero"):
+            rl_fractional_integral(np.ones(8), TimeGrid(t_max=1.0, n_points=8), 0.5, f_zero=f_zero)
+
     def test_transform_composition(self):
         # S{D^(-nu) f}(u) = u^nu S{f}(u) for f(t) = t
         nu, u = 0.5, 0.4
