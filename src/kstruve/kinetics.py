@@ -28,9 +28,9 @@ from .specfun import (
     KStruveParams,
     TruncationPolicy,
     _signed_log_gamma,
+    _mittag_leffler_array,
     _wright_series_array,
     k_struve,
-    mittag_leffler,
 )
 from .transforms import TimeGrid, _rl_weights, _toeplitz_product
 
@@ -183,6 +183,14 @@ def classical_decay(n0: float, c: float, t: float) -> float:
     return n0 * math.exp(-c * t)
 
 
+def _rate_power(rate: float, nu: float) -> float:
+    """rate^nu for the rates d and a, or ConvergenceError past the largest double."""
+    try:
+        return math.pow(rate, nu)
+    except OverflowError:
+        raise ConvergenceError(f"{rate!r} ** {nu!r} overflows a double") from None
+
+
 def _variant_inputs(p: KineticProblem, t: np.ndarray, variant: str):
     """Per-variant prefactor base X, Mittag-Leffler argument, index shift and 1/t flag.
 
@@ -191,12 +199,12 @@ def _variant_inputs(p: KineticProblem, t: np.ndarray, variant: str):
     the forcing's own argument in the power and shifts the index by nu.
     """
     tn = t ** p.nu
-    d_tn = (p.d ** p.nu) * tn
+    d_tn = _rate_power(p.d, p.nu) * tn
     if variant == "as_printed":
-        ml_arg = -(p.a ** p.nu) * tn if p.forcing == "thm2" else -d_tn
+        ml_arg = -_rate_power(p.a, p.nu) * tn if p.forcing == "thm2" else -d_tn
         return (t if p.forcing == "thm3" else d_tn), ml_arg, 0.0, True
     if p.forcing == "thm2":
-        return (p.a ** p.nu) * tn, -d_tn, p.nu, False
+        return _rate_power(p.a, p.nu) * tn, -d_tn, p.nu, False
     return (tn if p.forcing == "thm3" else d_tn), -d_tn, p.nu, False
 
 
@@ -228,12 +236,12 @@ def solve_closed_form(
     matrix-vector product of that many rows; one lazily grown table of
     log-Gammas holds every lower Gamma argument and the coefficient's.
 
-    A series sum that is not finite, or n0 times it, raises
-    ``ConvergenceError``.  At a large t_max the powers, the factor or a term
-    overflow: the sum is evaluated with numpy's overflow and invalid-value
-    warnings off, because an inf or NaN that reaches a node's running sum
-    keeps it non-finite to the end, and that one check after the loop
-    raises.
+    A series sum that is not finite, n0 times it, or d^nu or a^nu past the
+    largest double raises ``ConvergenceError``.  At a large t_max the
+    powers, the factor or a term overflow: the sum is evaluated with numpy's
+    overflow and invalid-value warnings off, because an inf or NaN that
+    reaches a node's running sum keeps it non-finite to the end, and that
+    one check after the loop raises.
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -246,14 +254,14 @@ def _closed_form_sums(
     p: KineticProblem, t: np.ndarray, variant: str, pol: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed form over n0 at the nodes t: (sums, terms_used, converged)."""
-    n = t.size
     if p.forcing == "constant":
         # geometric resummation of the unit-forcing series, exact for both variants
         z = -((p.d * t) ** p.nu)
         if not np.isfinite(z).all():
             raise ConvergenceError("closed form: the Mittag-Leffler argument is not finite")
-        return mittag_leffler(p.nu, 1.0, z, pol), np.ones(n, dtype=int), np.ones(n, dtype=bool)
+        return _mittag_leffler_array(p.nu, 1.0, z, pol)
 
+    n = t.size
     q = p.mu / p.k
     x, ml_arg, ml_shift, over_t = _variant_inputs(p, t, variant)
     log_half = np.log(x / 2.0)
@@ -368,11 +376,7 @@ def _solve_toeplitz(
     _solve_toeplitz(c, rhs, out, mid, hi, leaf_inv)
 
 
-def volterra_oracle(
-    p: KineticProblem,
-    grid: TimeGrid,
-    pol: TruncationPolicy = _ORACLE_POLICY,
-) -> OracleResult:
+def volterra_oracle(p: KineticProblem, grid: TimeGrid) -> OracleResult:
     """Solve the kinetic equation directly as a linear Volterra recurrence.
 
     The forcing F is evaluated on the whole grid in one array call.  The
@@ -391,8 +395,8 @@ def volterra_oracle(
     ``rl_fractional_integral`` uses.
     """
     n = grid.n_points
-    dn = p.d ** p.nu
-    forcing = p.forcing_value(grid.points(), pol)
+    dn = _rate_power(p.d, p.nu)
+    forcing = p.forcing_value(grid.points(), _ORACLE_POLICY)
     n_zero = p.forcing_at_zero()
 
     boundary, column = _rl_weights(p.nu, grid.spacing, n)

@@ -50,22 +50,24 @@ class TruncationPolicy:
 
     Summation halts at the first of: ``max_terms`` terms consumed, the last
     term satisfying ``|term| <= rel_tol * |partial_sum|`` with a nonzero
-    partial sum, or a term whose log-magnitude exceeds ``overflow_guard``
-    (an error).  The default of 50 terms is the plotting convention used
-    throughout; tests that need tighter accuracy raise it explicitly.
+    partial sum, or a term whose log-magnitude exceeds 700 (an error).  The
+    default of 50 terms is the plotting convention used throughout; tests
+    that need tighter accuracy raise it explicitly.
     """
 
     max_terms: int = 50
     rel_tol: float = 1e-16
-    overflow_guard: float = 700.0
 
     def __post_init__(self):
         if not isinstance(self.max_terms, int) or self.max_terms < 1:
             raise DomainError(f"max_terms must be a positive integer, got {self.max_terms!r}")
         if not (self.rel_tol >= 0.0 and math.isfinite(self.rel_tol)):
             raise DomainError(f"rel_tol must be a finite real >= 0, got {self.rel_tol!r}")
-        if not math.isfinite(self.overflow_guard):
-            raise DomainError("overflow_guard must be finite")
+
+
+# a term whose log-magnitude passes this raises in both series loops; below
+# ln(DBL_MAX) ~ 709.8, so exp of a term that passes the check is finite
+_OVERFLOW_GUARD = 700.0
 
 
 @dataclass(frozen=True)
@@ -270,10 +272,10 @@ def _wright_series(
             terms.append(0.0)
             continue
         log_mag = log_pref + n * log_abs_z + log_ratio
-        if log_mag > pol.overflow_guard:
+        if log_mag > _OVERFLOW_GUARD:
             raise ConvergenceError(
                 f"{what}: term {n} has log-magnitude {log_mag:.3g} "
-                f"exceeding the overflow guard {pol.overflow_guard:.3g}"
+                f"exceeding the overflow guard {_OVERFLOW_GUARD:.3g}"
             )
         term = power_sign[n & 1] * g_sign * math.exp(log_mag)
         terms.append(term)
@@ -367,10 +369,10 @@ def _wright_series_array(
         else:
             log_mag = log_pref + n * log_abs_z + log_ratio
             peak = float(log_mag.max())
-            if peak > pol.overflow_guard:
+            if peak > _OVERFLOW_GUARD:
                 raise ConvergenceError(
                     f"{what}: term {n} has log-magnitude {peak:.3g} "
-                    f"exceeding the overflow guard {pol.overflow_guard:.3g}"
+                    f"exceeding the overflow guard {_OVERFLOW_GUARD:.3g}"
                 )
             sign = g_sign * (z_sign if n % 2 else 1.0)
             term = np.exp(log_mag) * (sign * scale)
@@ -409,6 +411,16 @@ def _check_nodes(x: np.ndarray, name: str) -> None:
 _DEFAULT_POLICY = TruncationPolicy()
 
 
+def _struve_series(what: str, q: float, c: float, k: float, x: float, pol: TruncationPolicy):
+    """``k_struve_info``'s sum at x > 0, q = nu/k, and H_q at k = c = 1; (value, terms_used)."""
+    half = x / 2.0  # x * x overflows from x = 1.4e154, (x/2)^2 from twice that
+    value, used, _ = _wright_series(
+        what, -c * half * half / k, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
+        (q + 1.0) * _log_half(x) - (q + 0.5) * math.log(k),
+    )
+    return value, used
+
+
 def struve_h_info(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY):
     """Classical Struve function H_p(x); returns (value, terms_used)."""
     if not (math.isfinite(p) and math.isfinite(x)):
@@ -425,14 +437,9 @@ def struve_h_info(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY):
             f"negative base), got p={p}, x={x}"
         )
     p = float(p)  # a float key: an equal float32 would sum its table's rows in float32
-    half_x = abs(x) / 2.0
+    value, used = _struve_series("struve_h", p, 1.0, 1.0, abs(x), pol)
     # H_p(-x) = (-1)^(p+1) H_p(x) for integer p
-    negate = x < 0 and int(p) % 2 == 0
-    value, used, _ = _wright_series(
-        "struve_h", -half_x * half_x, (), ((1.5, 1.0), (p + 1.5, 1.0)), pol,
-        (p + 1.0) * _log_half(abs(x)),
-    )
-    return (-value if negate else value), used
+    return (-value if x < 0 and int(p) % 2 == 0 else value), used
 
 
 def struve_h(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY) -> float:
@@ -458,12 +465,7 @@ def k_struve_info(params: KStruveParams, x: float, pol: TruncationPolicy = _DEFA
         if q + 1 <= 0:
             raise DomainError(f"k_struve at x=0 needs nu/k > -1, got nu/k={q}")
         return 0.0, 1
-    k = params.k
-    value, used, _ = _wright_series(
-        "k_struve", -params.c * x * x / (4.0 * k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
-        (q + 1.0) * _log_half(x) - (q + 0.5) * math.log(k),
-    )
-    return value, used
+    return _struve_series("k_struve", q, params.c, params.k, x, pol)
 
 
 def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy):
@@ -478,9 +480,10 @@ def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy)
     values = np.zeros(x.shape)
     used = np.ones(x.shape, dtype=int)
     xp = x[positive]
+    half = xp / 2.0  # as in _struve_series
     k = params.k
     values[positive], used[positive], _ = _wright_series_array(
-        "k_struve", -params.c * xp * xp / (4.0 * k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
+        "k_struve", -params.c * half * half / k, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
         (q + 1.0) * _scalar_logs(xp, _log_half) - (q + 0.5) * math.log(k),
     )
     return values, used
@@ -526,10 +529,10 @@ def mittag_leffler_info(
 
 
 def _mittag_leffler_array(alpha: float, beta: float, z: np.ndarray, pol: TruncationPolicy):
-    """``mittag_leffler_info`` at every node of a 1-D array z; returns (values, terms_used)."""
+    """``mittag_leffler_info`` at every node of a 1-D array z: (values, terms_used, converged)."""
     alpha, beta = _ml_params(alpha, beta)
     _check_nodes(z, "z")
-    return _wright_series_array("mittag_leffler", z, (), ((beta, alpha),), pol)[:2]
+    return _wright_series_array("mittag_leffler", z, (), ((beta, alpha),), pol)
 
 
 def mittag_leffler(

@@ -9,7 +9,7 @@ fractional-integral rule S{D^(-nu) f} = u^nu S{f} both hold.
 nodes are the eigenvalues of the Laguerre Jacobi matrix (Golub & Welsch,
 Math. Comp. 23, 1969) polished by Newton steps, with Christoffel weights; or
 an adaptive Gauss-Kronrod 7-15 rule (QUADPACK's qk15, Piessens et al., 1983)
-on [0, upper_cut] that bisects the subinterval with the largest |K15 - G7|,
+on [0, 40] that bisects the subinterval with the largest |K15 - G7|,
 at most 300 subintervals, and warns with ``QuadratureWarning`` when that
 budget ends above tolerance.
 """
@@ -54,7 +54,7 @@ class QuadratureSpec:
     ``gauss_laguerre`` uses ``node_count`` Gauss-Laguerre nodes (the weights
     absorb the e^(-t) kernel); f is not sampled at the far nodes whose
     weights are below the smallest double.
-    ``truncated_adaptive`` integrates e^(-t) f(u t) on [0, upper_cut] with an
+    ``truncated_adaptive`` integrates e^(-t) f(u t) on [0, 40] with an
     adaptive Gauss-Kronrod 7-15 rule to absolute and relative tolerance
     1e-12 in at most 300 subintervals; if the budget ends above tolerance
     it returns its value and warns with ``QuadratureWarning``.
@@ -63,15 +63,12 @@ class QuadratureSpec:
 
     node_count: int = 64
     scheme: str = "gauss_laguerre"
-    upper_cut: float = 40.0
 
     def __post_init__(self):
         if not isinstance(self.node_count, int) or not 2 <= self.node_count <= 512:
             raise DomainError(f"node_count must be an integer in [2, 512], got {self.node_count!r}")
         if self.scheme not in _SCHEMES:
             raise DomainError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if not (self.upper_cut > 0 and math.isfinite(self.upper_cut)):
-            raise DomainError(f"upper_cut must be a positive real, got {self.upper_cut!r}")
 
 
 def _laguerre_recurrence(x: np.ndarray, n: int):
@@ -158,6 +155,7 @@ def _g7k15(g, lo: float, hi: float) -> tuple[float, float]:
 
 _ADAPTIVE_TOL = 1e-12  # absolute and relative
 _ADAPTIVE_LIMIT = 300  # subintervals
+_UPPER_CUT = 40.0  # the adaptive rule's end point; e^-40 is 4e-18
 
 
 def _adaptive_g7k15(g, a: float, b: float) -> float:
@@ -233,7 +231,7 @@ def sumudu_numeric(f, u: float, q: QuadratureSpec = QuadratureSpec()) -> float:
     if q.scheme == "gauss_laguerre":
         nodes, weights = _laguerre_rule(q.node_count)
         return math.fsum(w * sample(t) for t, w in zip(nodes.tolist(), weights.tolist()))
-    value = _adaptive_g7k15(lambda t: math.exp(-t) * sample(t), 0.0, q.upper_cut)
+    value = _adaptive_g7k15(lambda t: math.exp(-t) * sample(t), 0.0, _UPPER_CUT)
     if not math.isfinite(value):
         raise QuadratureError("adaptive quadrature returned a non-finite value")
     return value
@@ -257,18 +255,15 @@ def _kstruve_image_params(params: KStruveParams) -> WrightParams:
 
 
 def _sumudu_kstruve_image(
-    params: KStruveParams, u: float, pol: TruncationPolicy, scale: float = 1.0
+    params: KStruveParams, u: float, pol: TruncationPolicy
 ) -> tuple[float, int]:
     """``sumudu_kstruve_closed`` and the terms its 2Psi2 series used."""
     if not (u > 0 and math.isfinite(u)):
         raise DomainError(f"u must be a positive real, got {u!r}")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise DomainError(f"scale must be a positive real, got {scale!r}")
-    ue = scale * u
     q = params.order_ratio
     wright = _kstruve_image_params(params)
-    z = -params.c * ue * ue / (4.0 * params.k)
-    prefactor = (ue / 2.0) ** (q + 1.0) * params.k ** (-0.5 - q)
+    z = -params.c * u * u / (4.0 * params.k)
+    prefactor = (u / 2.0) ** (q + 1.0) * params.k ** (-0.5 - q)
     value, used = fox_wright_info(wright, z, pol)
     return prefactor * value, used
 
@@ -277,15 +272,13 @@ def sumudu_kstruve_closed(
     params: KStruveParams,
     u: float,
     pol: TruncationPolicy = TruncationPolicy(),
-    scale: float = 1.0,
 ) -> float:
     """Closed-form Sumudu image of the k-Struve function.
 
     (u/2)^(nu/k+1) k^(-1/2-nu/k) 2Psi2[(nu/k+2,2),(1,1); (nu/k+3/2,1),(3/2,1)]
-    at argument -c u^2/(4k).  ``scale`` transforms t -> S(scale*t): the image
-    is the same expression evaluated at scale*u.
+    at argument -c u^2/(4k).  By the dilation rule, S(a t) has this image at a u.
     """
-    return _sumudu_kstruve_image(params, u, pol, scale)[0]
+    return _sumudu_kstruve_image(params, u, pol)[0]
 
 
 def inverse_sumudu_kstruve(

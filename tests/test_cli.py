@@ -149,14 +149,28 @@ class TestSolve:
         # the message names the requested file, not a temporary one
         assert repr(str(tmp_path / "nope" / "sol.csv")) in err and ".tmp-" not in err
 
-    def test_overflow_guard_exit(self, tmp_path, monkeypatch):
-        def policy(args):
-            return TruncationPolicy(args.max_terms, args.rel_tol, overflow_guard=-10.0)
-
-        monkeypatch.setattr(cli, "_policy", policy)
-        rc = main(["solve", "--n-points", "4", "--out", str(tmp_path / "sol")])
+    def test_overflow_guard_exit(self, tmp_path, capsys):
+        # at t_max = 1e20 term 9 of the outer series has log-magnitude 739
+        rc = main(["solve", "--t-max", "1e20", "--n-points", "4", "--out", str(tmp_path / "sol")])
         assert rc == EXIT_NUMERICAL
+        assert "overflow guard" in capsys.readouterr().err
         assert not (tmp_path / "sol.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["solve", "--forcing", "thm2", "--d", "1", "--a", "1e300"],
+            ["sweep", "--param", "nu", "--values", "2"],
+            ["validate"],
+        ],
+    )
+    def test_rate_power_overflow_exit(self, tmp_path, capsys, argv):
+        # d^nu (a^nu for thm2) passes the largest double; it was an OverflowError traceback
+        args = ["--d", "1e300", "--nu", "2", "--n-points", "4", "--out", str(tmp_path / "x")]
+        assert main(argv[:1] + args + argv[1:]) == EXIT_NUMERICAL
+        assert "overflows a double" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_n0_overflow_exit(self, tmp_path, capsys):
         # max|sum| is 22.4 here, so n0 * sum passes the largest double

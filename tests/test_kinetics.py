@@ -137,9 +137,16 @@ class TestClosedForm:
         np.testing.assert_array_equal(sol.truncation_flag, flags)
 
     def test_overflow_guard(self):
-        pol = TruncationPolicy(overflow_guard=-10.0)
-        with pytest.raises(ConvergenceError):
-            solve_closed_form(_problem(), TimeGrid(t_max=1.0, n_points=8), "as_printed", pol)
+        # at t_max = 1e20 term 9 of the outer series has log-magnitude 739
+        with pytest.raises(ConvergenceError, match="overflow guard"):
+            solve_closed_form(_problem(), TimeGrid(t_max=1e20, n_points=8), "as_printed")
+
+    @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
+    @pytest.mark.parametrize("rate", [dict(d=1e300), dict(forcing="thm2", a=1e300)])
+    def test_rate_power_overflow_raises(self, variant, rate):
+        # d^nu (a^nu for thm2) passes the largest double; it was a bare OverflowError
+        with pytest.raises(ConvergenceError, match="overflows a double"):
+            solve_closed_form(_problem(nu=2.0, **rate), TimeGrid(t_max=1.0, n_points=4), variant)
 
     @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
     def test_n0_overflow_raises(self, variant):
@@ -153,7 +160,10 @@ class TestClosedForm:
     def test_n0_overflow_raises_constant_forcing(self, monkeypatch):
         # |E_nu(-x)| <= 1 for these orders, so the resummed branch is made
         # to return 2
-        monkeypatch.setattr(kinetics, "mittag_leffler", lambda a, b, z, pol: np.full(z.shape, 2.0))
+        def two(alpha, beta, z, pol):
+            return np.full(z.shape, 2.0), np.ones(z.shape, dtype=int), np.ones(z.shape, dtype=bool)
+
+        monkeypatch.setattr(kinetics, "_mittag_leffler_array", two)
         p = _problem(forcing="constant", n0=1.7e308)
         with pytest.raises(ConvergenceError, match="not finite"):
             solve_closed_form(p, TimeGrid(t_max=1.0, n_points=8))
@@ -202,13 +212,22 @@ class TestClosedForm:
 
     def test_constant_forcing_is_one_array_call(self, monkeypatch):
         calls = []
-        real = kinetics.mittag_leffler
+        real = kinetics._mittag_leffler_array
         monkeypatch.setattr(
-            kinetics, "mittag_leffler", lambda *args: calls.append(args) or real(*args)
+            kinetics, "_mittag_leffler_array", lambda *args: calls.append(args) or real(*args)
         )
         solve_closed_form(_problem(forcing="constant"), TimeGrid(t_max=1.0, n_points=64))
         assert len(calls) == 1
         assert calls[0][2].shape == (64,)
+
+    def test_constant_forcing_budget_stop_is_flagged(self):
+        # E_0.5(-t^0.5) lies in (0, 1); at t up to 1e10 the 50-term series
+        # sums to -5.8e205 ... -3.2e220, and every node stops on the budget
+        sol = solve_closed_form(_problem(forcing="constant", nu=0.5), TimeGrid(1e10, 4))
+        assert sol.terms_used.tolist() == [50] * 4
+        assert sol.truncation_flag.all()
+        sol = solve_closed_form(_problem(forcing="constant", nu=0.5), TimeGrid(1.0, 4))
+        assert sol.terms_used.max() < 50 and not sol.truncation_flag.any()
 
     def test_diagnostics_shapes(self):
         grid = TimeGrid(t_max=1.0, n_points=10)
@@ -409,6 +428,10 @@ class TestVolterraOracle:
         d1 = abs(coarse.values[-1] - fine.values[-1])
         d2 = abs(fine.values[-1] - finest.values[-1])
         assert d2 < d1
+
+    def test_rate_power_overflow_raises(self):
+        with pytest.raises(ConvergenceError, match="overflows a double"):
+            volterra_oracle(_problem(d=1e300, nu=2.0), TimeGrid(t_max=1.0, n_points=4))
 
     def test_checks_starting_value(self):
         with pytest.raises(DomainError):
