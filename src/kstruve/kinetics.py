@@ -97,14 +97,25 @@ class KineticProblem:
         return KStruveParams(k=self.k, nu=self.mu, c=self.c)
 
     def forcing_argument(self, t: float | np.ndarray) -> float | np.ndarray:
-        """k-Struve argument at time t, a float or an ndarray of times."""
-        if self.forcing == "thm1":
-            return (self.d * t) ** self.nu
-        if self.forcing == "thm2":
-            return (self.a * t) ** self.nu
-        if self.forcing == "thm3":
-            return t ** self.nu
-        raise DomainError("constant forcing has no k-Struve argument")
+        """k-Struve argument at time t, a float or an ndarray of times.
+
+        An argument past the largest double is a ``ConvergenceError``.
+        """
+        if self.forcing == "constant":
+            raise DomainError("constant forcing has no k-Struve argument")
+        try:
+            with np.errstate(over="ignore"):
+                if self.forcing == "thm1":
+                    x = (self.d * t) ** self.nu
+                elif self.forcing == "thm2":
+                    x = (self.a * t) ** self.nu
+                else:
+                    x = t ** self.nu
+        except OverflowError:  # a float power past the largest double
+            x = math.inf
+        if not np.isfinite(x).all():
+            raise ConvergenceError(f"{self.forcing} forcing argument overflows a double")
+        return x
 
     def forcing_value(self, t: float | np.ndarray, pol: TruncationPolicy) -> float | np.ndarray:
         """Forcing at time t; a 1-D ndarray of times gives an ndarray in one call."""

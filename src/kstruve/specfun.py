@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +106,9 @@ class WrightParams:
     ``upper`` holds (a, A) pairs, ``lower`` holds (b, B) pairs, all A, B > 0.
     The series is entire when ``delta = 1 + sum(B) - sum(A) > 0``.  The
     borderline ``delta == 0`` is accepted with the finite convergence radius
-    ``radius = prod(A^-A) * prod(B^B)``; ``delta < 0`` is rejected.
+    ``radius = prod(A^-A) * prod(B^B)``; ``delta < 0`` is rejected.  Both
+    are computed once per instance, like ``series_lower``; none of the
+    three takes part in equality or hashing.
     """
 
     upper: tuple[tuple[float, float], ...]
@@ -124,11 +127,11 @@ class WrightParams:
                 f"divergent parameter combination: 1 + sum(B) - sum(A) = {self.delta} < 0"
             )
 
-    @property
+    @cached_property
     def delta(self) -> float:
         return 1.0 + sum(B for _, B in self.lower) - sum(A for _, A in self.upper)
 
-    @property
+    @cached_property
     def radius(self) -> float:
         """Convergence radius when delta == 0 (infinite when delta > 0)."""
         if self.delta > 0:
@@ -137,6 +140,11 @@ class WrightParams:
             A * math.log(A) for _, A in self.upper
         )
         return math.exp(log_r)
+
+    @cached_property
+    def series_lower(self) -> tuple[tuple[float, float], ...]:
+        """``lower`` and the (1, 1) pair whose Gamma(1 + n) is the series' n!."""
+        return self.lower + ((1.0, 1.0),)
 
 
 def log_gamma(x: float) -> float:
@@ -246,48 +254,75 @@ def _wright_series(
     lower: tuple[tuple[float, float], ...],
     pol: TruncationPolicy,
     log_pref: float = 0.0,
-) -> tuple[float, int, list[float]]:
+) -> tuple[float, int]:
     """e^log_pref sum_n z^n prod Gamma(a + A n) / prod Gamma(b + B n).
 
     ``upper`` and ``lower`` hold the (a, A) and (b, B) pairs.  Summation
     stops under the policy's rules.  A Gamma pole in an upper factor is a
     DomainError.  A pole in a lower factor zeroes the term (1/Gamma continued
     analytically), and the term still counts toward max_terms.  At z == 0
-    the series is exact after its n = 0 term.
+    the series is exact after its n = 0 term.  A term whose log-magnitude
+    exceeds the overflow guard, or is NaN (0 * inf at n = 0 when z is
+    infinite), is a ConvergenceError.  ``_series_terms`` rebuilds the terms.
 
-    Returns (value, terms_used, signed_term_values).
+    Returns (value, terms_used).
     """
     log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
     # the sign of z^n for even and odd n
     power_sign = (1.0, -1.0 if z < 0 else 1.0)
     key = (upper, lower)
-    table = list(_ratio_tables.get(key, ()))  # extended here, published at the end
+    table = rows = _ratio_tables.get(key, ())
+    rel_tol, exp = pol.rel_tol, math.exp
     total = carry = 0.0
-    terms: list[float] = []
     for n in range(pol.max_terms if z != 0.0 else 1):
-        if n == len(table):
-            table.append(_term_gamma_ratio(n, upper, lower))
-        g_sign, log_ratio = table[n]
+        if n == len(rows):
+            if rows is table:  # the published tuple is copied only to grow it
+                rows = list(table)
+            rows.append(_term_gamma_ratio(n, upper, lower))
+        g_sign, log_ratio = rows[n]
         if g_sign == 0.0:
-            terms.append(0.0)
             continue
         log_mag = log_pref + n * log_abs_z + log_ratio
-        if log_mag > _OVERFLOW_GUARD:
+        if not log_mag <= _OVERFLOW_GUARD:
             raise ConvergenceError(
                 f"{what}: term {n} has log-magnitude {log_mag:.3g} "
                 f"exceeding the overflow guard {_OVERFLOW_GUARD:.3g}"
             )
-        term = power_sign[n & 1] * g_sign * math.exp(log_mag)
-        terms.append(term)
+        term = power_sign[n & 1] * g_sign * exp(log_mag)
         # Kahan step: alternating series lose digits otherwise
         compensated = term + carry
         previous = total
         total += compensated
         carry = compensated - (total - previous)
-        if total != 0.0 and abs(term) <= pol.rel_tol * abs(total):
+        if total != 0.0 and abs(term) <= rel_tol * abs(total):
             break
-    _publish_ratio_table(key, table)
-    return total, len(terms), terms
+    if rows is not table:
+        _publish_ratio_table(key, rows)
+    return total, n + 1
+
+
+def _series_terms(
+    z: float,
+    upper: tuple[tuple[float, float], ...],
+    lower: tuple[tuple[float, float], ...],
+    count: int,
+) -> list[float]:
+    """The first ``count`` signed terms of ``_wright_series`` at z != 0, log_pref 0, bit for bit.
+
+    Each term is formed by the loop's expression from the same ratio rows
+    (log_pref + n log|z| + log_ratio is n log|z| + log_ratio exactly at
+    log_pref 0); it is meant for terms the loop has already summed without
+    raising.
+    """
+    log_abs_z = math.log(abs(z))
+    power_sign = (1.0, -1.0 if z < 0 else 1.0)
+    rows = list(_ratio_tables.get((upper, lower), ())[:count])
+    rows += [_term_gamma_ratio(n, upper, lower) for n in range(len(rows), count)]
+    exp = math.exp
+    return [
+        power_sign[n & 1] * g_sign * exp(n * log_abs_z + log_ratio) if g_sign else 0.0
+        for n, (g_sign, log_ratio) in enumerate(rows)
+    ]
 
 
 _LOG_2 = math.log(2.0)
@@ -356,20 +391,22 @@ def _wright_series_array(
     total = np.zeros(z.shape)
     carry = np.zeros(z.shape)
     key = (upper, lower)
-    table = list(_ratio_tables.get(key, ()))  # extended here, published at the end
+    table = rows = _ratio_tables.get(key, ())
     for n in range(pol.max_terms):
         if nodes.size == 0:
             break
-        if n == len(table):
-            table.append(_term_gamma_ratio(n, upper, lower))
-        g_sign, log_ratio = table[n]
+        if n == len(rows):
+            if rows is table:  # the published tuple is copied only to grow it
+                rows = list(table)
+            rows.append(_term_gamma_ratio(n, upper, lower))
+        g_sign, log_ratio = rows[n]
         scale = factor(n, nodes) if g_sign != 0.0 else None
         if scale is None:
             stop = np.zeros(nodes.size, dtype=bool)
         else:
             log_mag = log_pref + n * log_abs_z + log_ratio
-            peak = float(log_mag.max())
-            if peak > _OVERFLOW_GUARD:
+            peak = float(log_mag.max())  # NaN if any node's is
+            if not peak <= _OVERFLOW_GUARD:
                 raise ConvergenceError(
                     f"{what}: term {n} has log-magnitude {peak:.3g} "
                     f"exceeding the overflow guard {_OVERFLOW_GUARD:.3g}"
@@ -394,7 +431,8 @@ def _wright_series_array(
                 nodes, live, log_pref, log_abs_z, z_sign, total, carry = (
                     arr[keep] for arr in (nodes, live, log_pref, log_abs_z, z_sign, total, carry)
                 )
-    _publish_ratio_table(key, table)
+    if rows is not table:
+        _publish_ratio_table(key, rows)
     values[nodes[live]] = total[live]
     converged = np.ones(z.shape, dtype=bool)
     converged[nodes[live]] = False  # still summing when the term budget ran out
@@ -414,11 +452,10 @@ _DEFAULT_POLICY = TruncationPolicy()
 def _struve_series(what: str, q: float, c: float, k: float, x: float, pol: TruncationPolicy):
     """``k_struve_info``'s sum at x > 0, q = nu/k, and H_q at k = c = 1; (value, terms_used)."""
     half = x / 2.0  # x * x overflows from x = 1.4e154, (x/2)^2 from twice that
-    value, used, _ = _wright_series(
+    return _wright_series(
         what, -c * half * half / k, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
         (q + 1.0) * _log_half(x) - (q + 0.5) * math.log(k),
     )
-    return value, used
 
 
 def struve_h_info(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY):
@@ -469,7 +506,10 @@ def k_struve_info(params: KStruveParams, x: float, pol: TruncationPolicy = _DEFA
 
 
 def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy):
-    """``k_struve_info`` at every node of a 1-D array x; returns (values, terms_used)."""
+    """``k_struve_info`` at every node of a 1-D array x; returns (values, terms_used).
+
+    A series argument -c (x/2)^2 / k past the largest double is a ConvergenceError.
+    """
     _check_nodes(x, "x")
     if (x < 0).any():
         raise DomainError(f"k_struve requires x >= 0, got {x.min()}")
@@ -482,8 +522,14 @@ def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy)
     xp = x[positive]
     half = xp / 2.0  # as in _struve_series
     k = params.k
+    with np.errstate(over="ignore"):
+        z = -params.c * half * half / k
+    if not np.isfinite(z).all():
+        raise ConvergenceError(
+            f"k_struve: the series argument -c (x/2)^2 / k overflows a double at x = {xp.max():.6g}"
+        )
     values[positive], used[positive], _ = _wright_series_array(
-        "k_struve", -params.c * half * half / k, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
+        "k_struve", z, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
         (q + 1.0) * _scalar_logs(xp, _log_half) - (q + 0.5) * math.log(k),
     )
     return values, used
@@ -524,8 +570,7 @@ def mittag_leffler_info(
     alpha, beta = _ml_params(alpha, beta)
     if not math.isfinite(z):
         raise DomainError("z must be finite")
-    value, used, _ = _wright_series("mittag_leffler", z, (), ((beta, alpha),), pol)
-    return value, used
+    return _wright_series("mittag_leffler", z, (), ((beta, alpha),), pol)
 
 
 def _mittag_leffler_array(alpha: float, beta: float, z: np.ndarray, pol: TruncationPolicy):
@@ -587,12 +632,12 @@ def fox_wright_info(w: WrightParams, z: float, pol: TruncationPolicy = _DEFAULT_
             f"argument |z|={abs(z)} outside the convergence radius {w.radius} "
             "of a borderline (delta == 0) series"
         )
-    # the (1, 1) lower pair is the n! of the series
-    value, used, signed = _wright_series("fox_wright", z, w.upper, w.lower + ((1.0, 1.0),), pol)
+    value, used = _wright_series("fox_wright", z, w.upper, w.series_lower, pol)
     if used < pol.max_terms or w.delta > 0 or z == 0:
         return value, used
     # Borderline series truncated without meeting the stop rule: accelerate
     # if the terms alternate strictly.
+    signed = _series_terms(z, w.upper, w.series_lower, used)
     alternating = all(t != 0.0 for t in signed) and all(
         signed[i] * signed[i + 1] < 0 for i in range(len(signed) - 1)
     )

@@ -246,8 +246,9 @@ def sumudu_power_rule(mu: float, u: float) -> float:
     return u ** (mu - 1.0) * math.gamma(mu)
 
 
-def _kstruve_image_params(params: KStruveParams) -> WrightParams:
-    q = params.order_ratio
+@lru_cache(maxsize=1024)
+def _kstruve_image_params(q: float) -> WrightParams:
+    """The image series' parameters at order ratio q = nu/k, one instance per q."""
     return WrightParams(
         upper=((q + 2.0, 2.0), (1.0, 1.0)),
         lower=((q + 1.5, 1.0), (1.5, 1.0)),
@@ -261,7 +262,7 @@ def _sumudu_kstruve_image(
     if not (u > 0 and math.isfinite(u)):
         raise DomainError(f"u must be a positive real, got {u!r}")
     q = params.order_ratio
-    wright = _kstruve_image_params(params)
+    wright = _kstruve_image_params(q)
     z = -params.c * u * u / (4.0 * params.k)
     prefactor = (u / 2.0) ** (q + 1.0) * params.k ** (-0.5 - q)
     value, used = fox_wright_info(wright, z, pol)

@@ -94,6 +94,14 @@ class TestEval:
         assert float(value) == pytest.approx(math.sqrt(2 * 5e-324 / math.pi), rel=1e-14)
         assert used == "1"
 
+    def test_overflowing_argument_is_numerical_failure(self, tmp_path, capsys):
+        # (x/2)^2 overflows; one term used to write nan and exit 0
+        out = tmp_path / "big"
+        rc = main(["eval", "--fn", "kstruve", "--x", "1e300", "--max-terms", "1", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "term 0 has log-magnitude nan" in capsys.readouterr().err
+        assert not (tmp_path / "big.csv").exists()
+
     def test_domain_error_exit_code(self, tmp_path):
         rc = main(["eval", "--fn", "struve", "--p", "-2.0", "--x", "1.0", "--out", str(tmp_path / "bad")])
         assert rc == EXIT_INPUT
@@ -211,6 +219,21 @@ class TestValidate:
             ]
         )
         assert rc == EXIT_DISAGREE
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--forcing", "thm2", "--a", "1e300"], "thm2 forcing argument overflows a double"),
+            (["--d", "1e150"], "series argument -c (x/2)^2 / k overflows a double"),
+        ],
+    )
+    def test_overflowing_forcing_is_numerical_failure(self, tmp_path, capsys, flags, message):
+        # the first was an input error ("x must be finite"); both printed
+        # numpy RuntimeWarnings, errors under this suite's filter
+        argv = ["validate", "--nu", "2", "--n-points", "4", "--out", str(tmp_path / "val")]
+        assert main(argv + flags) == EXIT_NUMERICAL
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "val.csv").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tolerance_is_input_error(self, tmp_path, capsys, tol):

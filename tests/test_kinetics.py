@@ -67,6 +67,22 @@ class TestKineticProblem:
         with pytest.raises(DomainError):
             _problem(forcing="constant").forcing_argument(t)
 
+    @pytest.mark.parametrize(
+        "kw", [dict(forcing="thm2", a=1e300, nu=2.0), dict(forcing="thm1", d=1e200, nu=2.0)]
+    )
+    def test_overflowing_forcing_argument_raises(self, kw):
+        # (a t)^nu past the largest double: a numerical failure, not an
+        # input error, and no numpy warning (an error under this suite's filter)
+        p = _problem(**kw)
+        for t in (np.array([0.25, 0.5, 1.0]), 1.0):
+            with pytest.raises(ConvergenceError, match="forcing argument overflows a double"):
+                p.forcing_argument(t)
+
+    def test_overflowing_kstruve_argument_in_oracle_raises(self):
+        # (d t)^2 = 1e300 t^2 is finite, but the series argument (x/2)^2 is not
+        with pytest.raises(ConvergenceError, match="overflows a double at x"):
+            volterra_oracle(_problem(d=1e150, nu=2.0), TimeGrid(t_max=1.0, n_points=4))
+
     def test_forcing_at_zero(self):
         assert _problem().forcing_at_zero() == 0.0
         assert _problem(forcing="constant", n0=2.5).forcing_at_zero() == 2.5

@@ -155,6 +155,17 @@ class TestStruveH:
         with pytest.raises(ConvergenceError, match="term 3 .* overflow guard 700"):
             struve_h(0.0, 1e60)
 
+    @pytest.mark.parametrize("max_terms", [1, 2, 50])
+    @pytest.mark.parametrize("x", [3e154, 1e300])
+    def test_overflowing_argument_raises(self, x, max_terms):
+        # (x/2)^2 overflows, so term 0's log-magnitude is 0 * inf = NaN; one
+        # term used to return (nan, 1)
+        pol = TruncationPolicy(max_terms=max_terms)
+        with pytest.raises(ConvergenceError, match="term 0 has log-magnitude nan"):
+            struve_h_info(1.0, x, pol)
+        with pytest.raises(ConvergenceError, match="term 0 has log-magnitude nan"):
+            k_struve_info(KStruveParams(1.0, 0.5, 1.0), x, pol)
+
     @given(
         p=st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-1.49, 4.0)),
         x=st.one_of(st.floats(0.0, 60.0, exclude_min=True), st.floats(5e-324, 1e300)),
@@ -488,6 +499,24 @@ class TestArrayPath:
         with pytest.raises(ConvergenceError):
             mittag_leffler(1.0, 1.0, np.array([0.5, -1.0, 1e300, 2.0]))
 
+    @pytest.mark.parametrize("max_terms", [1, 50])
+    def test_overflowing_kstruve_argument_raises(self, max_terms):
+        # -c (x/2)^2 / k overflows at the second node; it used to give NaN
+        # there, with two numpy RuntimeWarnings (errors under this suite's filter)
+        x = np.array([1.0, 1e300])
+        with pytest.raises(ConvergenceError, match="overflows a double at x = 1e\\+300"):
+            specfun._k_struve_array(KStruveParams(1, 0.5, 1), x, TruncationPolicy(max_terms))
+
+    def test_nan_log_magnitude_trips_the_guard(self):
+        # an infinite log|z| makes term 0's log-magnitude 0 * inf = NaN; the
+        # closed form sums with numpy's invalid-value warnings off, as here
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="term 0 has log-magnitude nan"):
+                specfun._wright_series_array(
+                    "test", np.array([0.5, 2.0]), (), ((1.0, 1.0),),
+                    TruncationPolicy(max_terms=1), log_abs_z=np.array([0.0, math.inf]),
+                )
+
     def test_non_vector_rejected(self):
         with pytest.raises(DomainError):
             mittag_leffler(1.0, 1.0, np.ones((2, 2)))
@@ -645,33 +674,81 @@ class TestFoxWright:
         v = fox_wright(w, -0.25, TruncationPolicy(max_terms=50))
         assert v == pytest.approx(PSI22_BOUNDARY, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "q,z,expect",
+        [
+            (0.0, -0.25, "0x1.964799d05cdaep-1"),
+            (1.0, -0.25, "0x1.eb3ce7d1b88e6p-1"),
+            (2.5, -0.25, "0x1.0d314424a228ap+0"),
+            (1.0, -0.2499, "0x1.eb522f4a2a5b2p-1"),
+        ],
+    )
+    def test_accelerated_values_are_frozen(self, q, z, expect):
+        # the CVZ branch resums terms rebuilt after the loop; frozen bit for
+        # bit from the loop that collected them as it summed, cold and warm
+        w = WrightParams(upper=((q + 2.0, 2.0), (1.0, 1.0)), lower=((q + 1.5, 1.0), (1.5, 1.0)))
+        specfun._ratio_tables.clear()
+        for _ in range(2):
+            value, used = fox_wright_info(w, z)
+            assert (value.hex(), used) == (expect, 50)
+
+    @pytest.mark.parametrize(
+        "upper,lower",
+        [
+            (((3.0, 2.0), (1.0, 1.0)), ((2.5, 1.0), (1.5, 1.0))),
+            (((0.5, 0.7),), ((1.5, 0.3), (-1.0, 1.2))),
+            ((), ()),
+        ],
+    )
+    def test_cached_properties_match_formulas(self, upper, lower):
+        w = WrightParams(upper=upper, lower=lower)
+        delta = 1.0 + sum(B for _, B in lower) - sum(A for _, A in upper)
+        assert w.delta == delta
+        if delta > 0:
+            assert w.radius == math.inf
+        else:
+            log_r = sum(B * math.log(B) for _, B in lower) - sum(A * math.log(A) for _, A in upper)
+            assert w.radius == math.exp(log_r)
+        assert w.series_lower == w.lower + ((1.0, 1.0),)
+        # cached once: the same objects on every read
+        assert w.series_lower is w.series_lower
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        upper, lower = ((3.0, 2.0), (1.0, 1.0)), ((2.5, 1.0), (1.5, 1.0))
+        read, fresh = WrightParams(upper, lower), WrightParams(upper, lower)
+        read.radius, read.series_lower  # fill the caches of one instance only
+        assert read == fresh and hash(read) == hash(fresh)
+        assert hash(read) == hash((read.upper, read.lower))
+        assert repr(read) == repr(fresh)
+        assert {read: 1}[fresh] == 1
+        assert read != WrightParams(upper, ((2.5, 1.0), (1.5, 1.1)))
+
 
 def _reference_series(what, z, upper, lower, pol, log_pref=0.0):
     """The series loop with no ratio table: every term calls _term_gamma_ratio."""
     log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
     z_sign = -1.0 if z < 0 else 1.0
     total = carry = 0.0
-    terms = []
+    used = 0
     for n in range(pol.max_terms if z != 0.0 else 1):
+        used = n + 1
         g_sign, log_ratio = specfun._term_gamma_ratio(n, upper, lower)
         if g_sign == 0.0:
-            terms.append(0.0)
             continue
         log_mag = log_pref + n * log_abs_z + log_ratio
-        if log_mag > 700.0:
+        if not log_mag <= 700.0:
             raise ConvergenceError(
                 f"{what}: term {n} has log-magnitude {log_mag:.3g} "
                 "exceeding the overflow guard 700"
             )
         term = z_sign ** n * g_sign * math.exp(log_mag)
-        terms.append(term)
         compensated = term + carry
         previous = total
         total += compensated
         carry = compensated - (total - previous)
         if total != 0.0 and abs(term) <= pol.rel_tol * abs(total):
             break
-    return total, len(terms), terms
+    return total, used
 
 
 def _outcome(fn, args, pol):
