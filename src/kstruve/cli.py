@@ -20,20 +20,17 @@ stderr gives their count; the files and stdout do not change.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
+import re
 import sys
 
 import numpy as np
 
 from ._floatfmt import cells, csv_rows, join
 from .errors import ConvergenceError, DomainError, QuadratureError, SolverError
-from .kinetics import (
-    FORCINGS,
-    KineticProblem,
-    adjudicate,
-    solve_closed_form,
-)
+from .kinetics import FORCINGS, VARIANTS, KineticProblem, adjudicate, solve_closed_form
 from .specfun import (
     KStruveParams,
     TruncationPolicy,
@@ -73,12 +70,8 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _meta_line(args: argparse.Namespace, skip=("config",)) -> str:
-    items = []
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        items.append(f"{key}={getattr(args, key)}")
+def _meta_line(args: argparse.Namespace) -> str:
+    items = (f"{key}={getattr(args, key)}" for key in sorted(vars(args)) if key != "config")
     return "# " + " ".join(items)
 
 
@@ -86,21 +79,21 @@ def _head(meta: str, header: str) -> bytes:
     return f"{meta}\n{header}\n".encode("utf-8")
 
 
+def _write_table(args: argparse.Namespace, header: str, body: bytes) -> None:
+    """Write ``<out>.csv`` atomically (metadata line, header, body) and print its path."""
+    path = f"{args.out}.csv"
+    _write_atomic(path, _head(_meta_line(args), header) + body)
+    print(path)
+
+
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
     return TruncationPolicy(max_terms=args.max_terms, rel_tol=args.rel_tol)
 
 
-def _problem(args: argparse.Namespace) -> KineticProblem:
-    return KineticProblem(
-        n0=args.n0,
-        d=args.d,
-        nu=args.nu,
-        mu=args.mu,
-        c=args.c,
-        k=args.k,
-        a=args.a,
-        forcing=args.forcing,
-    )
+def _problem(args: argparse.Namespace, **override) -> KineticProblem:
+    """The problem the command's flags describe, with ``override``'s fields in their place."""
+    fields = {field.name: getattr(args, field.name) for field in dataclasses.fields(KineticProblem)}
+    return KineticProblem(**(fields | override))
 
 
 def _grid(args: argparse.Namespace) -> TimeGrid:
@@ -119,87 +112,53 @@ def _float_list(text: str) -> list[float]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     pol = _policy(args)
-    rows = []
-    if args.fn == "kgamma":
-        for x in args.gamma:
-            rows.append((x, k_gamma(x, args.k), 1))
-    elif args.fn == "struve":
-        for x in args.x:
-            value, used = struve_h_info(args.p, x, pol)
-            rows.append((x, value, used))
-    elif args.fn == "kstruve":
+    if args.fn in ("kstruve", "sumudu_kstruve"):
         params = KStruveParams(k=args.k, nu=args.nu, c=args.c)
-        for x in args.x:
-            value, used = k_struve_info(params, x, pol)
-            rows.append((x, value, used))
-    elif args.fn == "mittag_leffler":
-        for x in args.z:
-            value, used = mittag_leffler_info(args.alpha, args.beta, x, pol)
-            rows.append((x, value, used))
-    else:  # sumudu_kstruve
-        params = KStruveParams(k=args.k, nu=args.nu, c=args.c)
-        for x in args.u:
-            value, used = _sumudu_kstruve_image(params, x, pol)
-            rows.append((x, value, used))
+    # the kernels are read from this module's names at each call, so a wrapper
+    # bound to one of them (a tracer's, say) sees the call
+    points, kernel = {
+        "kgamma": (args.gamma, lambda x: (k_gamma(x, args.k), 1)),
+        "struve": (args.x, lambda x: struve_h_info(args.p, x, pol)),
+        "kstruve": (args.x, lambda x: k_struve_info(params, x, pol)),
+        "mittag_leffler": (args.z, lambda x: mittag_leffler_info(args.alpha, args.beta, x, pol)),
+        "sumudu_kstruve": (args.u, lambda x: _sumudu_kstruve_image(params, x, pol)),
+    }[args.fn]
     # terms_used is an integer below 1e17, which %.17g writes as %d does
-    columns = np.array(rows, dtype=float).reshape(-1, 3).T
-    path = f"{args.out}.csv"
-    _write_atomic(path, _head(_meta_line(args), "x,value,terms_used") + csv_rows(columns))
-    print(path)
+    columns = np.array([(x, *kernel(x)) for x in points], dtype=float).reshape(-1, 3).T
+    _write_table(args, "x,value,terms_used", csv_rows(columns))
     return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    problem = _problem(args)
-    grid = _grid(args)
-    pol = _policy(args)
-    printed = solve_closed_form(problem, grid, "as_printed", pol)
-    consistent = solve_closed_form(problem, grid, "sumudu_consistent", pol)
-    rows = csv_rows((grid.points(), printed.values, consistent.values))
-    path = f"{args.out}.csv"
-    _write_atomic(path, _head(_meta_line(args), "t,N_printed,N_consistent") + rows)
-    print(path)
+    problem, grid, pol = _problem(args), _grid(args), _policy(args)
+    solutions = [solve_closed_form(problem, grid, variant, pol).values for variant in VARIANTS]
+    _write_table(args, "t,N_printed,N_consistent", csv_rows((grid.points(), *solutions)))
     return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    problem = _problem(args)
-    grid = _grid(args)
-    pol = _policy(args)
+    problem, grid, pol = _problem(args), _grid(args), _policy(args)
     report = adjudicate(problem, grid, pol, tol=args.tol)
-    oracle = report.oracle.values
-    printed = report.printed.values
-    consistent = report.consistent.values
+    oracle, printed, consistent = (report.oracle.values, report.printed.values,
+                                   report.consistent.values)
     norm = float(np.max(np.abs(oracle))) or 1.0
-    rows = csv_rows(
-        (
-            grid.points(),
-            oracle,
-            printed,
-            consistent,
-            np.abs(printed - oracle) / norm,
-            np.abs(consistent - oracle) / norm,
-        )
-    )
-    head = _head(_meta_line(args), "t,N_oracle,N_printed,N_consistent,dev_printed,dev_consistent")
-    path = f"{args.out}.csv"
-    _write_atomic(path, head + rows + f"# summary: {report.summary()}\n".encode("utf-8"))
-    print(path)
-    print(report.summary())
+    rows = csv_rows((grid.points(), oracle, printed, consistent,
+                     np.abs(printed - oracle) / norm, np.abs(consistent - oracle) / norm))
+    summary = report.summary()
+    header = "t,N_oracle,N_printed,N_consistent,dev_printed,dev_consistent"
+    _write_table(args, header, rows + f"# summary: {summary}\n".encode("utf-8"))
+    print(summary)
     return EXIT_OK if report.agreeing else EXIT_DISAGREE
 
 
 def _figure_spec(which: int) -> tuple[str, float]:
-    # figures 1-3: the thm1-forcing solution at k=1,2,3
-    # figures 4-6: the thm3-forcing solution at k=1,2,3
-    forcing = "thm1" if which <= 3 else "thm3"
-    k = float(((which - 1) % 3) + 1)
-    return forcing, k
+    # figures 1-3: the thm1-forcing solution at k=1,2,3; figures 4-6: thm3
+    return ("thm1" if which <= 3 else "thm3"), float((which - 1) % 3 + 1)
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
     pol = TruncationPolicy()
-    grid = TimeGrid(t_max=args.t_max, n_points=args.n_points)
+    grid = _grid(args)
     which_list = range(1, 7) if args.which == "all" else [int(args.which)]
     t = grid.points()
     written = []
@@ -233,13 +192,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
             _write_atomic(csv_path, _head(meta, header) + csv_rows((t, *columns.values())))
             written.append(csv_path)
         if args.format in ("svg", "both"):
-            svg = render_line_chart(
-                t,
-                columns,
-                title=f"Figure {which}: kinetic solution, k={k:g}",
-                xlabel="t",
-                ylabel="N(t)",
-            )
+            title = f"Figure {which}: kinetic solution, k={k:g}"
+            svg = render_line_chart(t, columns, title=title, xlabel="t", ylabel="N(t)")
             _write_atomic(svg_path, svg.encode("utf-8"))
             written.append(svg_path)
     for path in written:
@@ -254,35 +208,46 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param not in _SWEEPABLE:
         print(f"unknown sweep parameter {args.param!r}; choose from {_SWEEPABLE}", file=sys.stderr)
         return EXIT_INPUT
-    grid = _grid(args)
-    pol = _policy(args)
+    grid, pol = _grid(args), _policy(args)
     t = grid.points()
-    value_cells = cells(args.values, 17)
     blocks = []
-    for value, value_cell in zip(args.values, value_cells):
-        fields = dict(
-            n0=args.n0, d=args.d, nu=args.nu, mu=args.mu, c=args.c, k=args.k,
-            a=args.a, forcing=args.forcing,
-        )
-        fields[args.param] = value
-        problem = KineticProblem(**fields)
+    for value, value_cell in zip(args.values, cells(args.values, 17)):
+        problem = _problem(args, **{args.param: value})
         sol = solve_closed_form(problem, grid, "sumudu_consistent", pol)
         # "param,value," is a constant first field of the block's rows
         prefix = join(value_cell[None, None], b",", f"{args.param},".encode("ascii"))
         blocks.append(csv_rows((t, sol.values), prefix))
-    path = f"{args.out}.csv"
-    _write_atomic(path, _head(_meta_line(args), "param,value,t,N") + b"".join(blocks))
-    print(path)
+    _write_table(args, "param,value,t,N", b"".join(blocks))
     return EXIT_OK
 
 
-_COMMANDS = {
-    "eval": cmd_eval,
-    "solve": cmd_solve,
-    "validate": cmd_validate,
-    "figures": cmd_figures,
-    "sweep": cmd_sweep,
-}
+_COMMANDS = {"eval": cmd_eval, "solve": cmd_solve, "validate": cmd_validate,
+             "figures": cmd_figures, "sweep": cmd_sweep}
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A subcommand parser that reads ``--c -1e-3`` and ``--x -1,-2`` as their ``=`` forms.
+
+    argparse takes such tokens for options (only -2 or -.5 read as numbers).  Here a token
+    that starts with '-' then a digit or '.', after an option taking one value, is its value.
+    """
+
+    valued: frozenset[str] = frozenset()  # the option strings that take one value
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self.valued = self.valued | frozenset(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens: list[str] = []
+        for token in args or ():  # a subcommand parser is always given its tokens
+            if tokens and tokens[-1] in self.valued and re.match(r"-[0-9.]", token):
+                tokens[-1] += "=" + token
+            else:
+                tokens.append(token)
+        return super().parse_known_args(tokens, namespace)
 
 
 def _add_policy_args(sub: argparse.ArgumentParser) -> None:
@@ -291,6 +256,7 @@ def _add_policy_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_problem_args(sub: argparse.ArgumentParser) -> None:
+    """The options of a kinetic problem, its time grid and the series policy."""
     sub.add_argument("--n0", type=float, default=1.0, help="initial number density")
     sub.add_argument("--d", type=float, default=1.0, help="decay parameter")
     sub.add_argument("--a", type=float, default=2.0, help="forcing scale (thm2 only)")
@@ -299,11 +265,9 @@ def _add_problem_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--c", type=float, default=1.0, help="series alternation scale")
     sub.add_argument("--k", type=float, default=1.0, help="k-deformation parameter")
     sub.add_argument("--forcing", choices=FORCINGS, default="thm1")
-
-
-def _add_grid_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--t-max", type=float, default=1.0, help="end of the time window")
     sub.add_argument("--n-points", type=int, default=4096, help="grid points on (0, t_max]")
+    _add_policy_args(sub)
 
 
 @functools.cache
@@ -315,7 +279,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         allow_abbrev=False,
     )
     parser.add_argument("--config", default=None, help="key=value defaults file (flags override)")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
     p_eval = subs.add_parser("eval", help="tabulate a special function to CSV")
     p_eval.add_argument(
@@ -338,14 +302,10 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p_solve = subs.add_parser("solve", help="closed-form kinetic solution to CSV")
     _add_problem_args(p_solve)
-    _add_grid_args(p_solve)
-    _add_policy_args(p_solve)
     p_solve.add_argument("--out", default="solve")
 
     p_val = subs.add_parser("validate", help="adjudicate closed forms against the Volterra oracle")
     _add_problem_args(p_val)
-    _add_grid_args(p_val)
-    _add_policy_args(p_val)
     p_val.add_argument("--tol", type=float, default=1e-3, help="relative tolerance at t_max")
     p_val.add_argument("--out", default="validate")
 
@@ -360,16 +320,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_sweep.add_argument("--param", required=True, help=f"one of {_SWEEPABLE}")
     p_sweep.add_argument("--values", type=_float_list, required=True)
     _add_problem_args(p_sweep)
-    _add_grid_args(p_sweep)
-    _add_policy_args(p_sweep)
     p_sweep.add_argument("--out", default="sweep")
-    return parser, {
-        "eval": p_eval,
-        "solve": p_solve,
-        "validate": p_val,
-        "figures": p_fig,
-        "sweep": p_sweep,
-    }
+    return parser, subs.choices
 
 
 def _with_config(sub: argparse.ArgumentParser, argv: list[str], path: str) -> list[str]:
@@ -395,11 +347,8 @@ def _with_config(sub: argparse.ArgumentParser, argv: list[str], path: str) -> li
             raise DomainError(f"malformed config line (expected key=value): {line!r}")
         key, value = line.split("=", 1)
         pairs[key.strip().replace("-", "_")] = value.strip()
-    tokens = [
-        f"--{key.replace('_', '-')}={value}"
-        for key, value in pairs.items()
-        if sub.get_default(key) is not None
-    ]
+    tokens = [f"--{key.replace('_', '-')}={value}"
+              for key, value in pairs.items() if sub.get_default(key) is not None]
     # only --config PATH and --config=PATH come before the subcommand
     pos = 0
     while argv[pos] == "--config" or argv[pos].startswith("--config="):

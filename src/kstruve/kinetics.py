@@ -19,6 +19,7 @@ measures both variants against it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,15 +209,16 @@ def _variant_inputs(p: KineticProblem, t: np.ndarray, variant: str):
     ``as_printed`` keeps the displayed forms: d in the power for thm2 and a
     plain (t/2)^e for thm3, with 1/t in front.  ``sumudu_consistent`` puts
     the forcing's own argument in the power and shifts the index by nu.
+    X comes as (X, rate, e) with X = rate^e t^e.
     """
     tn = t ** p.nu
     d_tn = _rate_power(p.d, p.nu) * tn
     if variant == "as_printed":
         ml_arg = -_rate_power(p.a, p.nu) * tn if p.forcing == "thm2" else -d_tn
-        return (t if p.forcing == "thm3" else d_tn), ml_arg, 0.0, True
+        return ((t, 1.0, 1.0) if p.forcing == "thm3" else (d_tn, p.d, p.nu)), ml_arg, 0.0, True
     if p.forcing == "thm2":
-        return _rate_power(p.a, p.nu) * tn, -d_tn, p.nu, False
-    return (tn if p.forcing == "thm3" else d_tn), -d_tn, p.nu, False
+        return (_rate_power(p.a, p.nu) * tn, p.a, p.nu), -d_tn, p.nu, False
+    return ((tn, 1.0, p.nu) if p.forcing == "thm3" else (d_tn, p.d, p.nu)), -d_tn, p.nu, False
 
 
 def _times_n0(n0: float, totals: np.ndarray) -> np.ndarray:
@@ -274,8 +276,12 @@ def _closed_form_sums(
 
     n = t.size
     q = p.mu / p.k
-    x, ml_arg, ml_shift, over_t = _variant_inputs(p, t, variant)
-    log_half = np.log(x / 2.0)
+    (x, rate, power), ml_arg, ml_shift, over_t = _variant_inputs(p, t, variant)
+    with np.errstate(divide="ignore"):
+        log_half = np.log(x / 2.0)
+    # below the normal range x / 2 has lost bits or is 0: ln(x/2) from ln t there
+    tiny = x < sys.float_info.min
+    log_half[tiny] = power * (math.log(rate) + np.log(t[tiny])) - math.log(2.0)
     log_pref = (q + 1.0) * log_half - (q + 0.5) * math.log(p.k)
     if over_t:
         log_pref = log_pref - np.log(t)

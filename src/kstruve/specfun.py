@@ -449,13 +449,27 @@ def _check_nodes(x: np.ndarray, name: str) -> None:
 _DEFAULT_POLICY = TruncationPolicy()
 
 
+def _argument_overflow(what: str, x: float) -> str:
+    return f"{what}: the series argument -c (x/2)^2 / k overflows a double at x = {x:.6g}"
+
+
 def _struve_series(what: str, q: float, c: float, k: float, x: float, pol: TruncationPolicy):
-    """``k_struve_info``'s sum at x > 0, q = nu/k, and H_q at k = c = 1; (value, terms_used)."""
+    """``k_struve_info``'s sum at x > 0, q = nu/k, and H_q at k = c = 1; (value, terms_used).
+
+    A series argument past the largest double is a ConvergenceError that
+    says so, as in ``_k_struve_array``.
+    """
     half = x / 2.0  # x * x overflows from x = 1.4e154, (x/2)^2 from twice that
-    return _wright_series(
-        what, -c * half * half / k, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
-        (q + 1.0) * _log_half(x) - (q + 0.5) * math.log(k),
-    )
+    z = -c * half * half / k
+    try:
+        return _wright_series(
+            what, z, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
+            (q + 1.0) * _log_half(x) - (q + 0.5) * math.log(k),
+        )
+    except ConvergenceError:
+        if math.isfinite(z):
+            raise
+        raise ConvergenceError(_argument_overflow(what, x)) from None
 
 
 def struve_h_info(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY):
@@ -525,9 +539,7 @@ def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy)
     with np.errstate(over="ignore"):
         z = -params.c * half * half / k
     if not np.isfinite(z).all():
-        raise ConvergenceError(
-            f"k_struve: the series argument -c (x/2)^2 / k overflows a double at x = {xp.max():.6g}"
-        )
+        raise ConvergenceError(_argument_overflow("k_struve", xp.max()))
     values[positive], used[positive], _ = _wright_series_array(
         "k_struve", z, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
         (q + 1.0) * _scalar_logs(xp, _log_half) - (q + 0.5) * math.log(k),

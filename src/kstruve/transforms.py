@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, QuadratureWarning
+from .errors import ConvergenceError, DomainError, QuadratureError, QuadratureWarning
 from .specfun import (
     KStruveParams,
     TruncationPolicy,
@@ -255,6 +255,14 @@ def _kstruve_image_params(q: float) -> WrightParams:
     )
 
 
+def _scaled(half: float, power: float, q: float, k: float, series: float) -> float:
+    """half^power k^(-1/2 - q) series, inf where a power or the product overflows."""
+    try:
+        return half ** power * k ** (-0.5 - q) * series
+    except OverflowError:  # a float power raises where numpy's would give inf
+        return math.inf
+
+
 def _sumudu_kstruve_image(
     params: KStruveParams, u: float, pol: TruncationPolicy
 ) -> tuple[float, int]:
@@ -262,11 +270,13 @@ def _sumudu_kstruve_image(
     if not (u > 0 and math.isfinite(u)):
         raise DomainError(f"u must be a positive real, got {u!r}")
     q = params.order_ratio
-    wright = _kstruve_image_params(q)
     z = -params.c * u * u / (4.0 * params.k)
-    prefactor = (u / 2.0) ** (q + 1.0) * params.k ** (-0.5 - q)
-    value, used = fox_wright_info(wright, z, pol)
-    return prefactor * value, used
+    # the series first: it rejects a z outside its radius before any power is formed
+    value, used = fox_wright_info(_kstruve_image_params(q), z, pol)
+    image = _scaled(u / 2.0, q + 1.0, q, params.k, value)
+    if not math.isfinite(image):
+        raise ConvergenceError(f"sumudu_kstruve: the image overflows a double at u = {u!r}")
+    return image, used
 
 
 def sumudu_kstruve_closed(
@@ -304,7 +314,12 @@ def inverse_sumudu_kstruve(
         lower=((q + 1.5, 1.0), (1.5, 1.0), (q, 2.0)),
     )
     z = -params.c * t * t / (4.0 * params.k)
-    return (t / 2.0) ** q * params.k ** (-0.5 - q) * fox_wright(wright, z, pol)
+    if not math.isfinite(z):  # the 1Psi3 is entire: only the arithmetic overflowed
+        raise ConvergenceError(f"inverse_sumudu_kstruve: -c t^2 / (4k) overflows at t = {t!r}")
+    value = _scaled(t / 2.0, q, q, params.k, fox_wright(wright, z, pol))
+    if not math.isfinite(value):
+        raise ConvergenceError(f"inverse_sumudu_kstruve: the image overflows a double at t = {t!r}")
+    return value
 
 
 def _rl_weights(nu: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -99,7 +99,7 @@ class TestEval:
         out = tmp_path / "big"
         rc = main(["eval", "--fn", "kstruve", "--x", "1e300", "--max-terms", "1", "--out", str(out)])
         assert rc == EXIT_NUMERICAL
-        assert "term 0 has log-magnitude nan" in capsys.readouterr().err
+        assert "overflows a double at x = 1e+300" in capsys.readouterr().err
         assert not (tmp_path / "big.csv").exists()
 
     def test_domain_error_exit_code(self, tmp_path):
@@ -127,6 +127,77 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--c", "-1e-3", "--n-points", "4"],
+            ["eval", "--fn", "struve", "--p", "1", "--x", "-1,-2"],
+            ["sweep", "--param", "c", "--values", "-1,1", "--n-points", "4"],
+            ["eval", "--fn", "mittag_leffler", "--z", "-0.05,-0.5"],
+        ],
+    )
+    def test_value_after_its_flag_reads_as_the_equals_form(self, argv, tmp_path):
+        # argparse alone took the value for an option: "expected one argument"
+        out = ["--out", str(tmp_path / "t")]
+        i = next(i for i, token in enumerate(argv) if re.match(r"-[0-9.]", token))
+        assert main(argv + out) == EXIT_OK
+        spaced = (tmp_path / "t.csv").read_bytes()
+        assert main(argv[: i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1 :] + out) == EXIT_OK
+        assert (tmp_path / "t.csv").read_bytes() == spaced
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--fn", "struve", "--x", "--out", "t"],
+            ["eval", "--fn", "struve", "--frobnicate", "-1"],
+            ["solve", "--c"],
+        ],
+    )
+    def test_flag_without_value_is_usage_error(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+
+class TestEvalKernels:
+    def test_kernels_are_read_through_module_names(self, tmp_path, monkeypatch):
+        # a wrapper bound to a cli name (a tracer's, say) must see eval's calls
+        calls = []
+        names = ("struve_h_info", "k_struve_info", "mittag_leffler_info", "k_gamma",
+                 "_sumudu_kstruve_image")
+        for name in names:
+            def counted(*args, _kernel=getattr(cli, name), _name=name):
+                calls.append(_name)
+                return _kernel(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        lists = ["--x", "1,2", "--z", "1,2", "--gamma", "1,2", "--u", "0.1,0.2"]
+        for fn in ("struve", "kstruve", "mittag_leffler", "kgamma", "sumudu_kstruve"):
+            assert main(["eval", "--fn", fn, *lists, "--out", str(tmp_path / fn)]) == EXIT_OK
+        assert calls == [name for name in names for _ in range(2)]
+
+    def test_struve_does_not_build_k_struve_parameters(self, tmp_path):
+        # k = -1 is no KStruveParams, and only kstruve and sumudu_kstruve build one
+        assert main(["eval", "--fn", "struve", "--k", "-1", "--x", "1",
+                     "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert main(["eval", "--fn", "kstruve", "--k", "-1", "--x", "1",
+                     "--out", str(tmp_path / "k")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("u, code", [("1e150", EXIT_NUMERICAL), ("1e300", EXIT_INPUT)])
+    def test_sumudu_image_overflow(self, tmp_path, capsys, u, code):
+        # -c u^2/(4k) is -0.25, inside the radius, at u = 1e150, where (u/2)^(q+1)
+        # overflows; at 1e300 it lies outside.  Both ended in an OverflowError traceback.
+        argv = ["eval", "--fn", "sumudu_kstruve", "--nu", "2", "--c", "1e-300", "--u", u]
+        assert main(argv + ["--out", str(tmp_path / "su")]) == code
+        err = capsys.readouterr().err
+        assert ("overflows a double" in err) == (code == EXIT_NUMERICAL)
+        assert ("convergence radius" in err) == (code == EXIT_INPUT)
         assert not list(tmp_path.iterdir())
 
 
@@ -179,6 +250,23 @@ class TestSolve:
         assert main(argv[:1] + args + argv[1:]) == EXIT_NUMERICAL
         assert "overflows a double" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_underflowing_forcing_argument(self, tmp_path):
+        # (d t)^nu underflows to 0; the true values, about 1e-600, are 0.0 in
+        # double.  It used to warn (an error under this suite's filter) and exit 3.
+        argv = ["solve", "--t-max", "1e-200", "--nu", "2", "--n-points", "4"]
+        assert main(argv + ["--out", str(tmp_path / "sol")]) == EXIT_OK
+        rows = _data_rows(_read(tmp_path / "sol.csv"))
+        assert [(float(r[1]), float(r[2])) for r in rows] == [(0.0, 0.0)] * 4
+
+    def test_subnormal_forcing_argument(self, tmp_path):
+        # x = d t is about 1e-323, and x^(q+1) / t with q = -0.4 grows as t -> 0
+        argv = ["solve", "--nu", "1", "--mu", "-0.4", "--d", "1e-10", "--t-max", "1e-313",
+                "--n-points", "4"]
+        assert main(argv + ["--out", str(tmp_path / "sol")]) == EXIT_OK
+        printed = [float(r[1]) for r in _data_rows(_read(tmp_path / "sol.csv"))]
+        assert all(7e118 < v < 1.3e119 for v in printed)
+        assert printed == sorted(printed, reverse=True)
 
     def test_n0_overflow_exit(self, tmp_path, capsys):
         # max|sum| is 22.4 here, so n0 * sum passes the largest double

@@ -158,6 +158,25 @@ class TestClosedForm:
             solve_closed_form(_problem(), TimeGrid(t_max=1e20, n_points=8), "as_printed")
 
     @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
+    def test_subnormal_forcing_argument_matches_mpmath(self, variant):
+        # x = d t is subnormal (about 1e-323), so x / 2 has lost its bits; the
+        # r = 0, m = 0 term is the whole sum to double precision, since the
+        # rest carry powers of -c x^2 / (4k) and of the Mittag-Leffler argument -d t
+        import mpmath as mp
+
+        p = _problem(nu=1.0, mu=-0.4, d=1e-10)
+        grid = TimeGrid(t_max=1e-313, n_points=4)
+        sol = solve_closed_form(p, grid, variant)
+        q, nu = mp.mpf(p.mu), mp.mpf(p.nu)
+        with mp.workdps(40):
+            for t, got in zip(grid.points(), sol.values):
+                t = mp.mpf(t)
+                lead = (mp.mpf(p.d) * t / 2) ** (q + 1) / (mp.gamma(1.5) * mp.gamma(q + 1.5))
+                if variant == "as_printed":  # Gamma(nu (q + 1) + 1) / Gamma(nu q + 1) and 1/t
+                    lead *= mp.gamma(nu * (q + 1) + 1) / mp.gamma(nu * q + 1) / t
+                assert got == pytest.approx(float(lead), rel=1e-13)
+
+    @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
     @pytest.mark.parametrize("rate", [dict(d=1e300), dict(forcing="thm2", a=1e300)])
     def test_rate_power_overflow_raises(self, variant, rate):
         # d^nu (a^nu for thm2) passes the largest double; it was a bare OverflowError

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstruve.errors import DomainError, QuadratureError, QuadratureWarning
+from kstruve.errors import ConvergenceError, DomainError, QuadratureError, QuadratureWarning
 from kstruve.specfun import (
     KStruveParams,
     TruncationPolicy,
@@ -214,6 +214,19 @@ class TestSumuduKStruveClosed:
         with pytest.raises(DomainError):
             sumudu_kstruve_closed(KStruveParams(k=1.0, nu=1.0), -0.1)
 
+    def test_overflow_inside_the_radius_is_a_convergence_error(self):
+        # -c u^2/(4k) = -0.25 is on the radius, and (u/2)^(q+1) passes the
+        # largest double; it was a bare OverflowError
+        params = KStruveParams(k=1.0, nu=2.0, c=1e-300)
+        with pytest.raises(ConvergenceError, match="overflows a double at u = 1e\\+150"):
+            sumudu_kstruve_closed(params, 1e150)
+
+    @pytest.mark.parametrize("u", [1e300, 1e160])
+    def test_outside_the_radius_is_a_domain_error(self, u):
+        # checked before (u/2)^(q+1) is formed, which overflowed first
+        with pytest.raises(DomainError, match="convergence radius"):
+            sumudu_kstruve_closed(KStruveParams(k=1.0, nu=2.0, c=1e-300), u)
+
     def test_image_params_cached_per_order_ratio(self):
         # nu/k = 0.5 in both; the second call finds the first one's parameters
         first, second = KStruveParams(k=1.0, nu=0.5, c=1.0), KStruveParams(k=2.0, nu=1.0, c=0.5)
@@ -239,6 +252,13 @@ class TestInverseSumudu:
 
     def test_zero_limit(self):
         assert inverse_sumudu_kstruve(KStruveParams(k=1.0, nu=1.0), 0.0) == 0.0
+
+    @pytest.mark.parametrize("t", [1e100, 1e160, 1e300])
+    def test_overflow_is_a_convergence_error(self, t):
+        # the 1Psi3 is entire, so every finite t is in its domain; from
+        # t = 1e160, -c t^2 / (4k) itself overflows, which was a DomainError
+        with pytest.raises(ConvergenceError):
+            inverse_sumudu_kstruve(KStruveParams(k=1.0, nu=0.5, c=1.0), t)
 
     def test_roundtrip_reported(self, deep, capsys):
         # the displayed inverse formula does not round-trip through the
