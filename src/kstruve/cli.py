@@ -230,9 +230,13 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     argparse takes such tokens for options (only -2 or -.5 read as numbers).  Here a token
     that starts with '-' then a digit or '.', after an option taking one value, is its value.
+    Options must be spelled in full, as on the top-level parser.
     """
 
     valued: frozenset[str] = frozenset()  # the option strings that take one value
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)

@@ -118,11 +118,11 @@ class KineticProblem:
             raise ConvergenceError(f"{self.forcing} forcing argument overflows a double")
         return x
 
-    def forcing_value(self, t: float | np.ndarray, pol: TruncationPolicy) -> float | np.ndarray:
-        """Forcing at time t; a 1-D ndarray of times gives an ndarray in one call."""
+    def forcing_value(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Forcing at time t under the oracle's policy; an ndarray of times gives an ndarray."""
         if self.forcing == "constant":
             return np.full(t.shape, self.n0) if isinstance(t, np.ndarray) else self.n0
-        return self.n0 * k_struve(self.struve_params(), self.forcing_argument(t), pol)
+        return self.n0 * k_struve(self.struve_params(), self.forcing_argument(t), _ORACLE_POLICY)
 
     def forcing_at_zero(self) -> float:
         """Limit of the forcing at t -> 0+ (the oracle's starting value)."""
@@ -413,7 +413,7 @@ def volterra_oracle(p: KineticProblem, grid: TimeGrid) -> OracleResult:
     """
     n = grid.n_points
     dn = _rate_power(p.d, p.nu)
-    forcing = p.forcing_value(grid.points(), _ORACLE_POLICY)
+    forcing = p.forcing_value(grid.points())
     n_zero = p.forcing_at_zero()
 
     boundary, column = _rl_weights(p.nu, grid.spacing, n)

@@ -306,13 +306,12 @@ def _series_terms(
     upper: tuple[tuple[float, float], ...],
     lower: tuple[tuple[float, float], ...],
     count: int,
+    log_pref: float = 0.0,
 ) -> list[float]:
-    """The first ``count`` signed terms of ``_wright_series`` at z != 0, log_pref 0, bit for bit.
+    """The first ``count`` signed terms of ``_wright_series`` at z != 0, bit for bit.
 
-    Each term is formed by the loop's expression from the same ratio rows
-    (log_pref + n log|z| + log_ratio is n log|z| + log_ratio exactly at
-    log_pref 0); it is meant for terms the loop has already summed without
-    raising.
+    Each term is formed by the loop's expression from the same ratio rows;
+    it is meant for terms the loop has already summed without raising.
     """
     log_abs_z = math.log(abs(z))
     power_sign = (1.0, -1.0 if z < 0 else 1.0)
@@ -320,7 +319,7 @@ def _series_terms(
     rows += [_term_gamma_ratio(n, upper, lower) for n in range(len(rows), count)]
     exp = math.exp
     return [
-        power_sign[n & 1] * g_sign * exp(n * log_abs_z + log_ratio) if g_sign else 0.0
+        power_sign[n & 1] * g_sign * exp(log_pref + n * log_abs_z + log_ratio) if g_sign else 0.0
         for n, (g_sign, log_ratio) in enumerate(rows)
     ]
 
@@ -449,27 +448,42 @@ def _check_nodes(x: np.ndarray, name: str) -> None:
 _DEFAULT_POLICY = TruncationPolicy()
 
 
-def _argument_overflow(what: str, x: float) -> str:
-    return f"{what}: the series argument -c (x/2)^2 / k overflows a double at x = {x:.6g}"
+def _argument_overflow(what: str, x: float, name: str = "x") -> str:
+    return f"{what}: the series argument -c ({name}/2)^2 / k overflows a double at {name} = {x:.6g}"
 
 
-def _struve_series(what: str, q: float, c: float, k: float, x: float, pol: TruncationPolicy):
-    """``k_struve_info``'s sum at x > 0, q = nu/k, and H_q at k = c = 1; (value, terms_used).
+def _struve_setup(what: str, q: float, c: float, k: float, x: float, power: float, name: str = "x"):
+    """(z, log prefactor) of a k-Struve family series at x > 0, x named ``name``.
 
-    A series argument past the largest double is a ConvergenceError that
-    says so, as in ``_k_struve_array``.
+    S^k, its Sumudu image and their inverse are (x/2)^power k^-(q+1/2) times
+    a series in z = -c (x/2)^2 / k; the loops add the log prefactor to each
+    term's log-magnitude.  A z past the largest double is a ConvergenceError.
     """
     half = x / 2.0  # x * x overflows from x = 1.4e154, (x/2)^2 from twice that
     z = -c * half * half / k
+    if not math.isfinite(z):
+        raise ConvergenceError(_argument_overflow(what, x, name))
+    return z, power * _log_half(x) - (q + 0.5) * math.log(k)
+
+
+def _struve_series(what: str, q: float, c: float, k: float, x: float, pol: TruncationPolicy):
+    """``k_struve_info``'s sum at x > 0, q = nu/k, and H_q at k = c = 1; (value, terms_used)."""
+    z, log_pref = _struve_setup(what, q, c, k, x, q + 1.0)
+    return _wright_series(what, z, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol, log_pref)
+
+
+def _struve_transform_series(what: str, name: str, params: KStruveParams, x: float, power: float,
+                             upper, lower, pol: TruncationPolicy, borderline: bool = False):
+    """The Sumudu image of S^k (power q + 1, ``borderline``) or its inverse (power q).
+
+    Returns (value, terms_used); a term past the overflow guard names x.
+    """
+    z, log_pref = _struve_setup(what, params.order_ratio, params.c, params.k, x, power, name)
+    series = _borderline_series if borderline else _wright_series
     try:
-        return _wright_series(
-            what, z, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
-            (q + 1.0) * _log_half(x) - (q + 0.5) * math.log(k),
-        )
-    except ConvergenceError:
-        if math.isfinite(z):
-            raise
-        raise ConvergenceError(_argument_overflow(what, x)) from None
+        return series(what, z, upper, lower, pol, log_pref)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{exc}: the sum overflows a double at {name} = {x:.6g}") from None
 
 
 def struve_h_info(p: float, x: float, pol: TruncationPolicy = _DEFAULT_POLICY):
@@ -627,6 +641,27 @@ def _cvz_alternating(abs_terms: list[float]) -> float:
     return s / d
 
 
+def _borderline_series(what, z, upper, lower, pol: TruncationPolicy, log_pref: float = 0.0):
+    """``_wright_series`` of a delta == 0 series, accelerated as ``fox_wright_info`` says."""
+    value, used = _wright_series(what, z, upper, lower, pol, log_pref)
+    if used < pol.max_terms or z == 0:
+        return value, used
+    signed = _series_terms(z, upper, lower, used, log_pref)
+    alternating = all(t != 0.0 for t in signed) and all(
+        signed[i] * signed[i + 1] < 0 for i in range(len(signed) - 1)
+    )
+    # 100 terms already give ~ 5.83^-100; more would overflow the divisor
+    window = signed[: min(len(signed), 100)]
+    # The CVZ error is at most 2 |b_0| / 5.83^n; the plain partial sum's is at
+    # most the first omitted term, below the last one taken.  One or two
+    # terms bound nothing, and a fast-decaying window keeps its partial sum.
+    better = 2.0 * abs(window[0]) * _CVZ_RATE ** -len(window) < abs(signed[-1])
+    if alternating and len(window) >= 3 and better:
+        lead = 1.0 if signed[0] > 0 else -1.0
+        value = lead * _cvz_alternating([abs(t) for t in window])
+    return value, used
+
+
 def fox_wright_info(w: WrightParams, z: float, pol: TruncationPolicy = _DEFAULT_POLICY):
     """Fox-Wright series pPsiq; returns (value, terms_used).
 
@@ -644,25 +679,8 @@ def fox_wright_info(w: WrightParams, z: float, pol: TruncationPolicy = _DEFAULT_
             f"argument |z|={abs(z)} outside the convergence radius {w.radius} "
             "of a borderline (delta == 0) series"
         )
-    value, used = _wright_series("fox_wright", z, w.upper, w.series_lower, pol)
-    if used < pol.max_terms or w.delta > 0 or z == 0:
-        return value, used
-    # Borderline series truncated without meeting the stop rule: accelerate
-    # if the terms alternate strictly.
-    signed = _series_terms(z, w.upper, w.series_lower, used)
-    alternating = all(t != 0.0 for t in signed) and all(
-        signed[i] * signed[i + 1] < 0 for i in range(len(signed) - 1)
-    )
-    # 100 terms already give ~ 5.83^-100; more would overflow the divisor
-    window = signed[: min(len(signed), 100)]
-    # The CVZ error is at most 2 |b_0| / 5.83^n; the plain partial sum's is at
-    # most the first omitted term, below the last one taken.  One or two
-    # terms bound nothing, and a fast-decaying window keeps its partial sum.
-    better = 2.0 * abs(window[0]) * _CVZ_RATE ** -len(window) < abs(signed[-1])
-    if alternating and len(window) >= 3 and better:
-        lead = 1.0 if signed[0] > 0 else -1.0
-        value = lead * _cvz_alternating([abs(t) for t in window])
-    return value, used
+    series = _wright_series if w.delta > 0 else _borderline_series
+    return series("fox_wright", z, w.upper, w.series_lower, pol)
 
 
 def fox_wright(w: WrightParams, z: float, pol: TruncationPolicy = _DEFAULT_POLICY) -> float:

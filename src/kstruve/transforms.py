@@ -24,14 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, QuadratureError, QuadratureWarning
-from .specfun import (
-    KStruveParams,
-    TruncationPolicy,
-    WrightParams,
-    fox_wright,
-    fox_wright_info,
-)
+from .errors import DomainError, QuadratureError, QuadratureWarning
+from .specfun import KStruveParams, TruncationPolicy, WrightParams, _struve_transform_series
 
 __all__ = [
     "QuadratureSpec",
@@ -255,28 +249,19 @@ def _kstruve_image_params(q: float) -> WrightParams:
     )
 
 
-def _scaled(half: float, power: float, q: float, k: float, series: float) -> float:
-    """half^power k^(-1/2 - q) series, inf where a power or the product overflows."""
-    try:
-        return half ** power * k ** (-0.5 - q) * series
-    except OverflowError:  # a float power raises where numpy's would give inf
-        return math.inf
-
-
 def _sumudu_kstruve_image(
     params: KStruveParams, u: float, pol: TruncationPolicy
 ) -> tuple[float, int]:
     """``sumudu_kstruve_closed`` and the terms its 2Psi2 series used."""
     if not (u > 0 and math.isfinite(u)):
         raise DomainError(f"u must be a positive real, got {u!r}")
+    if not abs(params.c) * u * u <= params.k * (1 + 1e-12):  # inf where u * u overflows
+        raise DomainError(f"sumudu_kstruve: u = {u:.6g} is outside the convergence radius: "
+                          "need |c| u^2 / (4k) <= 1/4")
     q = params.order_ratio
-    z = -params.c * u * u / (4.0 * params.k)
-    # the series first: it rejects a z outside its radius before any power is formed
-    value, used = fox_wright_info(_kstruve_image_params(q), z, pol)
-    image = _scaled(u / 2.0, q + 1.0, q, params.k, value)
-    if not math.isfinite(image):
-        raise ConvergenceError(f"sumudu_kstruve: the image overflows a double at u = {u!r}")
-    return image, used
+    w = _kstruve_image_params(q)
+    return _struve_transform_series("sumudu_kstruve", "u", params, u, q + 1.0, w.upper,
+                                    w.series_lower, pol, borderline=True)
 
 
 def sumudu_kstruve_closed(
@@ -309,17 +294,9 @@ def inverse_sumudu_kstruve(
         if q <= 0:
             raise DomainError(f"inverse image at t=0 needs nu/k > 0, got {q}")
         return 0.0
-    wright = WrightParams(
-        upper=((1.0, 1.0),),
-        lower=((q + 1.5, 1.0), (1.5, 1.0), (q, 2.0)),
-    )
-    z = -params.c * t * t / (4.0 * params.k)
-    if not math.isfinite(z):  # the 1Psi3 is entire: only the arithmetic overflowed
-        raise ConvergenceError(f"inverse_sumudu_kstruve: -c t^2 / (4k) overflows at t = {t!r}")
-    value = _scaled(t / 2.0, q, q, params.k, fox_wright(wright, z, pol))
-    if not math.isfinite(value):
-        raise ConvergenceError(f"inverse_sumudu_kstruve: the image overflows a double at t = {t!r}")
-    return value
+    # the 1Psi3's upper (1, 1) pair cancels the n! of the Fox-Wright series
+    lower = ((q + 1.5, 1.0), (1.5, 1.0), (q, 2.0))
+    return _struve_transform_series("inverse_sumudu_kstruve", "t", params, t, q, (), lower, pol)[0]
 
 
 def _rl_weights(nu: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:

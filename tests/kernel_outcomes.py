@@ -9,7 +9,8 @@ call, then warm, with every table already grown.  It covers ``struve_h``
 (x < 0 too), ``k_struve`` at c in {1, -1, 0}, ``mittag_leffler`` (lower
 Gamma poles, z down to -35), ``fox_wright`` (borderline on and inside the
 radius, entire, an upper pole), ``sumudu_kstruve_closed``,
-``sumudu_numeric`` of ``k_struve``, and series arguments past the overflow
+``sumudu_numeric`` of ``k_struve``, ``inverse_sumudu_kstruve`` (t from 0
+to 1e300, nu/k <= 0 too), and series arguments past the overflow
 guard, under the policies (50, 1e-16), (200, 0) and (7, 1e-16); the
 overflow cases also run at one term.  Two checkouts that print the same
 digest give the same outcomes bit for bit; ``--lines`` prints every
@@ -98,6 +99,18 @@ def battery(seed: int) -> list:
         add(("sumudu_numeric", params, u),
             lambda pol, pr=params, u=u: transforms.sumudu_numeric(
                 lambda t: specfun.k_struve(pr, t, pol), u))
+    for _ in range(CASES):
+        k = rng.choice((0.5, 1.0, 2.0, 3.0))
+        # nu/k = 0 or -1 puts a pole of Gamma(nu/k + 2n) at n = 0
+        q = rng.choice((-1.0, 0.0, rng.uniform(-1.45, 0.0), rng.uniform(0.0, 3.0)))
+        params = KStruveParams(k, q * k, rng.choice((1.0, -1.0, 0.0, rng.uniform(0.5, 1.5))))
+        t = rng.choice((0.0, _log_uniform(rng, 1e-3, 30.0), _log_uniform(rng, 1e-3, 1e300)))
+        add(("inverse_sumudu_kstruve", params, t),
+            lambda pol, pr=params, t=t: transforms.inverse_sumudu_kstruve(pr, t, pol))
+    # (t/2)^q k^-(q+1/2) overflows a double, the value (about 3e-2134) underflows
+    tiny = KStruveParams(0.5, 500.0, 1e-300)
+    add(("inverse_sumudu_kstruve", tiny, 1e3),
+        lambda pol: transforms.inverse_sumudu_kstruve(tiny, 1e3, pol))
     return calls
 
 

@@ -164,6 +164,27 @@ class TestNegativeValues:
         assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--fn", "struve", "--max-t", "3"],
+            ["solve", "--n-p", "4"],
+            ["solve", "--t-m", "-1e-3"],
+            ["validate", "--n-p", "8"],
+            ["figures", "--whi", "1"],
+            ["sweep", "--param", "nu", "--values", "0.5", "--n-p", "4"],
+        ],
+    )
+    def test_abbreviated_option_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        # subcommand options were taken by unique prefix, and an abbreviated
+        # flag before a negative value read as "expected one argument"
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestEvalKernels:
     def test_kernels_are_read_through_module_names(self, tmp_path, monkeypatch):
@@ -198,6 +219,15 @@ class TestEvalKernels:
         err = capsys.readouterr().err
         assert ("overflows a double" in err) == (code == EXIT_NUMERICAL)
         assert ("convergence radius" in err) == (code == EXIT_INPUT)
+        assert not list(tmp_path.iterdir())
+
+    def test_argument_past_the_largest_double_names_u(self, tmp_path, capsys):
+        # c u^2 / (4k) overflows here; the message named an internal z
+        argv = ["eval", "--fn", "sumudu_kstruve", "--u", "1e160", "--out", str(tmp_path / "su")]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "u = 1e+160 is outside the convergence radius" in err
+        assert "|c| u^2 / (4k) <= 1/4" in err
         assert not list(tmp_path.iterdir())
 
 
@@ -440,6 +470,17 @@ class TestFigures:
         assert done.returncode == EXIT_NUMERICAL
         assert done.stderr.startswith("numerical failure on figure 1")
         assert "Warning" not in done.stderr
+        assert not list(tmp_path.iterdir())
+
+    def test_series_overflow_names_figure_and_nu(self, tmp_path, capsys):
+        # the closed form's guard trips in-process; no file is written
+        argv = ["figures", "--which", "1", "--t-max", "1e20", "--n-points", "8",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure on figure 1, nu=0.5: closed form: term 18 has log-magnitude "
+            "724 exceeding the overflow guard 700\n"
+        )
         assert not list(tmp_path.iterdir())
 
 

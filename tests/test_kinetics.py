@@ -7,7 +7,6 @@ from kstruve import kinetics
 from kstruve.cli import EXIT_NUMERICAL, main
 from kstruve.errors import ConvergenceError, DomainError, SolverError
 from kstruve.kinetics import (
-    _ORACLE_POLICY,
     FORCINGS,
     KineticProblem,
     adjudicate,
@@ -326,7 +325,7 @@ def _oracle_reference(p, grid):
     """
     n = grid.n_points
     dn = p.d ** p.nu
-    forcing = p.forcing_value(grid.points(), _ORACLE_POLICY)
+    forcing = p.forcing_value(grid.points())
     n_zero = p.forcing_at_zero()
     w0, column = _rl_weights(p.nu, grid.spacing, n)
     scale, kernel = column[0], column[1:]
@@ -390,7 +389,7 @@ class TestVolterraOracle:
         p = _problem(**kw)
         grid = TimeGrid(t_max=t_max, n_points=n)
         res = volterra_oracle(p, grid)
-        forcing = p.forcing_value(grid.points(), _ORACLE_POLICY)
+        forcing = p.forcing_value(grid.points())
         rl = rl_fractional_integral(res.values, grid, p.nu, f_zero=p.forcing_at_zero())
         old = float(np.max(np.abs(res.values - forcing + p.d**p.nu * rl)))
         size = max(float(np.max(np.abs(res.values))), float(np.max(np.abs(forcing))))
@@ -431,9 +430,9 @@ class TestVolterraOracle:
         real_forcing = KineticProblem.forcing_value
         real_struve = kinetics.k_struve
 
-        def counted_forcing(self, t, pol):
+        def counted_forcing(self, t):
             forcing_calls.append(t)
-            return real_forcing(self, t, pol)
+            return real_forcing(self, t)
 
         def counted_struve(params, x, pol):
             struve_calls.append(x)
@@ -483,7 +482,7 @@ class TestVolterraOracle:
         assert np.allclose(big.values / 1e307, one.values, rtol=1e-13, atol=0)
 
     def test_non_finite_forcing_raises(self, monkeypatch, tmp_path):
-        def infinite(self, t, pol):
+        def infinite(self, t):
             return np.full(t.shape, math.inf)
 
         monkeypatch.setattr(KineticProblem, "forcing_value", infinite)

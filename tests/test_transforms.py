@@ -12,7 +12,7 @@ from kstruve.specfun import (
     KStruveParams,
     TruncationPolicy,
     WrightParams,
-    fox_wright_info,
+    _struve_transform_series,
     k_struve,
 )
 from kstruve.transforms import (
@@ -227,6 +227,20 @@ class TestSumuduKStruveClosed:
         with pytest.raises(DomainError, match="convergence radius"):
             sumudu_kstruve_closed(KStruveParams(k=1.0, nu=2.0, c=1e-300), u)
 
+    def test_tiny_image_with_a_large_prefactor(self):
+        # (u/2)^(q+1) = 5e3^101 passes the largest double, the image is 1.1e-28;
+        # the prefactor formed in linear space reported an overflow
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        k, q, c, u = 1e4, mp.mpf(100), 1e-5, 1e4
+        z = -mp.mpf(c) * u * u / (4 * k)
+        series = mp.nsum(lambda n: z**n * mp.gamma(q + 2 + 2 * n)
+                         / (mp.gamma(q + 1.5 + n) * mp.gamma(1.5 + n)), [0, mp.inf])
+        exact = float(mp.mpf(u / 2) ** (q + 1) * mp.mpf(k) ** (-q - 0.5) * series)
+        value = sumudu_kstruve_closed(KStruveParams(k=k, nu=1e6, c=c), u)
+        assert value == pytest.approx(exact, rel=1e-12)
+
     def test_image_params_cached_per_order_ratio(self):
         # nu/k = 0.5 in both; the second call finds the first one's parameters
         first, second = KStruveParams(k=1.0, nu=0.5, c=1.0), KStruveParams(k=2.0, nu=1.0, c=0.5)
@@ -238,9 +252,11 @@ class TestSumuduKStruveClosed:
         # each image is bit for bit the one summed with parameters built afresh
         fresh = WrightParams(upper=((2.5, 2.0), (1.0, 1.0)), lower=((2.0, 1.0), (1.5, 1.0)))
         for p, (value, used) in zip((first, second), images):
-            series, series_used = fox_wright_info(fresh, -p.c * 0.7 * 0.7 / (4.0 * p.k))
-            prefactor = (0.7 / 2.0) ** 1.5 * p.k ** -1.0
-            assert (value.hex(), used) == ((prefactor * series).hex(), series_used)
+            series, series_used = _struve_transform_series(
+                "sumudu_kstruve", "u", p, 0.7, 1.5, fresh.upper, fresh.series_lower,
+                TruncationPolicy(), borderline=True,
+            )
+            assert (value.hex(), used) == (series.hex(), series_used)
 
 
 class TestInverseSumudu:
@@ -252,6 +268,10 @@ class TestInverseSumudu:
 
     def test_zero_limit(self):
         assert inverse_sumudu_kstruve(KStruveParams(k=1.0, nu=1.0), 0.0) == 0.0
+
+    def test_underflow_is_zero(self):
+        # the value is about 3e-2134; (t/2)^q k^-(q+1/2) alone overflowed
+        assert inverse_sumudu_kstruve(KStruveParams(k=0.5, nu=500.0, c=1e-300), 1e3) == 0.0
 
     @pytest.mark.parametrize("t", [1e100, 1e160, 1e300])
     def test_overflow_is_a_convergence_error(self, t):
