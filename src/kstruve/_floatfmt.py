@@ -3,8 +3,8 @@
 ``cells(values, precision)`` gives one fixed-width row of bytes per value;
 with its NUL bytes deleted, row i is exactly ``'%.{precision}g' % values[i]``.
 ``join`` lays cells out as delimited rows and deletes the NUL bytes, and
-``csv_rows`` formats and joins table columns a block of rows at a time, so
-the working set stays small whatever the table length.
+``csv_rows`` and ``long_rows`` format and join table columns a block of rows
+at a time, so the working set stays small whatever the table length.
 
 Method.  For P significant digits and |x| in [1e-250, 1e250], the decimal
 exponent e = floor(log10|x|) comes from ``np.log10`` and is corrected by
@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["cells", "csv_rows", "join"]
+__all__ = ["cells", "csv_rows", "join", "long_rows"]
 
 _E_LO, _E_HI = -260, 260  # decimal exponents the tables cover; the fast path needs [-252, 252]
 _X_MIN, _X_MAX = 1e-250, 1e250
@@ -77,10 +77,10 @@ def _tables(precision: int) -> SimpleNamespace:
     trailing = np.argmax(digits4[:, ::-1] != 48, axis=1).astype(np.int8)
     ends = np.where(c > 0, 4 * np.arange(1, nch + 1, dtype=np.int8)[:, None] - trailing, 0)
     ends = ends.astype(np.int8).ravel()
-    # masks[a * (width + 1) + b]: the digit words with bytes a <= j < b kept
+    # masks[:, a * (width + 1) + b]: the digit words with bytes a <= j < b kept
     j = np.arange(width)
     keep = (j >= c[: width + 1, None, None]) & (j < c[None, : width + 1, None])
-    masks = (keep * np.uint8(255)).astype(np.uint8).view(np.uint32).reshape(-1, nch)
+    masks = (keep * np.uint8(255)).astype(np.uint8).view(np.uint32).reshape(-1, nch).T.copy()
     # %g layout per decimal exponent: fixed form for -4 <= e < p, else exponent form
     fixed_neg = (e >= -4) & (e < 0)
     fixed_pos = (e >= 0) & (e < p)
@@ -108,7 +108,7 @@ def _tables(precision: int) -> SimpleNamespace:
         lead_zeros=width - p,
         digits4=digits4.view(np.uint32).ravel(),
         ends=ends,
-        chunk_base=10000 * np.arange(nch),
+        chunk_base=10000 * np.arange(nch)[:, None],
         masks=masks,
         mask_row=width + 1,
         # digits before the point, always shown
@@ -169,22 +169,23 @@ def cells(values, precision: int) -> np.ndarray:
     top = n == 10**p
     n[top] = 10 ** (p - 1)
     e += top
-    # 4-digit chunks of n; the first is never 0
+    # 4-digit chunks of n, one row per chunk; the first is never 0
     nch = t.nch
-    chunks = np.empty((x.size, nch), np.intp)
+    chunks = np.empty((nch, x.size), np.intp)
     for j in range(nch - 1, 0, -1):
-        n, chunks[:, j] = np.divmod(n, 10000)
-    chunks[:, 0] = n
-    end = np.take(t.ends, chunks + t.chunk_base).max(axis=1)  # trailing zeros dropped
+        high = n // 10000
+        chunks[j], n = n - high * 10000, high
+    chunks[0] = n
+    end = np.take(t.ends, chunks + t.chunk_base).max(axis=0)  # trailing zeros dropped
     i = e - _E_LO
     point = t.lead_zeros + np.take(t.lead, i)
     end = np.maximum(end, point)
-    words = np.take(t.digits4, chunks)
+    words = np.take(t.digits4, chunks)  # one row per chunk, as are the masks taken below
     out = np.take(t.template, i, axis=0)
     out[:, 0] |= np.where(np.signbit(x), np.uint32(45), np.uint32(0))
-    out[:, 1 : 1 + nch] = words & np.take(t.masks, t.lead_zeros * t.mask_row + point, axis=0)
+    out[:, 1 : 1 + nch] = (words & np.take(t.masks, t.lead_zeros * t.mask_row + point, axis=1)).T
     out[:, 1 + nch] |= np.where(end > point, np.uint32(46), np.uint32(0))
-    out[:, 2 + nch : 2 + 2 * nch] = words & np.take(t.masks, point * t.mask_row + end, axis=0)
+    out[:, 2 + nch : 2 + 2 * nch] = (words & np.take(t.masks, point * t.mask_row + end, axis=1)).T
     out = out.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -220,3 +221,16 @@ def csv_rows(columns, prefix: bytes = b"") -> bytes:
         rows = len(block)
         parts.append(join(cells(block, 17).reshape(rows, len(columns), -1), ends, prefix))
     return b"".join(parts)
+
+
+def long_rows(t, columns, prefixes) -> bytes:
+    """``csv_rows((t, col), prefix)`` for each column and prefix in turn; t is formatted once."""
+    columns = [np.asarray(col, dtype=np.float64) for col in (t, *columns)]
+    parts = [[] for _ in prefixes]
+    step = max(1, 2 * _BLOCK // len(columns))  # as many cells per block as csv_rows((t, col))
+    for start in range(0, len(columns[0]), step):
+        block = np.stack([col[start : start + step] for col in columns], axis=1)
+        block_cells = cells(block, 17).reshape(len(block), len(columns), -1)
+        for i, (out, prefix) in enumerate(zip(parts, prefixes), 1):
+            out.append(join(block_cells[:, [0, i]], b",\n", prefix))
+    return b"".join([row_block for out in parts for row_block in out])

@@ -28,9 +28,9 @@ import sys
 
 import numpy as np
 
-from ._floatfmt import cells, csv_rows, join
+from ._floatfmt import cells, csv_rows, join, long_rows
 from .errors import ConvergenceError, DomainError, QuadratureError, SolverError
-from .kinetics import FORCINGS, VARIANTS, KineticProblem, adjudicate, solve_closed_form
+from .kinetics import FORCINGS, KineticProblem, _solve_variants, adjudicate, solve_closed_form
 from .specfun import (
     KStruveParams,
     TruncationPolicy,
@@ -131,7 +131,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem, grid, pol = _problem(args), _grid(args), _policy(args)
-    solutions = [solve_closed_form(problem, grid, variant, pol).values for variant in VARIANTS]
+    solutions = [sol.values for sol in _solve_variants(problem, grid, pol)]
     _write_table(args, "t,N_printed,N_consistent", csv_rows((grid.points(), *solutions)))
     return EXIT_OK
 
@@ -209,15 +209,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"unknown sweep parameter {args.param!r}; choose from {_SWEEPABLE}", file=sys.stderr)
         return EXIT_INPUT
     grid, pol = _grid(args), _policy(args)
-    t = grid.points()
-    blocks = []
-    for value, value_cell in zip(args.values, cells(args.values, 17)):
+    solutions = []
+    for value in args.values:
         problem = _problem(args, **{args.param: value})
-        sol = solve_closed_form(problem, grid, "sumudu_consistent", pol)
-        # "param,value," is a constant first field of the block's rows
-        prefix = join(value_cell[None, None], b",", f"{args.param},".encode("ascii"))
-        blocks.append(csv_rows((t, sol.values), prefix))
-    _write_table(args, "param,value,t,N", b"".join(blocks))
+        solutions.append(solve_closed_form(problem, grid, "sumudu_consistent", pol).values)
+    # "param,value," is a constant first field of each value's rows
+    name = f"{args.param},".encode("ascii")
+    prefixes = [join(cell[None, None], b",", name) for cell in cells(args.values, 17)]
+    _write_table(args, "param,value,t,N", long_rows(grid.points(), solutions, prefixes))
     return EXIT_OK
 
 

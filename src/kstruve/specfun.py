@@ -339,14 +339,14 @@ def _log_half(x: float) -> float:
     return math.log(x) - _LOG_2
 
 
-def _scalar_logs(v: np.ndarray, log=math.log) -> np.ndarray:
-    """``log`` at every element of v, as the scalar loop takes its logs.
+def _scalar_logs(v: np.ndarray) -> np.ndarray:
+    """``math.log`` at every element of v, as the scalar loop takes its logs.
 
     numpy's log can differ from it by an ulp, and the term index multiplies
     that error in n log|z|; with the same logs the two loops' terms differ
     only by the last bit of exp.
     """
-    return np.fromiter(map(log, v.tolist()), float, v.size)
+    return np.fromiter(map(math.log, v.tolist()), float, v.size)
 
 
 def _unit_factor(n: int, nodes: np.ndarray) -> float:
@@ -554,9 +554,13 @@ def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy)
         z = -params.c * half * half / k
     if not np.isfinite(z).all():
         raise ConvergenceError(_argument_overflow("k_struve", xp.max()))
+    # _log_half at every node: ln(x/2) where x/2 is exact, else ln x - ln 2
+    exact = half * 2.0 == xp
+    log_half = _scalar_logs(np.where(exact, half, xp))
+    log_half[~exact] -= _LOG_2
     values[positive], used[positive], _ = _wright_series_array(
         "k_struve", z, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
-        (q + 1.0) * _scalar_logs(xp, _log_half) - (q + 0.5) * math.log(k),
+        (q + 1.0) * log_half - (q + 0.5) * math.log(k),
     )
     return values, used
 

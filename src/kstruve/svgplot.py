@@ -23,6 +23,14 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
+def _min_max(v: np.ndarray) -> tuple[float, float]:
+    """Python's min and max over ``v.tolist()``."""
+    lo, hi = (v.min(), v.max()) if v.size else (0.0, 0.0)
+    if np.isnan(lo) or lo == 0.0 or hi == 0.0:  # a NaN or a signed zero: the order of v counts
+        return min(v.tolist()), max(v.tolist())
+    return float(lo), float(hi)
+
+
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
@@ -32,14 +40,14 @@ def render_line_chart(x, series, title: str, xlabel: str, ylabel: str) -> str:
     """Return an SVG document plotting each (label -> values) series over x."""
     x = np.asarray(x, dtype=float)
     columns = {label: np.asarray(ys, dtype=float) for label, ys in series.items()}
-    # Python's min and max, which skip a NaN that is not first, as before
-    xmin, xmax = min(x.tolist()), max(x.tolist())
+    xmin, xmax = _min_max(x)
     if xmax == xmin:  # a single x value sits in the middle of a padded range
         xpad = max(abs(xmax), 1.0) * 0.05
         xmin -= xpad
         xmax += xpad
-    ymin = min(min(ys.tolist()) for ys in columns.values())
-    ymax = max(max(ys.tolist()) for ys in columns.values())
+    bounds = [_min_max(ys) for ys in columns.values()]
+    ymin = min(lo for lo, _ in bounds)
+    ymax = max(hi for _, hi in bounds)
     pad = 0.05 * (ymax - ymin) if ymax > ymin else max(abs(ymax), 1.0) * 0.05
     ymin -= pad
     ymax += pad
@@ -101,6 +109,8 @@ def render_line_chart(x, series, title: str, xlabel: str, ylabel: str) -> str:
     for idx, (label, ys) in enumerate(columns.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         finite = np.isfinite(ys)
+        if finite.all():  # no copy of the columns
+            finite = slice(None)
         with np.errstate(all="ignore"):
             py = _MT + (ymax - ys[finite]) / (ymax - ymin) * plot_h
         pts = join(np.stack([px[finite], cells(py, 6)], axis=1), b", ")[:-1].decode("ascii")

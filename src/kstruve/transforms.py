@@ -291,7 +291,8 @@ def inverse_sumudu_kstruve(
         raise DomainError(f"t must be a finite real >= 0, got {t!r}")
     q = params.order_ratio
     if t == 0.0:
-        if q <= 0:
+        # the limit is 0 also at nu/k = 0 and -1, where the n = 0 term has 1/Gamma(nu/k) = 0
+        if q <= 0 and q not in (0.0, -1.0):
             raise DomainError(f"inverse image at t=0 needs nu/k > 0, got {q}")
         return 0.0
     # the 1Psi3's upper (1, 1) pair cancels the n! of the Fox-Wright series

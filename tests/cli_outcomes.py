@@ -10,7 +10,8 @@ bytes of every file the run left behind.  The temporary directory's path is
 replaced by ``<tmp>`` in all text.  The battery covers every subcommand,
 each exit code, both ``--config`` spellings, ``figures --format
 csv/svg/both``, negative values after a flag and in ``=`` form, and the
-closed form and Sumudu image at arguments that underflow or overflow.  Two
+closed form and Sumudu image at arguments that underflow or overflow, and
+tables longer than the float writer's 1024-row block.  Two
 checkouts that print the same digest write the same bytes for every argv;
 ``--lines`` prints one digest per argv, so a ``diff`` of two runs names the
 argvs that differ.  Tier-1 does not collect this file.
@@ -73,6 +74,7 @@ BATTERY = [
     ["solve", "--n0", "1.7e308", "--t-max", "20", "--n-points", "8"],
     ["solve", "--d", "1e300", "--nu", "2", "--n-points", "4"],
     ["solve", "--t-max", "40", "--nu", "0.5", "--n-points", "6"],
+    ["solve", "--forcing", "constant", "--n-points", "1030"],
     ["solve", "--c"],
     ["solve", "--help"],
     # validate: agreement, disagreement, input and numerical failures
@@ -80,6 +82,7 @@ BATTERY = [
     ["validate", "--forcing", "thm3", "--nu", "0.5", "--n-points", "32", "--tol", "1e-12"],
     ["validate", "--tol", "-1", "--n-points", "8"],
     ["validate", "--forcing", "thm2", "--a", "1e300", "--nu", "2", "--n-points", "4"],
+    ["validate", "--forcing", "constant", "--n-points", "1030"],
     ["validate", "--bogus", "-1"],
     # figures
     ["figures", "--which", "2", "--n-points", "9", "--format", "csv"],
@@ -87,12 +90,14 @@ BATTERY = [
     ["figures", "--which", "4", "--n-points", "1", "--format", "both"],
     ["figures", "--n-points", "12"],
     ["figures", "--which", "3", "--t-max", "20", "--n-points", "16", "--format", "csv"],
+    ["figures", "--which", "1", "--n-points", "1100"],
     ["figures", "--out-dir", "nope/missing"],
     # sweep
     ["sweep", "--param", "nu", "--values", "0.5,0.9", "--n-points", "4"],
     ["sweep", "--param", "k", "--values", "1,2,3", "--forcing", "thm3", "--n-points", "3"],
     ["sweep", "--param", "c", "--values", "-1,1", "--n-points", "4"],
     ["sweep", "--param", "c", "--values=-1,1", "--n-points", "4"],
+    ["sweep", "--param", "mu", "--values", "0.5,1,1.5", "--n-points", "1500"],
     ["sweep", "--param", "q", "--values", "1"],
     ["sweep", "--param", "nu", "--values", ","],
     ["sweep", "--values", "-1"],

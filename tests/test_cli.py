@@ -715,12 +715,12 @@ class TestDataRowsMatchReferenceWriter:
     )
     def test_sweep(self, tmp_path, n, n0, t_max):
         out = tmp_path / "sw"
-        argv = ["sweep", "--param", "d", "--values", "0.5,1.25", "--n-points", str(n)]
+        argv = ["sweep", "--param", "d", "--values", "0.5,1.25,0.8", "--n-points", str(n)]
         argv += ["--n0", repr(n0), "--t-max", repr(t_max)]
         grid = TimeGrid(t_max=t_max, n_points=n)
         rows = []
         assert main(argv + ["--out", str(out)]) == EXIT_OK
-        for d in (0.5, 1.25):
+        for d in (0.5, 1.25, 0.8):
             problem = KineticProblem(n0=n0, d=d, nu=0.9, mu=1.0)
             sol = solve_closed_form(problem, grid, "sumudu_consistent", _POLICY)
             rows += [("d", d, t, v) for t, v in reference_columns(grid.points(), sol.values)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstruve._floatfmt import _BLOCK, cells, csv_rows, join
+from kstruve._floatfmt import _BLOCK, cells, csv_rows, join, long_rows
 from reference_writers import reference_columns, reference_csv
 
 PRECISIONS = (17, 6)
@@ -110,6 +110,15 @@ def test_csv_rows_match_reference_writer(n):
     assert csv_rows((t, y, z)).decode() == expect.split("\n", 2)[2]
     prefixed = reference_csv("#", "h", "nu,0.5,%.17g", reference_columns(y))
     assert csv_rows((y,), b"nu,0.5,").decode() == prefixed.split("\n", 2)[2]
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_long_rows_match_csv_rows_per_column(n):
+    t = np.linspace(0.0, 40.0, n)
+    columns = [np.exp(-t), -(t**3), np.full(n, math.nan)]
+    prefixes = [b"d,0.5,", b"d,1.25,", b""]
+    expect = b"".join(csv_rows((t, col), prefix) for col, prefix in zip(columns, prefixes))
+    assert long_rows(t, columns, prefixes) == expect
 
 
 def test_empty_table():

@@ -8,6 +8,7 @@ from kstruve.cli import EXIT_NUMERICAL, main
 from kstruve.errors import ConvergenceError, DomainError, SolverError
 from kstruve.kinetics import (
     FORCINGS,
+    VARIANTS,
     KineticProblem,
     adjudicate,
     classical_decay,
@@ -507,6 +508,21 @@ class TestAdjudicate:
         assert "as_printed" in text
         assert "sumudu_consistent" in text
         assert "monotone" in text
+
+    def test_constant_forcing_sums_its_closed_form_once(self, monkeypatch):
+        # the unit forcing's closed form is the same for both variants
+        calls = []
+        real = kinetics._mittag_leffler_array
+        monkeypatch.setattr(
+            kinetics, "_mittag_leffler_array", lambda *args: calls.append(args) or real(*args)
+        )
+        p, grid = _problem(forcing="constant", nu=0.5), TimeGrid(t_max=1.0, n_points=64)
+        report = adjudicate(p, grid, POL)
+        assert len(calls) == 1
+        for sol in (report.printed, report.consistent):
+            expect = solve_closed_form(p, grid, sol.variant, POL)
+            assert sol.values.tobytes() == expect.values.tobytes()
+        assert (report.printed.variant, report.consistent.variant) == VARIANTS
 
     def test_tight_tolerance_rejects_both(self):
         grid = TimeGrid(t_max=1.0, n_points=64)

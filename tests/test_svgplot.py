@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from kstruve.svgplot import render_line_chart
+from kstruve.svgplot import _min_max, render_line_chart
 from reference_writers import reference_points
 
 
@@ -28,6 +28,10 @@ def _points(svg):
         {"a": [1.0, math.inf, 2.0, -1.0, 0.0], "b": [0.1, 0.2, 0.3, 0.4, 0.5]},
         {"a": [-math.inf, 1.0, 2.0, 3.0, 4.0], "b": [math.nan, 1.0, 1.0, 1.0, 1.0]},
         {"flat": [2.5, 2.5, 2.5, 2.5, 2.5]},
+        # -0.0 and 0.0 in either order, and a NaN-free column whose minimum is 0:
+        # the bounds where numpy's min and max may differ from Python's
+        {"a": [0.0, -0.0, 1.0, 2.0, 0.5], "b": [-0.0, 0.0, 3.0, -0.0, 0.0]},
+        {"a": [0.5, 0.0, 2.0, 1.0, 0.25]},
         # the float writer's row block less and more one, with non-finite points
         {"a": _with_gaps(np.cos(np.linspace(0.0, 9.0, 1023))), "b": np.linspace(-1.0, 1.0, 1023)},
         {"a": _with_gaps(np.linspace(-3.0, 1e3, 1025) ** 2)},
@@ -49,6 +53,21 @@ def test_single_x_value_is_padded(x):
     assert points == reference_points(x, series)
     assert {p.split(",")[0] for p in points[0].split()} == {"315"}  # the middle of the plot
     assert svg.count("<line x1=") == 12 + len(series)  # six ticks on each axis and the legend
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-1.0, 0.0, -0.0], [-1.0, -0.0, 0.0],
+     [2.0, math.nan, 1.0], [math.nan, 2.0, 1.0], [3.0, -math.inf, math.inf]],
+)
+def test_axis_bounds_are_pythons_min_and_max(values):
+    # numpy's min of the first values is -0.0, and its min and max propagate a NaN
+    assert repr(_min_max(np.array(values))) == repr((min(values), max(values)))
+
+
+def test_empty_axis_is_pythons_error():
+    with pytest.raises(ValueError, match="empty sequence"):
+        _min_max(np.array([]))
 
 
 def test_list_and_array_inputs_agree():

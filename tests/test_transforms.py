@@ -269,6 +269,22 @@ class TestInverseSumudu:
     def test_zero_limit(self):
         assert inverse_sumudu_kstruve(KStruveParams(k=1.0, nu=1.0), 0.0) == 0.0
 
+    @pytest.mark.parametrize("nu, at_1e_8", [(0.0, -1.41e-17), (-1.0, -4.24e-9)])
+    def test_zero_limit_at_a_lower_gamma_pole(self, nu, at_1e_8):
+        # at nu/k = 0 and -1, 1/Gamma(nu/k + 2n) is 0 at n = 0: the series
+        # starts at t^(nu/k + 2), so it tends to 0 as t -> 0
+        params = KStruveParams(k=1.0, nu=nu, c=1.0)
+        assert inverse_sumudu_kstruve(params, 1e-8) == pytest.approx(at_1e_8, rel=0.01)
+        assert inverse_sumudu_kstruve(params, 1e-300) == 0.0
+        assert inverse_sumudu_kstruve(params, 0.0) == 0.0
+
+    def test_divergent_at_zero_is_a_domain_error(self):
+        # nu/k = -0.5: the n = 0 term (t/2)^(nu/k) grows without bound
+        params = KStruveParams(k=1.0, nu=-0.5, c=1.0)
+        assert inverse_sumudu_kstruve(params, 1e-300) == pytest.approx(-4.5e149, rel=0.01)
+        with pytest.raises(DomainError, match="needs nu/k > 0, got -0.5"):
+            inverse_sumudu_kstruve(params, 0.0)
+
     def test_underflow_is_zero(self):
         # the value is about 3e-2134; (t/2)^q k^-(q+1/2) alone overflowed
         assert inverse_sumudu_kstruve(KStruveParams(k=0.5, nu=500.0, c=1e-300), 1e3) == 0.0
