@@ -12,9 +12,11 @@ umask gives a new file.  Exit codes: 0 success, 2 input error,
 
 ``figures`` sums each node's series under the package default policy, as
 ``solve``, ``sweep`` and ``validate`` do by default: at most 50 terms,
-stopping once a term is at most 1e-16 of the running sum.  For each figure
-and nu with nodes that stopped on the 50-term budget instead, one line on
-stderr gives their count; the files and stdout do not change.
+stopping once a term is at most 1e-16 of the running sum.  For each
+closed-form column with nodes that stopped on the term budget instead
+(a figure's nu, a sweep's value, ``solve``'s and ``validate``'s two
+variants), one line on stderr gives their count; the files, stdout and
+exit code do not change.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ import numpy as np
 
 from ._floatfmt import cells, csv_rows, join, long_rows
 from .errors import ConvergenceError, DomainError, QuadratureError, SolverError
-from .kinetics import FORCINGS, KineticProblem, _solve_variants, adjudicate, solve_closed_form
+from .kinetics import (
+    FORCINGS,
+    KineticProblem,
+    SeriesSolution,
+    _solve_variants,
+    adjudicate,
+    solve_closed_form,
+)
 from .specfun import (
     KStruveParams,
     TruncationPolicy,
@@ -100,6 +109,14 @@ def _grid(args: argparse.Namespace) -> TimeGrid:
     return TimeGrid(t_max=args.t_max, n_points=args.n_points)
 
 
+def _note_budget_stops(label: str, sol: SeriesSolution, pol: TruncationPolicy) -> None:
+    """One stderr line counting the nodes of ``sol`` that stopped on the term budget, if any."""
+    stopped = int(np.count_nonzero(sol.truncation_flag))
+    if stopped:
+        print(f"{label}: {stopped} of {sol.grid.n_points} nodes stopped on the "
+              f"{pol.max_terms}-term budget", file=sys.stderr)
+
+
 def _float_list(text: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v != ""]
@@ -129,16 +146,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the CSV columns of VARIANTS
+_VARIANT_COLUMNS = ("N_printed", "N_consistent")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     problem, grid, pol = _problem(args), _grid(args), _policy(args)
-    solutions = [sol.values for sol in _solve_variants(problem, grid, pol)]
-    _write_table(args, "t,N_printed,N_consistent", csv_rows((grid.points(), *solutions)))
+    solutions = _solve_variants(problem, grid, pol)
+    for column, sol in zip(_VARIANT_COLUMNS, solutions):
+        _note_budget_stops(f"solve, {column}", sol, pol)
+    _write_table(args, "t," + ",".join(_VARIANT_COLUMNS),
+                 csv_rows((grid.points(), *(sol.values for sol in solutions))))
     return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     problem, grid, pol = _problem(args), _grid(args), _policy(args)
     report = adjudicate(problem, grid, pol, tol=args.tol)
+    for column, sol in zip(_VARIANT_COLUMNS, (report.printed, report.consistent)):
+        _note_budget_stops(f"validate, {column}", sol, pol)
     oracle, printed, consistent = (report.oracle.values, report.printed.values,
                                    report.consistent.values)
     norm = float(np.max(np.abs(oracle))) or 1.0
@@ -173,13 +199,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
                 print(f"numerical failure on figure {which}, nu={nu}: {exc}", file=sys.stderr)
                 return EXIT_NUMERICAL
             columns[f"nu_{nu:g}"] = sol.values
-            stopped = int(np.count_nonzero(sol.truncation_flag))
-            if stopped:
-                print(
-                    f"figure {which}, nu={nu:g}: {stopped} of {grid.n_points} nodes "
-                    f"stopped on the {pol.max_terms}-term budget",
-                    file=sys.stderr,
-                )
+            _note_budget_stops(f"figure {which}, nu={nu:g}", sol, pol)
         meta = (
             f"# figure={which} forcing={forcing} k={k:g} n0=1 d=1 mu=1 c=1 "
             f"variant=as_printed max_terms={pol.max_terms} rel_tol={pol.rel_tol:g} "
@@ -212,7 +232,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     solutions = []
     for value in args.values:
         problem = _problem(args, **{args.param: value})
-        solutions.append(solve_closed_form(problem, grid, "sumudu_consistent", pol).values)
+        sol = solve_closed_form(problem, grid, "sumudu_consistent", pol)
+        _note_budget_stops(f"sweep, {args.param}={value:g}", sol, pol)
+        solutions.append(sol.values)
     # "param,value," is a constant first field of each value's rows
     name = f"{args.param},".encode("ascii")
     prefixes = [join(cell[None, None], b",", name) for cell in cells(args.values, 17)]

@@ -28,8 +28,9 @@ from .errors import ConvergenceError, DomainError, SolverError
 from .specfun import (
     KStruveParams,
     TruncationPolicy,
-    _signed_log_gamma,
+    _k_struve_array,
     _mittag_leffler_array,
+    _signed_log_gamma,
     _wright_series_array,
     k_struve,
 )
@@ -119,10 +120,18 @@ class KineticProblem:
         return x
 
     def forcing_value(self, t: float | np.ndarray) -> float | np.ndarray:
-        """Forcing at time t under the oracle's policy; an ndarray of times gives an ndarray."""
+        """Forcing at time t under the oracle's policy; an ndarray of times gives an ndarray.
+
+        A grid's k-Struve sum takes ln(x/2) and ln|z| from numpy's log, not
+        from a ``math.log`` per node; it stays within 16 eps sum|term| of
+        the scalar ``k_struve``.
+        """
         if self.forcing == "constant":
             return np.full(t.shape, self.n0) if isinstance(t, np.ndarray) else self.n0
-        return self.n0 * k_struve(self.struve_params(), self.forcing_argument(t), _ORACLE_POLICY)
+        x = self.forcing_argument(t)
+        if isinstance(x, np.ndarray):
+            return self.n0 * _k_struve_array(self.struve_params(), x, _ORACLE_POLICY, np.log)[0]
+        return self.n0 * k_struve(self.struve_params(), x, _ORACLE_POLICY)
 
     def forcing_at_zero(self) -> float:
         """Limit of the forcing at t -> 0+ (the oracle's starting value)."""
@@ -263,6 +272,23 @@ def solve_closed_form(
     return SeriesSolution(grid, _times_n0(p.n0, totals), variant, terms_used, ~converged)
 
 
+def _power_table(z: np.ndarray, rows: int) -> np.ndarray:
+    """The (rows, z.size) table of z^m, m < rows, by doubling.
+
+    Rows h..2h-1 are rows 0..h-1 times z^h, so it takes ceil(log2 rows)
+    broadcast products; z^m carries at most m - 1 roundings, as in a
+    row-by-row product.
+    """
+    powers = np.empty((rows, z.size))
+    powers[0] = 1.0
+    h = 1
+    while h < rows:
+        s = min(h, rows - h)
+        np.multiply(powers[:s], powers[h - 1] * z, out=powers[h : h + s])
+        h += s
+    return powers
+
+
 def _closed_form_sums(
     p: KineticProblem, t: np.ndarray, variant: str, pol: TruncationPolicy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,7 +298,11 @@ def _closed_form_sums(
         z = -((p.d * t) ** p.nu)
         if not np.isfinite(z).all():
             raise ConvergenceError("closed form: the Mittag-Leffler argument is not finite")
-        return _mittag_leffler_array(p.nu, 1.0, z, pol)
+        # ln|z| from numpy, any finite value where z = 0
+        with np.errstate(divide="ignore"):
+            log_abs_z = p.nu * np.log(p.d * t)
+        log_abs_z[z == 0.0] = 0.0
+        return _mittag_leffler_array(p.nu, 1.0, z, pol, log_abs_z)
 
     n = t.size
     q = p.mu / p.k
@@ -298,10 +328,7 @@ def _closed_form_sums(
     if c0 > 0 and z_max > 0:
         log_z, cut = math.log(z_max), -math.lgamma(c0) - 64 * math.log(2.0)
         rows = next((m for m in range(rows) if m * log_z - math.lgamma(p.nu * m + c0) < cut), rows)
-    powers = np.empty((rows, n))
-    powers[0] = 1.0
-    for m in range(1, rows):
-        np.multiply(powers[m - 1], ml_arg, out=powers[m])
+    powers = _power_table(ml_arg, rows)
     big_index = 0 if variant == "sumudu_consistent" else 1
     gamma_sign = np.empty(3 * pol.max_terms)
     gamma_log = np.empty(3 * pol.max_terms)
@@ -358,10 +385,17 @@ def solve_corollary_k1(
 
 _ORACLE_POLICY = TruncationPolicy(max_terms=200, rel_tol=1e-17)
 
-# nodes per leaf of the oracle's divide-and-conquer solve.  At n = 512 to 8192,
-# 16 and 32 were slower and 256 up to 2.4x slower; 128 was up to 13% faster
-# in the oracle, about 1% of a validate call.
+# nodes per leaf of the oracle's divide-and-conquer solve.  With the Newton
+# leaf inverse, 128 made the oracle 12-13% slower than 64 at n = 512 and 1024
+# and 13-15% faster at n = 2048 to 8192; a validate mix of mostly n = 512
+# showed no difference beyond noise.  With the old inverse, 16 and 32 were
+# slower and 256 up to 2.4x slower.
 _LEAF = 64
+
+# largest split whose history product is a direct np.convolve: per split it
+# took 5 and 9 us against 14 and 16 us for numpy's three FFT calls at 128 and
+# 256 nodes, and 22 against 20 us at 512
+_DIRECT_SPLIT = 256
 
 
 def _leaf_inverse(c: np.ndarray) -> np.ndarray:
@@ -371,10 +405,16 @@ def _leaf_inverse(c: np.ndarray) -> np.ndarray:
     leading coefficients of the power series 1/c.
     """
     size = len(c)
-    g = np.empty(size)
+    g = np.zeros(size)
     g[0] = 1.0 / c[0]
-    for m in range(1, size):
-        g[m] = -float(np.dot(c[1 : m + 1], g[m - 1 :: -1])) / c[0]
+    # Newton's iteration g <- g - g (c g - 1), each product cut at m terms,
+    # doubles the number of correct terms per round
+    m = 1
+    while m < size:
+        m = min(2 * m, size)
+        residual = np.convolve(c[:m], g[:m])[:m]
+        residual[0] -= 1.0
+        g[:m] -= np.convolve(g[:m], residual)[:m]
     lag = np.subtract.outer(np.arange(size), np.arange(size))
     return np.where(lag >= 0, g[np.maximum(lag, 0)], 0.0)
 
@@ -387,9 +427,11 @@ def _solve_toeplitz(
 
     ``rhs[lo:hi]`` must already exclude the history of the nodes before lo;
     the solve updates it in place.  Each split subtracts the left half's
-    history from the right half with one FFT product, so the error it adds
-    at a node is relative to that node's own history, not to max|out|.
-    ``spectra`` holds ``rfft(c[:size])`` by size, filled as the splits need them.
+    history from the right half with one convolution product, so the error
+    it adds at a node is relative to that node's own history, not to
+    max|out|.  Up to ``_DIRECT_SPLIT`` nodes the product is ``np.convolve``;
+    above, an FFT product, and ``spectra`` holds ``rfft(c[:size])`` by size,
+    filled as the splits need them.
     """
     size = hi - lo
     if size <= _LEAF:
@@ -397,11 +439,14 @@ def _solve_toeplitz(
         return
     mid = lo + _LEAF * (-(-size // _LEAF) // 2)
     _solve_toeplitz(c, rhs, out, lo, mid, leaf_inv, spectra)
-    if size not in spectra:
-        spectra[size] = np.fft.rfft(c[:size])
-    # the linear convolution has no wrap-around below index size
-    left = np.fft.rfft(out[lo:mid], size) * spectra[size]
-    rhs[mid:hi] -= np.fft.irfft(left, size)[mid - lo :]
+    if size <= _DIRECT_SPLIT:
+        rhs[mid:hi] -= np.convolve(out[lo:mid], c[:size])[mid - lo : size]
+    else:
+        if size not in spectra:
+            spectra[size] = np.fft.rfft(c[:size])
+        # the linear convolution has no wrap-around below index size
+        left = np.fft.rfft(out[lo:mid], size) * spectra[size]
+        rhs[mid:hi] -= np.fft.irfft(left, size)[mid - lo :]
     _solve_toeplitz(c, rhs, out, mid, hi, leaf_inv, spectra)
 
 
@@ -415,7 +460,8 @@ def volterra_oracle(p: KineticProblem, grid: TimeGrid) -> OracleResult:
     c_0 = 1 + d^nu * w_ii and c_m = d^nu * kernel[m-1].  It is solved by
     divide and conquer: 64-node leaves apply the inverse of the leading
     64x64 block, and each split removes the left half's history from the
-    right half with one FFT convolution, O(n log^2 n) in all.  The error at
+    right half with one convolution (direct up to 256 nodes, by FFT above),
+    O(n log^2 n) in all.  The error at
     a node stays relative to its forcing and history, as in the node-by-node
     recurrence; one global FFT product would err by eps * max|N| at every
     node, which swamps the small values near t = 0.  The residual norm is

@@ -533,10 +533,15 @@ def k_struve_info(params: KStruveParams, x: float, pol: TruncationPolicy = _DEFA
     return _struve_series("k_struve", q, params.c, params.k, x, pol)
 
 
-def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy):
+def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy, log=None):
     """``k_struve_info`` at every node of a 1-D array x; returns (values, terms_used).
 
-    A series argument -c (x/2)^2 / k past the largest double is a ConvergenceError.
+    By default ln(x/2) and ln|z| are the scalar loop's ``math.log`` maps,
+    which keep each value within 16 eps sum|term| of ``k_struve_info``'s.
+    A caller that does not need that agreement can pass ``log`` (numpy's
+    log, say) for ln(x/2); ln|z| is then 2 ln(x/2) + ln(|c|/k), as the
+    kinetic closed form takes it, with no second log pass.  A series
+    argument -c (x/2)^2 / k past the largest double is a ConvergenceError.
     """
     _check_nodes(x, "x")
     if (x < 0).any():
@@ -556,11 +561,13 @@ def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy)
         raise ConvergenceError(_argument_overflow("k_struve", xp.max()))
     # _log_half at every node: ln(x/2) where x/2 is exact, else ln x - ln 2
     exact = half * 2.0 == xp
-    log_half = _scalar_logs(np.where(exact, half, xp))
+    log_half = (log or _scalar_logs)(np.where(exact, half, xp))
     log_half[~exact] -= _LOG_2
+    c = params.c
+    log_abs_z = None if log is None else 2.0 * log_half + (math.log(abs(c) / k) if c else 0.0)
     values[positive], used[positive], _ = _wright_series_array(
         "k_struve", z, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
-        (q + 1.0) * log_half - (q + 0.5) * math.log(k),
+        (q + 1.0) * log_half - (q + 0.5) * math.log(k), log_abs_z,
     )
     return values, used
 
@@ -603,11 +610,18 @@ def mittag_leffler_info(
     return _wright_series("mittag_leffler", z, (), ((beta, alpha),), pol)
 
 
-def _mittag_leffler_array(alpha: float, beta: float, z: np.ndarray, pol: TruncationPolicy):
-    """``mittag_leffler_info`` at every node of a 1-D array z: (values, terms_used, converged)."""
+def _mittag_leffler_array(
+    alpha: float, beta: float, z: np.ndarray, pol: TruncationPolicy, log_abs_z=None
+):
+    """``mittag_leffler_info`` at every node of a 1-D array z: (values, terms_used, converged).
+
+    ``log_abs_z`` is as for ``_wright_series_array``: by default the scalar
+    loop's logs, which keep each value within 16 eps sum|term| of the scalar one's.
+    """
     alpha, beta = _ml_params(alpha, beta)
     _check_nodes(z, "z")
-    return _wright_series_array("mittag_leffler", z, (), ((beta, alpha),), pol)
+    return _wright_series_array("mittag_leffler", z, (), ((beta, alpha),), pol,
+                                log_abs_z=log_abs_z)
 
 
 def mittag_leffler(

@@ -293,7 +293,7 @@ def inverse_sumudu_kstruve(
     if t == 0.0:
         # the limit is 0 also at nu/k = 0 and -1, where the n = 0 term has 1/Gamma(nu/k) = 0
         if q <= 0 and q not in (0.0, -1.0):
-            raise DomainError(f"inverse image at t=0 needs nu/k > 0, got {q}")
+            raise DomainError(f"inverse image at t=0 needs nu/k > 0, 0 or -1, got {q}")
         return 0.0
     # the 1Psi3's upper (1, 1) pair cancels the n! of the Fox-Wright series
     lower = ((q + 1.5, 1.0), (1.5, 1.0), (q, 2.0))

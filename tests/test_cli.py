@@ -306,6 +306,42 @@ class TestSolve:
         assert not (tmp_path / "sol.csv").exists()
 
 
+class TestBudgetStopNotes:
+    """``solve``, ``validate`` and ``sweep`` name each closed-form column with budget stops."""
+
+    # E_0.5(-t^0.5) at t up to 1e10: every node stops on the 50-term budget
+    FLAGGED = ["--forcing", "constant", "--nu", "0.5", "--t-max", "1e10", "--n-points", "4"]
+
+    @pytest.mark.parametrize("command, code", [("solve", EXIT_OK), ("validate", EXIT_DISAGREE)])
+    def test_each_variant_column_is_noted(self, command, code, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main([command, *self.FLAGGED, "--out", out]) == code
+        stdout, err = capsys.readouterr()
+        assert err.splitlines() == [
+            f"{command}, {column}: 4 of 4 nodes stopped on the 50-term budget"
+            for column in ("N_printed", "N_consistent")
+        ]
+        assert stdout.splitlines()[0] == out + ".csv"
+        assert len(stdout.splitlines()) == (2 if command == "validate" else 1)
+
+    def test_each_swept_value_is_noted(self, tmp_path, capsys):
+        # at d = 1e-10, d t is at most 1 and every node meets the tolerance
+        out = str(tmp_path / "o")
+        argv = ["sweep", "--param", "d", "--values", "1,1e-10", *self.FLAGGED, "--out", out]
+        assert main(argv) == EXIT_OK
+        stdout, err = capsys.readouterr()
+        assert err.splitlines() == ["sweep, d=1: 4 of 4 nodes stopped on the 50-term budget"]
+        assert stdout == out + ".csv\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["validate"], ["sweep", "--param", "nu", "--values", "0.5,1.5"],
+        ["solve", "--forcing", "constant"],
+    ])
+    def test_no_note_without_budget_stops(self, argv, tmp_path, capsys):
+        assert main([*argv, "--n-points", "64", "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 class TestValidate:
     def test_agreement_run(self, tmp_path):
         out = tmp_path / "val"

@@ -16,7 +16,13 @@ from kstruve.kinetics import (
     solve_corollary_k1,
     volterra_oracle,
 )
-from kstruve.specfun import TruncationPolicy, _signed_log_gamma, mittag_leffler
+from kstruve.specfun import (
+    KStruveParams,
+    TruncationPolicy,
+    _signed_log_gamma,
+    k_struve,
+    mittag_leffler,
+)
 from kstruve.transforms import TimeGrid, _rl_weights, rl_fractional_integral
 from closed_form_reference import closed_form_reference
 
@@ -195,7 +201,7 @@ class TestClosedForm:
     def test_n0_overflow_raises_constant_forcing(self, monkeypatch):
         # |E_nu(-x)| <= 1 for these orders, so the resummed branch is made
         # to return 2
-        def two(alpha, beta, z, pol):
+        def two(alpha, beta, z, pol, log_abs_z):
             return np.full(z.shape, 2.0), np.ones(z.shape, dtype=int), np.ones(z.shape, dtype=bool)
 
         monkeypatch.setattr(kinetics, "_mittag_leffler_array", two)
@@ -244,6 +250,17 @@ class TestClosedForm:
         for ti, vi in zip(grid.points(), sol.values):
             expect = 2.0 * mittag_leffler(0.7, 1.0, -((1.5 * ti) ** 0.7), POL)
             assert vi == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 17, 50, 64])
+    def test_power_table_is_the_row_by_row_product(self, rows):
+        # each entry of either product carries at most rows - 1 roundings
+        z = np.concatenate((-np.geomspace(1e-3, 30.0, 300), np.geomspace(1e-3, 30.0, 7), [0.0]))
+        expect = np.empty((rows, z.size))
+        expect[0] = 1.0
+        for m in range(1, rows):
+            expect[m] = expect[m - 1] * z
+        got = kinetics._power_table(z, rows)
+        assert np.all(np.abs(got - expect) <= rows * np.finfo(float).eps * np.abs(expect))
 
     def test_constant_forcing_is_one_array_call(self, monkeypatch):
         calls = []
@@ -423,24 +440,66 @@ class TestVolterraOracle:
         exact = np.exp(-2.0 * grid.points())
         assert float(np.max(np.abs(res.values - exact))) <= 1e-6
 
+    @pytest.mark.parametrize("size", [1, 5, 37, 64])
+    @pytest.mark.parametrize("nu", [0.3, 0.9, 1.5])
+    @pytest.mark.parametrize("d, h", [(0.5, 1 / 512), (2.0, 1 / 2048), (1.0, 1 / 64), (2.0, 40 / 512)])
+    def test_leaf_inverse_inverts_the_leading_block(self, size, nu, d, h):
+        # the Newton-doubled reciprocal series against the Toeplitz block it inverts
+        _, column = _rl_weights(nu, h, size)
+        c = d**nu * column
+        c[0] += 1.0
+        lag = np.subtract.outer(np.arange(size), np.arange(size))
+        block = np.where(lag >= 0, c[np.maximum(lag, 0)], 0.0)
+        product = kinetics._leaf_inverse(c) @ block
+        assert np.max(np.abs(product - np.eye(size))) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "kw, t_max, n",
+        [
+            (dict(forcing="thm1", nu=0.3, d=0.5, k=1.0, mu=0.5, c=0.5), 1.0, 512),
+            (dict(forcing="thm2", nu=0.9, d=1.5, a=4.0, k=2.0, mu=1.0, c=1.5), 1.0, 2048),
+            (dict(forcing="thm3", nu=1.5, k=3.0, mu=1.5, c=1.0), 1.0, 512),
+            (dict(forcing="thm1", nu=1.2, d=2.0, k=2.0, mu=1.0, c=0.9), 1.0, 2048),
+            (dict(forcing="thm3", nu=0.7, k=1.0, mu=0.5, c=1.4), 40.0, 512),
+            (dict(forcing="thm3", nu=0.3, k=2.0, mu=1.5, c=0.5), 40.0, 2048),
+            (dict(forcing="thm2", nu=0.5, a=2.5, k=3.0, mu=1.0, c=-0.8), 20.0, 512),
+            (dict(forcing="thm1", c=0.0), 1.0, 512),
+            # x/2 below the normal range at the first nodes, 0 at the very first
+            (dict(forcing="thm1", nu=1.5), 1e-206, 512),
+        ],
+    )
+    def test_forcing_within_16_eps_of_the_scalar_loop(self, kw, t_max, n):
+        # numpy's logs move a term by a few ulps of its size, so the sum stays
+        # within 16 eps sum|term|; sum|term| is the same series at c -> -|c|,
+        # whose terms are the magnitudes of these
+        p = _problem(**kw)
+        t = TimeGrid(t_max=t_max, n_points=n).points()
+        x = p.forcing_argument(t)
+        params, pol = p.struve_params(), kinetics._ORACLE_POLICY
+        scalar = np.array([k_struve(params, xi, pol) for xi in x.tolist()])
+        abs_sum = k_struve(KStruveParams(params.k, params.nu, -abs(params.c)), x, pol)
+        got = p.forcing_value(t)
+        assert np.all(np.abs(got - scalar) <= 16 * np.finfo(float).eps * abs_sum)
+
     @pytest.mark.parametrize("forcing", FORCINGS)
     def test_forcing_is_one_array_call(self, forcing, monkeypatch):
-        # the whole grid goes through forcing_value and k_struve once per solve
+        # the whole grid goes through forcing_value and the k-Struve array sum once per solve
         forcing_calls = []
         struve_calls = []
         real_forcing = KineticProblem.forcing_value
-        real_struve = kinetics.k_struve
+        real_struve = kinetics._k_struve_array
 
         def counted_forcing(self, t):
             forcing_calls.append(t)
             return real_forcing(self, t)
 
-        def counted_struve(params, x, pol):
+        def counted_struve(params, x, pol, log):
             struve_calls.append(x)
-            return real_struve(params, x, pol)
+            return real_struve(params, x, pol, log)
 
         monkeypatch.setattr(KineticProblem, "forcing_value", counted_forcing)
-        monkeypatch.setattr(kinetics, "k_struve", counted_struve)
+        monkeypatch.setattr(kinetics, "_k_struve_array", counted_struve)
+        monkeypatch.setattr(kinetics, "k_struve", None)  # no scalar call per node
         grid = TimeGrid(t_max=1.0, n_points=64)
         res = volterra_oracle(_problem(forcing=forcing), grid)
         assert len(forcing_calls) == 1
