@@ -285,7 +285,7 @@ def _wright_series(
         log_mag = log_pref + n * log_abs_z + log_ratio
         if not log_mag <= _OVERFLOW_GUARD:
             raise ConvergenceError(
-                f"{what}: term {n} has log-magnitude {log_mag:.3g} "
+                f"{what}: term {n} has log-magnitude {float(log_mag)!r} "
                 f"exceeding the overflow guard {_OVERFLOW_GUARD:.3g}"
             )
         term = power_sign[n & 1] * g_sign * exp(log_mag)
@@ -306,7 +306,7 @@ def _series_terms(
     upper: tuple[tuple[float, float], ...],
     lower: tuple[tuple[float, float], ...],
     count: int,
-    log_pref: float = 0.0,
+    log_pref: float,
 ) -> list[float]:
     """The first ``count`` signed terms of ``_wright_series`` at z != 0, bit for bit.
 
@@ -407,7 +407,7 @@ def _wright_series_array(
             peak = float(log_mag.max())  # NaN if any node's is
             if not peak <= _OVERFLOW_GUARD:
                 raise ConvergenceError(
-                    f"{what}: term {n} has log-magnitude {peak:.3g} "
+                    f"{what}: term {n} has log-magnitude {peak!r} "
                     f"exceeding the overflow guard {_OVERFLOW_GUARD:.3g}"
                 )
             sign = g_sign * (z_sign if n % 2 else 1.0)
@@ -610,18 +610,11 @@ def mittag_leffler_info(
     return _wright_series("mittag_leffler", z, (), ((beta, alpha),), pol)
 
 
-def _mittag_leffler_array(
-    alpha: float, beta: float, z: np.ndarray, pol: TruncationPolicy, log_abs_z=None
-):
-    """``mittag_leffler_info`` at every node of a 1-D array z: (values, terms_used, converged).
-
-    ``log_abs_z`` is as for ``_wright_series_array``: by default the scalar
-    loop's logs, which keep each value within 16 eps sum|term| of the scalar one's.
-    """
+def _mittag_leffler_array(alpha: float, beta: float, z: np.ndarray, pol: TruncationPolicy):
+    """``mittag_leffler_info`` at every node of a 1-D array z: (values, terms_used, converged)."""
     alpha, beta = _ml_params(alpha, beta)
     _check_nodes(z, "z")
-    return _wright_series_array("mittag_leffler", z, (), ((beta, alpha),), pol,
-                                log_abs_z=log_abs_z)
+    return _wright_series_array("mittag_leffler", z, (), ((beta, alpha),), pol)
 
 
 def mittag_leffler(

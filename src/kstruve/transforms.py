@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, QuadratureError, QuadratureWarning
-from .specfun import KStruveParams, TruncationPolicy, WrightParams, _struve_transform_series
+from .specfun import KStruveParams, TruncationPolicy, _struve_transform_series
 
 __all__ = [
     "QuadratureSpec",
@@ -240,15 +240,6 @@ def sumudu_power_rule(mu: float, u: float) -> float:
     return u ** (mu - 1.0) * math.gamma(mu)
 
 
-@lru_cache(maxsize=1024)
-def _kstruve_image_params(q: float) -> WrightParams:
-    """The image series' parameters at order ratio q = nu/k, one instance per q."""
-    return WrightParams(
-        upper=((q + 2.0, 2.0), (1.0, 1.0)),
-        lower=((q + 1.5, 1.0), (1.5, 1.0)),
-    )
-
-
 def _sumudu_kstruve_image(
     params: KStruveParams, u: float, pol: TruncationPolicy
 ) -> tuple[float, int]:
@@ -259,9 +250,10 @@ def _sumudu_kstruve_image(
         raise DomainError(f"sumudu_kstruve: u = {u:.6g} is outside the convergence radius: "
                           "need |c| u^2 / (4k) <= 1/4")
     q = params.order_ratio
-    w = _kstruve_image_params(q)
-    return _struve_transform_series("sumudu_kstruve", "u", params, u, q + 1.0, w.upper,
-                                    w.series_lower, pol, borderline=True)
+    # the 2Psi2's lower pairs and the (1, 1) pair of the Fox-Wright series' n!
+    lower = ((q + 1.5, 1.0), (1.5, 1.0), (1.0, 1.0))
+    return _struve_transform_series("sumudu_kstruve", "u", params, u, q + 1.0,
+                                    ((q + 2.0, 2.0), (1.0, 1.0)), lower, pol, borderline=True)
 
 
 def sumudu_kstruve_closed(

@@ -10,8 +10,9 @@ bytes of every file the run left behind.  The temporary directory's path is
 replaced by ``<tmp>`` in all text.  The battery covers every subcommand,
 each exit code, both ``--config`` spellings, ``figures --format
 csv/svg/both``, negative values after a flag and in ``=`` form, and the
-closed form and Sumudu image at arguments that underflow or overflow, and
-tables longer than the float writer's 1024-row block.  Two
+closed form and Sumudu image at arguments that underflow or overflow, the
+overflow guard tripped in ``solve`` and ``sweep``, and tables longer than
+the float writer's 1024-row block.  Two
 checkouts that print the same digest write the same bytes for every argv;
 ``--lines`` prints one digest per argv, so a ``diff`` of two runs names the
 argvs that differ.  Tier-1 does not collect this file.
@@ -75,6 +76,7 @@ BATTERY = [
     ["solve", "--d", "1e300", "--nu", "2", "--n-points", "4"],
     ["solve", "--t-max", "40", "--nu", "0.5", "--n-points", "6"],
     ["solve", "--forcing", "constant", "--n-points", "1030"],
+    ["solve", "--nu", "0.9", "--t-max", "1e9", "--n-points", "4"],
     ["solve", "--c"],
     ["solve", "--help"],
     # validate: agreement, disagreement, input and numerical failures
@@ -98,6 +100,8 @@ BATTERY = [
     ["sweep", "--param", "c", "--values", "-1,1", "--n-points", "4"],
     ["sweep", "--param", "c", "--values=-1,1", "--n-points", "4"],
     ["sweep", "--param", "mu", "--values", "0.5,1,1.5", "--n-points", "1500"],
+    ["sweep", "--param", "nu", "--values", "0.5,0.7", "--forcing", "constant", "--t-max", "1e10",
+     "--n-points", "4"],
     ["sweep", "--param", "q", "--values", "1"],
     ["sweep", "--param", "nu", "--values", ","],
     ["sweep", "--values", "-1"],

@@ -4,9 +4,9 @@
 
 An outcome is the value's ``float.hex`` and ``terms_used``, or the type and
 message of the error the call raised.  The battery runs twice: cold, with
-the Gamma-ratio tables and the image-params cache cleared before every
-call, then warm, with every table already grown.  It covers ``struve_h``
-(x < 0 too), ``k_struve`` at c in {1, -1, 0}, ``mittag_leffler`` (lower
+the Gamma-ratio tables (and an older checkout's image-params cache)
+cleared before every call, then warm, with every table already grown.
+It covers ``struve_h`` (x < 0 too), ``k_struve`` at c in {1, -1, 0}, ``mittag_leffler`` (lower
 Gamma poles, z down to -35), ``fox_wright`` (borderline on and inside the
 radius, entire, an upper pole), ``sumudu_kstruve_closed``,
 ``sumudu_numeric`` of ``k_struve``, ``inverse_sumudu_kstruve`` (t from 0
@@ -130,7 +130,7 @@ def overflow_battery() -> list:
 
 def _clear_caches() -> None:
     specfun._ratio_tables.clear()
-    # checkouts that build the image parameters on every call have no cache to clear
+    # only checkouts that cached the image's parameters have this to clear
     image_params = getattr(transforms, "_kstruve_image_params", None)
     if hasattr(image_params, "cache_clear"):
         image_params.cache_clear()

@@ -515,7 +515,7 @@ class TestFigures:
         assert main(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
             "numerical failure on figure 1, nu=0.5: closed form: term 18 has log-magnitude "
-            "724 exceeding the overflow guard 700\n"
+            "723.8984531330865 exceeding the overflow guard 700\n"
         )
         assert not list(tmp_path.iterdir())
 
@@ -539,6 +539,19 @@ class TestSweep:
     def test_unknown_parameter(self, tmp_path):
         rc = main(["sweep", "--param", "q", "--values", "1", "--out", str(tmp_path / "sw")])
         assert rc == EXIT_INPUT
+
+    def test_guard_trip_reads_above_the_guard(self, tmp_path, capsys):
+        # nu = 0.5 stops on the budget; at nu = 0.7 term 49 of the constant
+        # forcing's closed form passes the guard by 0.14, which ":.3g" printed as 700
+        argv = ["sweep", "--param", "nu", "--values", "0.5,0.7", "--forcing", "constant",
+                "--t-max", "1e10", "--n-points", "4", "--out", str(tmp_path / "sw")]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "sweep, nu=0.5: 4 of 4 nodes stopped on the 50-term budget\n"
+            "numerical failure: closed form: term 49 has log-magnitude 700.1422605641444 "
+            "exceeding the overflow guard 700\n"
+        )
+        assert not list(tmp_path.iterdir())
 
 
 class TestConfig:

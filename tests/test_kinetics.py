@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kstruve import kinetics
+from kstruve import kinetics, specfun
 from kstruve.cli import EXIT_NUMERICAL, main
 from kstruve.errors import ConvergenceError, DomainError, SolverError
 from kstruve.kinetics import (
@@ -201,10 +201,10 @@ class TestClosedForm:
     def test_n0_overflow_raises_constant_forcing(self, monkeypatch):
         # |E_nu(-x)| <= 1 for these orders, so the resummed branch is made
         # to return 2
-        def two(alpha, beta, z, pol, log_abs_z):
+        def two(what, z, upper, lower, pol, log_abs_z):
             return np.full(z.shape, 2.0), np.ones(z.shape, dtype=int), np.ones(z.shape, dtype=bool)
 
-        monkeypatch.setattr(kinetics, "_mittag_leffler_array", two)
+        monkeypatch.setattr(kinetics, "_wright_series_array", two)
         p = _problem(forcing="constant", n0=1.7e308)
         with pytest.raises(ConvergenceError, match="not finite"):
             solve_closed_form(p, TimeGrid(t_max=1.0, n_points=8))
@@ -264,13 +264,14 @@ class TestClosedForm:
 
     def test_constant_forcing_is_one_array_call(self, monkeypatch):
         calls = []
-        real = kinetics._mittag_leffler_array
+        real = kinetics._wright_series_array
         monkeypatch.setattr(
-            kinetics, "_mittag_leffler_array", lambda *args: calls.append(args) or real(*args)
+            kinetics, "_wright_series_array",
+            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
         )
         solve_closed_form(_problem(forcing="constant"), TimeGrid(t_max=1.0, n_points=64))
         assert len(calls) == 1
-        assert calls[0][2].shape == (64,)
+        assert calls[0][1].shape == (64,)
 
     def test_constant_forcing_budget_stop_is_flagged(self):
         # E_0.5(-t^0.5) lies in (0, 1); at t up to 1e10 the 50-term series
@@ -370,6 +371,60 @@ _ORACLE_PROBLEMS = [
 ]
 
 
+# grids on which the oracle's forcing is compared with the scalar k-Struve loop
+_FORCING_GRIDS = [
+    (dict(forcing="thm1", nu=0.3, d=0.5, k=1.0, mu=0.5, c=0.5), 1.0, 512),
+    (dict(forcing="thm2", nu=0.9, d=1.5, a=4.0, k=2.0, mu=1.0, c=1.5), 1.0, 2048),
+    (dict(forcing="thm3", nu=1.5, k=3.0, mu=1.5, c=1.0), 1.0, 512),
+    (dict(forcing="thm1", nu=1.2, d=2.0, k=2.0, mu=1.0, c=0.9), 1.0, 2048),
+    (dict(forcing="thm3", nu=0.7, k=1.0, mu=0.5, c=1.4), 40.0, 512),
+    (dict(forcing="thm3", nu=0.3, k=2.0, mu=1.5, c=0.5), 40.0, 2048),
+    (dict(forcing="thm2", nu=0.5, a=2.5, k=3.0, mu=1.0, c=-0.8), 20.0, 512),
+    (dict(forcing="thm1", c=0.0), 1.0, 512),
+    # x/2 below the normal range at the first nodes, 0 at the very first
+    (dict(forcing="thm1", nu=1.5), 1e-206, 512),
+]
+
+
+def _forcing_log_error_bound(params, x, pol):
+    """eps sum_n w_n |term_n|: how far the grid forcing may lie from scalar ``k_struve``.
+
+    Term n of either loop is exp(M_n), M_n = P + n l + R_n, with l = ln|z|,
+    P = (q + 1) L - (q + 1/2) ln k, L = ln(x/2) and R_n the shared Gamma
+    ratio.  Each log and exp is within 1 ulp (ulp(v) <= eps |v|), and
+    ln x - ln 2 within 1.5 ulps where x/2 is not exact.  The grid takes
+    l = 2 L + C, C = ln(|c|/k), off the true l by eps (3 |L| + |C| + 1/2 + |l|/2);
+    the scalar loop takes ln of z = -c (x/2)^2 / k after three roundings,
+    off by eps (3/2 + |l|).  So the two loops' l differ by
+    eps (3 |L| + |C| + 3/2 |l| + 2), their P by eps (4 |q + 1| |L| + |P|),
+    and their M_n by those, n times the first, plus one ulp of each of n l,
+    P + n l and M_n.  Two exps and two compensated sums add 4 eps, the
+    rel_tol stop under 1 more.  Hence
+    w_n = 5 + 4 |q + 1| |L| + 2 |P| + |M_n| + n (2 + 3 |L| + |C| + 7/2 |l|).
+    """
+    q, k, c = params.order_ratio, params.k, params.c
+    bound = np.zeros(x.shape)
+    positive = x > 0.0  # x = 0 gives 0 in both loops
+    x = x[positive]
+    log_half = np.log(x) - math.log(2.0)
+    log_c = math.log(abs(c) / k) if c else 0.0
+    log_z = 2.0 * log_half + log_c
+    log_pref = (q + 1.0) * log_half - (q + 0.5) * math.log(k)
+    # both loops stop after term 0 where z underflows to 0
+    series = -c * (x / 2.0) ** 2 / k != 0.0
+    weighted = np.zeros(x.shape)
+    for n in range(pol.max_terms):
+        g_sign, log_ratio = specfun._term_gamma_ratio(n, (), ((1.5, 1.0), (q + 1.5, 1.0)))
+        if g_sign == 0.0:
+            continue
+        log_mag = log_pref + n * log_z + log_ratio
+        w = 5.0 + 4.0 * abs(q + 1.0) * np.abs(log_half) + 2.0 * np.abs(log_pref) + np.abs(log_mag)
+        w += n * (2.0 + 3.0 * np.abs(log_half) + abs(log_c) + 3.5 * np.abs(log_z))
+        weighted += np.where(series | (n == 0), w * np.exp(log_mag), 0.0)
+    bound[positive] = np.finfo(float).eps * weighted
+    return bound
+
+
 class TestVolterraOracle:
     @pytest.mark.parametrize("n", _ORACLE_SIZES)
     @pytest.mark.parametrize("kw", _ORACLE_PROBLEMS)
@@ -453,25 +508,13 @@ class TestVolterraOracle:
         product = kinetics._leaf_inverse(c) @ block
         assert np.max(np.abs(product - np.eye(size))) <= 1e-14
 
-    @pytest.mark.parametrize(
-        "kw, t_max, n",
-        [
-            (dict(forcing="thm1", nu=0.3, d=0.5, k=1.0, mu=0.5, c=0.5), 1.0, 512),
-            (dict(forcing="thm2", nu=0.9, d=1.5, a=4.0, k=2.0, mu=1.0, c=1.5), 1.0, 2048),
-            (dict(forcing="thm3", nu=1.5, k=3.0, mu=1.5, c=1.0), 1.0, 512),
-            (dict(forcing="thm1", nu=1.2, d=2.0, k=2.0, mu=1.0, c=0.9), 1.0, 2048),
-            (dict(forcing="thm3", nu=0.7, k=1.0, mu=0.5, c=1.4), 40.0, 512),
-            (dict(forcing="thm3", nu=0.3, k=2.0, mu=1.5, c=0.5), 40.0, 2048),
-            (dict(forcing="thm2", nu=0.5, a=2.5, k=3.0, mu=1.0, c=-0.8), 20.0, 512),
-            (dict(forcing="thm1", c=0.0), 1.0, 512),
-            # x/2 below the normal range at the first nodes, 0 at the very first
-            (dict(forcing="thm1", nu=1.5), 1e-206, 512),
-        ],
-    )
+    @pytest.mark.parametrize("kw, t_max, n", _FORCING_GRIDS)
     def test_forcing_within_16_eps_of_the_scalar_loop(self, kw, t_max, n):
-        # numpy's logs move a term by a few ulps of its size, so the sum stays
-        # within 16 eps sum|term|; sum|term| is the same series at c -> -|c|,
-        # whose terms are the magnitudes of these
+        # on these grids the sum stays within 16 eps sum|term|.  That is a
+        # measurement, not a bound: term n carries n times the logs' error in
+        # ln|z|, and the two c < 0 grids of the next test reach 43 and 46 eps.
+        # sum|term| is the same series at c -> -|c|, whose terms are the
+        # magnitudes of these
         p = _problem(**kw)
         t = TimeGrid(t_max=t_max, n_points=n).points()
         x = p.forcing_argument(t)
@@ -480,6 +523,19 @@ class TestVolterraOracle:
         abs_sum = k_struve(KStruveParams(params.k, params.nu, -abs(params.c)), x, pol)
         got = p.forcing_value(t)
         assert np.all(np.abs(got - scalar) <= 16 * np.finfo(float).eps * abs_sum)
+
+    @pytest.mark.parametrize("kw, t_max, n", _FORCING_GRIDS + [
+        (dict(forcing="thm2", a=2.0, d=1.0, c=-0.5, k=2.0, mu=1.5, nu=1.2), 12.0, 512),
+        (dict(forcing="thm3", c=-0.7, k=0.5, mu=0.0, nu=1.0), 20.0, 512),
+    ])
+    def test_forcing_within_its_log_error_bound_of_the_scalar_loop(self, kw, t_max, n):
+        p = _problem(**kw)
+        t = TimeGrid(t_max=t_max, n_points=n).points()
+        x = p.forcing_argument(t)
+        params, pol = p.struve_params(), kinetics._ORACLE_POLICY
+        scalar = np.array([k_struve(params, xi, pol) for xi in x.tolist()])
+        got = p.forcing_value(t)
+        assert np.all(np.abs(got - scalar) <= _forcing_log_error_bound(params, x, pol))
 
     @pytest.mark.parametrize("forcing", FORCINGS)
     def test_forcing_is_one_array_call(self, forcing, monkeypatch):
@@ -571,9 +627,10 @@ class TestAdjudicate:
     def test_constant_forcing_sums_its_closed_form_once(self, monkeypatch):
         # the unit forcing's closed form is the same for both variants
         calls = []
-        real = kinetics._mittag_leffler_array
+        real = kinetics._wright_series_array
         monkeypatch.setattr(
-            kinetics, "_mittag_leffler_array", lambda *args: calls.append(args) or real(*args)
+            kinetics, "_wright_series_array",
+            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
         )
         p, grid = _problem(forcing="constant", nu=0.5), TimeGrid(t_max=1.0, n_points=64)
         report = adjudicate(p, grid, POL)

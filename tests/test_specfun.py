@@ -747,7 +747,7 @@ def _reference_series(what, z, upper, lower, pol, log_pref=0.0):
         log_mag = log_pref + n * log_abs_z + log_ratio
         if not log_mag <= 700.0:
             raise ConvergenceError(
-                f"{what}: term {n} has log-magnitude {log_mag:.3g} "
+                f"{what}: term {n} has log-magnitude {float(log_mag)!r} "
                 "exceeding the overflow guard 700"
             )
         term = z_sign ** n * g_sign * math.exp(log_mag)
