@@ -231,9 +231,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid, pol = _grid(args), _policy(args)
     solutions = []
     for value in args.values:
+        label = f"sweep, {args.param}={value:g}"
         problem = _problem(args, **{args.param: value})
-        sol = solve_closed_form(problem, grid, "sumudu_consistent", pol)
-        _note_budget_stops(f"sweep, {args.param}={value:g}", sol, pol)
+        try:
+            sol = solve_closed_form(problem, grid, "sumudu_consistent", pol)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{label}: {exc}") from None
+        _note_budget_stops(label, sol, pol)
         solutions.append(sol.values)
     # "param,value," is a constant first field of each value's rows
     name = f"{args.param},".encode("ascii")

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, SolverError
 from .specfun import (
+    _OVERFLOW_GUARD,
     KStruveParams,
     TruncationPolicy,
     _k_struve_array,
@@ -254,15 +255,14 @@ def solve_closed_form(
     a Mittag-Leffler factor, scaled by the large Gamma coefficient so that
     neither overflows alone.  The shared array loop ``_wright_series_array``
     sums it under the truncation policy and flags the nodes that stop on
-    the term budget.  The powers of the Mittag-Leffler argument are
-    tabulated once per solve, only up to the row where the factor's weights
-    times max|z|^m fall below 2^-64 of its leading term, so each r costs one
-    matrix-vector product of that many rows; one lazily grown table of
-    log-Gammas holds every lower Gamma argument and the coefficient's.
+    the term budget.  The factors are not bound by that budget: one
+    backward recurrence over the Gamma lattice gives all of them, each
+    summed until its dropped tail is below 2^-64 of its largest term.
 
-    A series sum that is not finite, n0 times it, or d^nu or a^nu past the
-    largest double raises ``ConvergenceError``.  At a large t_max the
-    powers, the factor or a term overflow: the sum is evaluated with numpy's
+    A series sum that is not finite, n0 times it, d^nu or a^nu past the
+    largest double, or a factor whose terms pass the overflow guard before
+    its tail can be dropped raises ``ConvergenceError``.  At a large t_max
+    a factor or a term can overflow: the sum is evaluated with numpy's
     overflow and invalid-value warnings off, because an inf or NaN that
     reaches a node's running sum keeps it non-finite to the end, and that
     one check after the loop raises.
@@ -274,13 +274,69 @@ def solve_closed_form(
     return SeriesSolution(grid, _times_n0(p.n0, totals), variant, terms_used, ~converged)
 
 
-def _power_table(z: np.ndarray, rows: int) -> np.ndarray:
-    """The (rows, z.size) table of z^m, m < rows, built row by row."""
-    powers = np.empty((rows, z.size))
-    powers[0] = 1.0
-    for m in range(1, rows):
-        np.multiply(powers[m - 1], z, out=powers[m])
-    return powers
+# outer terms of the first Mittag-Leffler lattice; the figures at t_max = 1 use
+# at most 10, and a longer outer series rebuilds it once for all of max_terms
+_FIRST_LATTICE_TERMS = 16
+_LATTICE_ROWS = 1 << 16  # past these a factor is a ConvergenceError, not a hang
+
+
+def _ml_lattice(
+    z: np.ndarray, c0: float, nu: float, count: int, most: int
+) -> tuple[np.ndarray, list[float]]:
+    """(rows u_2r, L_j) with u_j = e^L_j E_{nu,beta_j}(z), beta_j = c0 + j nu, for r < count.
+
+    (s_j, L_j) is ``_signed_log_gamma(beta_j)``, with L_j = L_{j+1} at a pole.
+    E_{a,b}(z) = 1/Gamma(b) + z E_{a,b+a}(z) runs down the lattice as
+    u_j = s_j + e^(L_j - L_{j+1}) z u_{j+1}, which damps where beta_j^nu > |z|.
+    It starts past the stored rows, at the first row j with beta_{j-1} > 0
+    whose term at max|z| falls and is below 2^-64 of each stored row's
+    largest term; ln Gamma is convex there, so later terms fall faster.
+    The rows past the stored ones up to the smallest term, and r < most,
+    meet the same rule and are returned too.  A term past the overflow
+    guard relative to its row's first is a ConvergenceError.
+    """
+    top = 2 * (count - 1)
+    z_max = float(np.max(np.abs(z)))
+    if not math.isfinite(z_max):
+        raise ConvergenceError("closed form: the Mittag-Leffler argument is not finite")
+    log_z = math.log(max(z_max, math.ulp(0.0)))  # finite at z = 0
+    sign, log_gamma = [], []
+    lead = -math.inf  # the largest L_j - j log|z| of the stored rows so far
+    low = math.inf  # the smallest from the top stored row on, at or below every row's largest
+    for j in range(_LATTICE_ROWS):
+        s, g = _signed_log_gamma(c0 + nu * j)
+        sign.append(s)
+        log_gamma.append(g)
+        if s == 0.0:
+            continue
+        scaled = g - j * log_z
+        if not lead - scaled <= _OVERFLOW_GUARD:
+            raise ConvergenceError(
+                f"closed form: Mittag-Leffler term {j} has log-magnitude {lead - scaled!r} "
+                f"relative to its row's first, exceeding the overflow guard {_OVERFLOW_GUARD:.3g}"
+            )
+        if j <= top and j % 2 == 0:
+            lead = max(lead, scaled)
+        elif j > top and c0 + nu * (j - 1) > 0 and log_z + log_gamma[j - 1] < g:
+            if low - scaled < -64 * math.log(2.0):
+                break
+        if j >= top and scaled <= low:
+            low, low_at = scaled, j
+    else:
+        raise ConvergenceError(f"closed form: a Mittag-Leffler factor needs {_LATTICE_ROWS}+ rows")
+    count = max(count, min(most, low_at // 2 + 1))
+    top = 2 * (count - 1)
+    u = np.zeros(z.shape)  # u_j = 0: the terms from row j on are dropped
+    rows = np.empty((count, z.size))
+    for i in range(j - 1, -1, -1):
+        if sign[i] == 0.0:
+            log_gamma[i] = log_gamma[i + 1]
+        u *= z
+        u *= math.exp(log_gamma[i] - log_gamma[i + 1])
+        u += sign[i]
+        if i <= top and i % 2 == 0:
+            rows[i // 2] = u
+    return rows, log_gamma
 
 
 def _closed_form_sums(
@@ -298,7 +354,6 @@ def _closed_form_sums(
         log_abs_z[z == 0.0] = 0.0
         return _wright_series_array("closed form", z, (), ((1.0, p.nu),), pol, log_abs_z=log_abs_z)
 
-    n = t.size
     q = p.mu / p.k
     (x, rate, power), ml_arg, ml_shift, over_t = _variant_inputs(p, t, variant)
     with np.errstate(divide="ignore"):
@@ -310,38 +365,24 @@ def _closed_form_sums(
     if over_t:
         log_pref = log_pref - np.log(t)
 
-    # every lower Gamma argument is nu*j + c0 with j = m + 2r; one table of
-    # (sign, ln|Gamma|) serves all r and grows with r
+    # term r's factor is Gamma(big) E_{nu,beta_2r}(z) on the lattice beta_j = c0 + j nu,
+    # with big = nu*(2r + q + 1) + 1 the lattice row 2r + big_index
     c0 = p.nu * q + 1.0 + ml_shift
-    # The powers z^m end before the first row whose r = 0 weight times
-    # max|z|^m is below 2^-64 of the leading term.  Its log is concave in m,
-    # so no later row comes back, and rows fall faster for r > 0, since
-    # Gamma(a)/Gamma(a + m nu) decreases in a > 0.  c0 <= 0 keeps every row.
-    rows = pol.max_terms
-    z_max = float(np.max(np.abs(ml_arg)))
-    if c0 > 0 and z_max > 0:
-        log_z, cut = math.log(z_max), -math.lgamma(c0) - 64 * math.log(2.0)
-        rows = next((m for m in range(rows) if m * log_z - math.lgamma(p.nu * m + c0) < cut), rows)
-    powers = _power_table(ml_arg, rows)
     big_index = 0 if variant == "sumudu_consistent" else 1
-    gamma_sign = np.empty(3 * pol.max_terms)
-    gamma_log = np.empty(3 * pol.max_terms)
-    filled = 0
+    built, rows, log_gamma = None, (), None
 
     def ml_factor(r: int, nodes: np.ndarray) -> np.ndarray | None:
-        # sum_m z^m Gamma(big) / Gamma(nu*(m + 2r) + c0) with big = nu*(2r + q + 1) + 1;
-        # None at a pole of Gamma(big), a zero weight at a pole of the lower Gamma
-        nonlocal filled
-        while filled < 2 * r + max(rows, 2):  # rows and Gamma(big)
-            gamma_sign[filled], gamma_log[filled] = _signed_log_gamma(p.nu * filled + c0)
-            filled += 1
-        big = 2 * r + big_index
-        if gamma_sign[big] == 0.0:
+        # None at a pole of Gamma(big)
+        nonlocal built, rows, log_gamma
+        big_sign, big_log = _signed_log_gamma(c0 + p.nu * (2 * r + big_index))
+        if big_sign == 0.0:
             return None
-        lower = slice(2 * r, 2 * r + rows)
-        weights = gamma_sign[big] * gamma_sign[lower] * np.exp(gamma_log[big] - gamma_log[lower])
-        ml = weights @ powers
-        return ml if nodes.size == n else ml[nodes]
+        if r >= len(rows):
+            count = min(_FIRST_LATTICE_TERMS if built is None else pol.max_terms, pol.max_terms)
+            built = nodes
+            rows, log_gamma = _ml_lattice(ml_arg[nodes], c0, p.nu, count, pol.max_terms)
+        ml = rows[r] if nodes.size == built.size else rows[r][np.searchsorted(built, nodes)]
+        return (big_sign * math.exp(big_log - log_gamma[2 * r])) * ml
 
     # z = -c x^2/(4k), log|z| from the same log(x/2); at c = 0 the series ends after r = 0
     log_abs_z = 2.0 * log_half + (math.log(abs(p.c) / p.k) if p.c != 0 else 0.0)

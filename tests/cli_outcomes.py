@@ -11,8 +11,9 @@ replaced by ``<tmp>`` in all text.  The battery covers every subcommand,
 each exit code, both ``--config`` spellings, ``figures --format
 csv/svg/both``, negative values after a flag and in ``=`` form, and the
 closed form and Sumudu image at arguments that underflow or overflow, the
-overflow guard tripped in ``solve`` and ``sweep``, and tables longer than
-the float writer's 1024-row block.  Two
+overflow guard tripped in ``solve`` and ``sweep``, n0 times the sum past
+the largest double, a long horizon that stops on the term budget, and
+tables longer than the float writer's 1024-row block.  Two
 checkouts that print the same digest write the same bytes for every argv;
 ``--lines`` prints one digest per argv, so a ``diff`` of two runs names the
 argvs that differ.  Tier-1 does not collect this file.
@@ -73,6 +74,8 @@ BATTERY = [
     ["solve", "--nu", "1", "--mu", "-0.4", "--d", "1e-10", "--t-max", "1e-313", "--n-points", "4"],
     ["solve", "--nu", "1", "--mu", "-0.4", "--d", "1", "--t-max", "1e-310", "--n-points", "4"],
     ["solve", "--n0", "1.7e308", "--t-max", "20", "--n-points", "8"],
+    ["solve", "--n0", "1.7e308", "--c", "-1", "--t-max", "5", "--n-points", "8"],
+    ["solve", "--forcing", "thm2", "--nu", "0.9", "--t-max", "20", "--n-points", "8"],
     ["solve", "--d", "1e300", "--nu", "2", "--n-points", "4"],
     ["solve", "--t-max", "40", "--nu", "0.5", "--n-points", "6"],
     ["solve", "--forcing", "constant", "--n-points", "1030"],

@@ -34,14 +34,18 @@ def closed_form_reference(p, grid, variant, pol):
     """The closed-form r-series with its Mittag-Leffler factor summed term by term.
 
     For each r and each m it takes the Gamma ratio Gamma(big)/Gamma(nu*m + beta)
-    and adds weight * z^m over the grid, skipping zero weights.  A term r
-    whose Gamma(big) is at a pole is zero and skipped.  Returns (values,
+    and adds weight * z^m over the grid, skipping zero weights.  The m-sum
+    runs to its own tolerance, whatever ``pol`` says: it stops at the first
+    m with nu*(m - 1) + beta > 0 whose term falls from the one before at
+    max|z| and is below 2^-64 of the largest term so far.  A term r whose
+    Gamma(big) is at a pole is zero and skipped.  Returns (values,
     terms_used, truncation_flag).
     """
     t = grid.points()
     n = grid.n_points
     q = p.mu / p.k
     x, ml_arg, ml_shift, over_t = variant_inputs(p, t, variant)
+    log_z = math.log(max(float(np.max(np.abs(ml_arg))), math.ulp(0.0)))
     log_pref_base = np.log(x / 2.0)
     totals = np.zeros(n)
     carry = np.zeros(n)
@@ -63,11 +67,19 @@ def closed_form_reference(p, grid, variant, pol):
         beta = p.nu * (2 * r + q) + 1.0 + ml_shift
         ml = np.zeros(n)
         zp = np.ones(n)
-        for m in range(pol.max_terms):
+        largest = previous = -math.inf  # term log-magnitudes at max|z|
+        for m in range(1 << 16):
             g_sign, g_log = _signed_log_gamma(p.nu * m + beta)
             if g_sign != 0.0:
                 ml += g_sign * math.exp(log_big - g_log) * zp
+                size = m * log_z - g_log
+                falling = p.nu * m + beta > p.nu and size < previous
+                if falling and size < largest - 64 * math.log(2.0):
+                    break
+                largest, previous = max(largest, size), size
             zp *= ml_arg
+        else:
+            raise AssertionError("the Mittag-Leffler factor did not reach its tolerance")
         log_mag = log_coeff + (2 * r + q + 1) * log_pref_base
         if over_t:
             log_mag = log_mag - np.log(t)

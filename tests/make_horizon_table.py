@@ -1,6 +1,7 @@
 """Print the closed form's usable horizon in double precision, as a Markdown table.
 
     python tests/make_horizon_table.py
+    python tests/make_horizon_table.py --values
 
 The ``sumudu_consistent`` closed form is the outer series
 N/n0 = sum_r k^-(q+1/2) (X/2)^(q+1) (-c X^2 / (4k))^r / (Gamma(r+3/2) Gamma(r+q+3/2))
@@ -14,11 +15,14 @@ first t at which that passes 1e-8, found by scanning t by factors of 1.25
 from 0.5 and bisecting, and printed to two significant digits.  The case is
 n0 = d = k = c = 1, a = 2, mu = 1 at nu in {0.5, 0.9, 1.5}; at d = 1 thm1
 and thm3 are the same series.  It runs for about five minutes, most of
-them at nu = 0.5, where the horizon is longest.  Pytest does not collect
-this file.
+them at nu = 0.5, where the horizon is longest.  ``--values`` prints
+instead the series' sum itself at the long-horizon cases of ``VALUES``, to
+25 digits, for the regression constants in ``tests/test_kinetics.py``
+(a few seconds).  Pytest does not collect this file.
 """
 
 import math
+import sys
 
 import mpmath as mp
 
@@ -26,6 +30,9 @@ NU = ("0.5", "0.9", "1.5")
 D = K = C = 1
 A, MU = 2, 1
 LIMIT = 2.0**52 * 1e-8  # kappa at which kappa * 2^-52 passes 1e-8
+# (forcing, nu, t) of the printed sums
+VALUES = (("thm1", "0.3", 5), ("thm1", "0.5", 10), ("thm1", "0.5", 20),
+          ("thm2", "0.5", 10), ("thm1", "0.9", 20), ("thm2", "0.9", 20))
 
 
 def _mittag_leffler(alpha, beta, z):
@@ -41,8 +48,8 @@ def _mittag_leffler(alpha, beta, z):
         m += 1
 
 
-def kappa(forcing: str, nu: str, t: float) -> mp.mpf:
-    """sum|term| / |sum term| of the sumudu_consistent outer series at time t."""
+def outer_sums(forcing: str, nu: str, t: float) -> tuple[mp.mpf, mp.mpf]:
+    """(sum term, sum|term|) of the sumudu_consistent outer series at time t."""
     cancel = int(D * t / math.log(10)) + 1  # digits the Mittag-Leffler sums lose
     with mp.workdps(60 + cancel):
         nu, t = mp.mpf(nu), mp.mpf(t)
@@ -60,8 +67,14 @@ def kappa(forcing: str, nu: str, t: float) -> mp.mpf:
             total += term
             abs_total += abs(term)
             if r > abs(ratio) and abs(outer) < mp.mpf(10) ** -60 * abs_total:
-                return abs_total / abs(total)
+                return total, abs_total
             r += 1
+
+
+def kappa(forcing: str, nu: str, t: float) -> mp.mpf:
+    """sum|term| / |sum term| of the sumudu_consistent outer series at time t."""
+    total, abs_total = outer_sums(forcing, nu, t)
+    return abs_total / abs(total)
 
 
 def horizon(forcing: str, nu: str) -> float:
@@ -76,6 +89,10 @@ def horizon(forcing: str, nu: str) -> float:
 
 
 def main() -> None:
+    if sys.argv[1:] == ["--values"]:
+        for forcing, nu, t in VALUES:
+            print(f"{forcing} nu={nu} t={t}: {mp.nstr(outer_sums(forcing, nu, t)[0], 25)}")
+        return
     print("| forcing | " + " | ".join(f"nu = {nu}" for nu in NU) + " |")
     print("|---|" + "---|" * len(NU))
     for forcing in ("thm1", "thm2", "thm3"):

@@ -299,8 +299,10 @@ class TestSolve:
         assert printed == sorted(printed, reverse=True)
 
     def test_n0_overflow_exit(self, tmp_path, capsys):
-        # max|sum| is 22.4 here, so n0 * sum passes the largest double
-        argv = ["solve", "--n0", "1.7e308", "--t-max", "20", "--n-points", "8"]
+        # at c = -1 the k-Struve series does not alternate and max|sum| is 3.19
+        # (as_printed) and 5.15 (sumudu_consistent), so n0 * sum passes the
+        # largest double
+        argv = ["solve", "--n0", "1.7e308", "--c", "-1", "--t-max", "5", "--n-points", "8"]
         assert main(argv + ["--out", str(tmp_path / "sol")]) == EXIT_NUMERICAL
         assert "not finite" in capsys.readouterr().err
         assert not (tmp_path / "sol.csv").exists()
@@ -509,13 +511,15 @@ class TestFigures:
         assert not list(tmp_path.iterdir())
 
     def test_series_overflow_names_figure_and_nu(self, tmp_path, capsys):
-        # the closed form's guard trips in-process; no file is written
+        # the closed form's guard trips in-process, in the Mittag-Leffler factor
+        # before the outer series; no file is written
         argv = ["figures", "--which", "1", "--t-max", "1e20", "--n-points", "8",
                 "--out-dir", str(tmp_path)]
         assert main(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
-            "numerical failure on figure 1, nu=0.5: closed form: term 18 has log-magnitude "
-            "723.8984531330865 exceeding the overflow guard 700\n"
+            "numerical failure on figure 1, nu=0.5: closed form: Mittag-Leffler term 32 has "
+            "log-magnitude 704.625332624512 relative to its row's first, exceeding the "
+            "overflow guard 700\n"
         )
         assert not list(tmp_path.iterdir())
 
@@ -542,14 +546,15 @@ class TestSweep:
 
     def test_guard_trip_reads_above_the_guard(self, tmp_path, capsys):
         # nu = 0.5 stops on the budget; at nu = 0.7 term 49 of the constant
-        # forcing's closed form passes the guard by 0.14, which ":.3g" printed as 700
+        # forcing's closed form passes the guard by 0.14, which ":.3g" printed as
+        # 700; the failure names the swept value, as the budget notes do
         argv = ["sweep", "--param", "nu", "--values", "0.5,0.7", "--forcing", "constant",
                 "--t-max", "1e10", "--n-points", "4", "--out", str(tmp_path / "sw")]
         assert main(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
             "sweep, nu=0.5: 4 of 4 nodes stopped on the 50-term budget\n"
-            "numerical failure: closed form: term 49 has log-magnitude 700.1422605641444 "
-            "exceeding the overflow guard 700\n"
+            "numerical failure: sweep, nu=0.7: closed form: term 49 has log-magnitude "
+            "700.1422605641444 exceeding the overflow guard 700\n"
         )
         assert not list(tmp_path.iterdir())
 
@@ -706,12 +711,13 @@ class TestDataRowsMatchReferenceWriter:
         assert _csv_body(tmp_path / "sol.csv") == _reference_body("%.17g,%.17g,%.17g", rows)
 
     def test_solve_with_huge_values(self, tmp_path):
-        # n0 just below overflow: max|n0 * sum| is 1.6e308; a larger n0 exits
-        # 3 (TestSolve.test_n0_overflow_exit)
+        # n0 just below overflow: max|n0 * sum| is 1.05e308 (as_printed) and
+        # 1.70e308 (sumudu_consistent); a larger n0 exits 3
+        # (TestSolve.test_n0_overflow_exit)
         out = tmp_path / "sol"
-        argv = ["solve", "--n0", "7e306", "--t-max", "20", "--n-points", "8"]
-        problem = KineticProblem(n0=7e306, d=1.0, nu=0.9, mu=1.0)
-        grid = TimeGrid(t_max=20.0, n_points=8)
+        argv = ["solve", "--n0", "3.3e307", "--c", "-1", "--t-max", "5", "--n-points", "8"]
+        problem = KineticProblem(n0=3.3e307, d=1.0, nu=0.9, mu=1.0, c=-1.0)
+        grid = TimeGrid(t_max=5.0, n_points=8)
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         cols = [solve_closed_form(problem, grid, v, _POLICY).values for v in _VARIANTS]
         assert float(np.max(np.abs(cols[0]))) > 1e308

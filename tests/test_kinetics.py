@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +31,16 @@ from closed_form_reference import closed_form_reference
 # build (n0=d=mu=c=k=1, thm1 forcing, t = 0.5, sumudu_consistent variant).
 KINETIC_THM1_NU1_T05 = 0.044416235956754749423
 KINETIC_THM1_NU09_T05 = 0.048721866863959855229
+
+# sumudu_consistent N/n0 at n0 = d = k = c = 1, a = 2, mu = 1, summed in
+# mpmath at 60 digits: ``python tests/make_horizon_table.py --values``.  At
+# t = 20, thm1 at nu = 0.5 and 0.9 (0.1073950683054902 and
+# 0.08515229617155919) are not tested: their Mittag-Leffler factors lose
+# about e^(d t) eps to cancellation, which leaves 1.7e-8 and 1.8e-7 unflagged.
+HORIZON_THM1_NU03_T5 = 0.1788389651530907008062012
+HORIZON_THM1_NU05_T10 = 0.2400302760543358909685479
+HORIZON_THM2_NU05_T10 = 0.1539907639623730352612597
+HORIZON_THM2_NU09_T20 = 0.08481174349146495767192411
 
 POL = TruncationPolicy(max_terms=120, rel_tol=1e-16)
 
@@ -139,18 +150,58 @@ class TestClosedForm:
     @pytest.mark.parametrize(
         "nu,d,max_terms",
         [
-            (0.3, 2.0, 100),  # Mittag-Leffler weights fall slowly: 86 to 95 rows of 100
-            (1.5, 1.0, 100),  # they fall fast: 13 to 18 rows
-            (0.9, 1.0, 1),  # one term: Gamma(big) of as_printed lies past the single row
+            (0.3, 2.0, 100),  # Mittag-Leffler terms fall slowly: 97 to 103 lattice rows
+            (1.5, 1.0, 100),  # they fall fast: 39 to 41 rows
+            (0.9, 1.0, 1),  # one term: Gamma(big) of as_printed lies past the single stored row
         ],
     )
     def test_row_cut_matches_reference(self, variant, forcing, nu, d, max_terms):
         p = _problem(k=1.0, c=1.0, forcing=forcing, nu=nu, mu=1.0, d=d, a=2.5)
         self._check_reference(p, variant, max_terms)
 
+    @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
+    def test_rebuilt_lattice_matches_reference(self, variant):
+        # x up to 40 at c = -1 takes the outer series past the first lattice's
+        # 16 terms (41 and 52 of 100), and |z| <= 0.06 keeps the factors
+        # free of cancellation; the lattice is rebuilt for all 100 terms
+        p = _problem(forcing="thm3", nu=0.9, d=1e-3, c=-1.0)
+        self._check_reference(p, variant, 100, t_max=40.0)
+
+    @pytest.mark.parametrize(
+        "c0, nu, zs, count, most, served",
+        [
+            (1.1, 0.1, [0.0, -0.5, -1.23], 16, 50, 37),  # the terms peak past row 30
+            (-4.0, 4.0, [-0.3, -2.0, -9.0], 3, 3, 3),  # Gamma poles at rows 0 and 1
+            (2.9, 0.9, [-1.0, -14.8], 16, 50, 16),  # they peak below row 30 and cancel
+            (1.5, 0.5, [-3.0], 1, 1, 1),
+        ],
+    )
+    def test_lattice_rows_match_mpmath(self, c0, nu, zs, count, most, served):
+        # row r is e^L_2r E_{nu, c0 + 2r nu}(z), against the 30-digit power
+        # series summed past its peak to 1e-30; each lattice row adds a few
+        # roundings to every term, so the error is held to 4 eps per
+        # lattice row times e^L_2r sum|term|.  The rows checked are the
+        # first, the last asked for and the last served.
+        import mpmath as mp
+
+        rows, log_gamma = kinetics._ml_lattice(np.array(zs), c0, nu, count, most)
+        assert len(rows) == served
+        with mp.workdps(30):
+            for r in sorted({0, count - 1, served - 1}):
+                scale, beta = mp.exp(log_gamma[2 * r]), mp.mpf(c0) + 2 * r * mp.mpf(nu)
+                for z, got in zip(zs, rows[r]):
+                    total = size = mp.mpf(0)
+                    for m in itertools.count():
+                        term = mp.mpf(z) ** m * mp.rgamma(beta + m * mp.mpf(nu))
+                        total, size = total + term, size + abs(term)
+                        if beta + m * nu > 1 + abs(z) ** (1 / nu) and abs(term) < 1e-30 * size:
+                            break
+                    error = abs(got - scale * total)
+                    assert error <= 4 * len(log_gamma) * 2.0**-52 * scale * size
+
     @staticmethod
-    def _check_reference(p, variant, max_terms):
-        grid = TimeGrid(t_max=1.0, n_points=48)
+    def _check_reference(p, variant, max_terms, t_max=1.0):
+        grid = TimeGrid(t_max=t_max, n_points=48)
         pol = TruncationPolicy(max_terms=max_terms, rel_tol=1e-16)
         sol = solve_closed_form(p, grid, variant, pol)
         values, terms_used, flags = closed_form_reference(p, grid, variant, pol)
@@ -191,12 +242,12 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
     def test_n0_overflow_raises(self, variant):
-        # on the default 50-term budget max|sum| is 22.4 (as_printed) and
-        # 14.1 (sumudu_consistent) here, so n0 * sum passes the largest
-        # double; it used to come back -inf
-        p = _problem(n0=1.7e308)
+        # at c = -1 the k-Struve series does not alternate and max|sum| is
+        # 3.19 (as_printed) and 5.15 (sumudu_consistent) here, so n0 * sum
+        # passes the largest double; it used to come back -inf
+        p = _problem(n0=1.7e308, c=-1.0)
         with pytest.raises(ConvergenceError, match="not finite"):
-            solve_closed_form(p, TimeGrid(t_max=20.0, n_points=8), variant)
+            solve_closed_form(p, TimeGrid(t_max=5.0, n_points=8), variant)
 
     def test_n0_overflow_raises_constant_forcing(self, monkeypatch):
         # |E_nu(-x)| <= 1 for these orders, so the resummed branch is made
@@ -216,12 +267,28 @@ class TestClosedForm:
         + [("constant", 0.9), ("constant", 1.5)],
     )
     def test_extreme_t_max_raises_without_warning(self, t_max, forcing, nu):
-        # the power table, the term times its factor or t^nu overflow; under
+        # t^nu, a Mittag-Leffler factor's terms or an outer term overflow; under
         # the suite's "error" warning filter a RuntimeWarning would escape
         # in place of the ConvergenceError
         for variant in ("as_printed", "sumudu_consistent"):
             with pytest.raises(ConvergenceError):
                 solve_closed_form(_problem(forcing=forcing, nu=nu), TimeGrid(t_max, 16), variant)
+
+    @pytest.mark.parametrize(
+        "forcing, nu, t, truth",
+        [
+            ("thm1", 0.3, 5.0, HORIZON_THM1_NU03_T5),
+            ("thm1", 0.5, 10.0, HORIZON_THM1_NU05_T10),
+            ("thm2", 0.5, 10.0, HORIZON_THM2_NU05_T10),
+            ("thm2", 0.9, 20.0, HORIZON_THM2_NU09_T20),
+        ],
+    )
+    def test_long_horizon_is_right_or_flagged(self, forcing, nu, t, truth):
+        # each Mittag-Leffler factor is summed to its own tolerance, not to
+        # the outer term budget; a node the outer budget stops is flagged
+        p = _problem(forcing=forcing, nu=nu, a=2.0)
+        sol = solve_closed_form(p, TimeGrid(t_max=t, n_points=8), "sumudu_consistent")
+        assert sol.truncation_flag[-1] or abs(sol.values[-1] - truth) <= 1e-8
 
     def test_frozen_values(self):
         grid = TimeGrid(t_max=0.5, n_points=50)
@@ -250,17 +317,6 @@ class TestClosedForm:
         for ti, vi in zip(grid.points(), sol.values):
             expect = 2.0 * mittag_leffler(0.7, 1.0, -((1.5 * ti) ** 0.7), POL)
             assert vi == pytest.approx(expect, rel=1e-12)
-
-    @pytest.mark.parametrize("rows", [1, 2, 3, 17, 50, 64])
-    def test_power_table_is_the_row_by_row_product(self, rows):
-        # each entry of either product carries at most rows - 1 roundings
-        z = np.concatenate((-np.geomspace(1e-3, 30.0, 300), np.geomspace(1e-3, 30.0, 7), [0.0]))
-        expect = np.empty((rows, z.size))
-        expect[0] = 1.0
-        for m in range(1, rows):
-            expect[m] = expect[m - 1] * z
-        got = kinetics._power_table(z, rows)
-        assert np.all(np.abs(got - expect) <= rows * np.finfo(float).eps * np.abs(expect))
 
     def test_constant_forcing_is_one_array_call(self, monkeypatch):
         calls = []
