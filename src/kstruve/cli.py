@@ -15,8 +15,9 @@ umask gives a new file.  Exit codes: 0 success, 2 input error,
 stopping once a term is at most 1e-16 of the running sum.  For each
 closed-form column with nodes that stopped on the term budget instead
 (a figure's nu, a sweep's value, ``solve``'s and ``validate``'s two
-variants), one line on stderr gives their count; the files, stdout and
-exit code do not change.
+variants), one line on stderr gives their count, and one more counts the
+nodes whose rounding estimate passes 1e-8 of their value; the files,
+stdout and exit code do not change.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from ._floatfmt import cells, csv_rows, join, long_rows
 from .errors import ConvergenceError, DomainError, QuadratureError, SolverError
 from .kinetics import (
+    _ROUNDING_LIMIT,
     FORCINGS,
     KineticProblem,
     SeriesSolution,
@@ -110,11 +112,19 @@ def _grid(args: argparse.Namespace) -> TimeGrid:
 
 
 def _note_budget_stops(label: str, sol: SeriesSolution, pol: TruncationPolicy) -> None:
-    """One stderr line counting the nodes of ``sol`` that stopped on the term budget, if any."""
-    stopped = int(np.count_nonzero(sol.truncation_flag))
+    """Stderr lines counting the flagged nodes of ``sol``, if any.
+
+    A flagged node that used the whole term budget stopped on it; any other
+    was flagged for its rounding estimate.
+    """
+    stopped = int(np.count_nonzero(sol.truncation_flag & (sol.terms_used >= pol.max_terms)))
+    rounded = int(np.count_nonzero(sol.truncation_flag)) - stopped
     if stopped:
         print(f"{label}: {stopped} of {sol.grid.n_points} nodes stopped on the "
               f"{pol.max_terms}-term budget", file=sys.stderr)
+    if rounded:
+        print(f"{label}: {rounded} of {sol.grid.n_points} nodes flagged: their rounding "
+              f"estimate passes {_ROUNDING_LIMIT:g} of the value", file=sys.stderr)
 
 
 def _float_list(text: str) -> list[float]:

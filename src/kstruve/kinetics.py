@@ -257,7 +257,11 @@ def solve_closed_form(
     sums it under the truncation policy and flags the nodes that stop on
     the term budget.  The factors are not bound by that budget: one
     backward recurrence over the Gamma lattice gives all of them, each
-    summed until its dropped tail is below 2^-64 of its largest term.
+    summed until its dropped tail is below 2^-64 of its largest term.  A
+    node is flagged too where its rounding estimate, 2^-52 times the
+    magnitudes of every term it gathered in both series, passes 1e-8 of
+    its value: the factors lose about e^(d t) 2^-52 to cancellation, and
+    the outer series its condition number times 2^-52.
 
     A series sum that is not finite, n0 times it, d^nu or a^nu past the
     largest double, or a factor whose terms pass the overflow guard before
@@ -278,12 +282,17 @@ def solve_closed_form(
 # at most 10, and a longer outer series rebuilds it once for all of max_terms
 _FIRST_LATTICE_TERMS = 16
 _LATTICE_ROWS = 1 << 16  # past these a factor is a ConvergenceError, not a hang
+# a node whose rounding estimate, 2^-52 times the magnitudes of every term it
+# gathered in both series, passes this share of its value is flagged; the
+# magnitudes are taken at the last node of each of at most this many blocks
+_ROUNDING_LIMIT = 1e-8
+_ROUNDING_BLOCKS = 64
 
 
 def _ml_lattice(
-    z: np.ndarray, c0: float, nu: float, count: int, most: int
-) -> tuple[np.ndarray, list[float]]:
-    """(rows u_2r, L_j) with u_j = e^L_j E_{nu,beta_j}(z), beta_j = c0 + j nu, for r < count.
+    z: np.ndarray, c0: float, nu: float, count: int, most: int, refs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """(u_2r at z, w_2r at refs, L_j) with u_j = e^L_j E_{nu,beta_j}(z), beta_j = c0 + j nu, r < count.
 
     (s_j, L_j) is ``_signed_log_gamma(beta_j)``, with L_j = L_{j+1} at a pole.
     E_{a,b}(z) = 1/Gamma(b) + z E_{a,b+a}(z) runs down the lattice as
@@ -293,7 +302,10 @@ def _ml_lattice(
     largest term; ln Gamma is convex there, so later terms fall faster.
     The rows past the stored ones up to the smallest term, and r < most,
     meet the same rule and are returned too.  A term past the overflow
-    guard relative to its row's first is a ConvergenceError.
+    guard relative to its row's first is a ConvergenceError.  w_j is the
+    same recurrence at the magnitudes ``refs`` with |s_j| for s_j: e^L_j
+    times the sum of the magnitudes of E_{nu,beta_j}'s terms there, over
+    the same rows, so a ref past max|z| drops more than 2^-64.
     """
     top = 2 * (count - 1)
     z_max = float(np.max(np.abs(z)))
@@ -326,6 +338,8 @@ def _ml_lattice(
         raise ConvergenceError(f"closed form: a Mittag-Leffler factor needs {_LATTICE_ROWS}+ rows")
     count = max(count, min(most, low_at // 2 + 1))
     top = 2 * (count - 1)
+    size = z.size
+    z = np.concatenate((z, refs))
     u = np.zeros(z.shape)  # u_j = 0: the terms from row j on are dropped
     rows = np.empty((count, z.size))
     for i in range(j - 1, -1, -1):
@@ -334,9 +348,35 @@ def _ml_lattice(
         u *= z
         u *= math.exp(log_gamma[i] - log_gamma[i + 1])
         u += sign[i]
+        if sign[i] < 0.0:
+            u[size:] += 2.0  # |s_j| at refs
         if i <= top and i % 2 == 0:
             rows[i // 2] = u
-    return rows, log_gamma
+    return rows[:, :size], rows[:, size:], log_gamma
+
+
+def _rounding_flags(
+    totals: np.ndarray, used: np.ndarray, log_pref: np.ndarray, log_abs_z: np.ndarray,
+    q: float, scales: list[float], peaks: np.ndarray, edges: np.ndarray,
+) -> np.ndarray:
+    """The nodes whose rounding estimate passes ``_ROUNDING_LIMIT`` of their sum.
+
+    A node's estimate is 2^-52 times its mass: the sum over the terms r of
+    |outer term r| times e^scales[r] times the magnitudes of the terms of
+    r's factor.  Over the prefactor e^log_pref, both grow with t, so they
+    are taken at the last node of the node's block: block b holds the
+    nodes edges[b] to edges[b + 1] - 1, and peaks[r, b] holds r's factor
+    magnitudes at its last node.  That over-estimates a node's mass by at
+    most its growth across the block.
+    """
+    terms = int(used.max())
+    outer = [-(math.lgamma(1.5) + math.lgamma(q + 1.5))]  # ln 1/(Gamma(r+3/2) Gamma(r+q+3/2))
+    for r in range(1, terms):
+        outer.append(outer[-1] - math.log((r + 0.5) * (r + q + 0.5)))
+    log_weight = np.array(outer) + np.array(scales[:terms]) - math.log(_ROUNDING_LIMIT * 2.0**52)
+    per_block = np.exp(np.arange(terms)[:, None] * log_abs_z[edges[1:] - 1] + log_weight[:, None])
+    per_block = np.repeat((per_block * peaks[:terms]).sum(axis=0), edges[1:] - edges[:-1])
+    return ~(np.exp(log_pref) * per_block <= np.abs(totals))
 
 
 def _closed_form_sums(
@@ -369,27 +409,41 @@ def _closed_form_sums(
     # with big = nu*(2r + q + 1) + 1 the lattice row 2r + big_index
     c0 = p.nu * q + 1.0 + ml_shift
     big_index = 0 if variant == "sumudu_consistent" else 1
-    built, rows, log_gamma = None, (), None
+    built, rows, log_gamma = None, (), None  # the last lattice and the nodes it was built on
+    # the first node of each block and one past the last, and per term r:
+    # ln|Gamma(big)| - L_2r (-inf at a pole of Gamma(big)) and the factor
+    # magnitudes at each block's last node
+    blocks = min(t.size, _ROUNDING_BLOCKS)
+    edges = np.arange(blocks + 1) * t.size // blocks
+    scales, peaks = [], []
 
     def ml_factor(r: int, nodes: np.ndarray) -> np.ndarray | None:
         # None at a pole of Gamma(big)
         nonlocal built, rows, log_gamma
         big_sign, big_log = _signed_log_gamma(c0 + p.nu * (2 * r + big_index))
         if big_sign == 0.0:
+            scales.append(-math.inf)
             return None
         if r >= len(rows):
             count = min(_FIRST_LATTICE_TERMS if built is None else pol.max_terms, pol.max_terms)
             built = nodes
-            rows, log_gamma = _ml_lattice(ml_arg[nodes], c0, p.nu, count, pol.max_terms)
+            rows, tops, log_gamma = _ml_lattice(ml_arg[nodes], c0, p.nu, count, pol.max_terms,
+                                                np.abs(ml_arg[edges[1:] - 1]))
+            peaks.extend(tops[len(peaks):])
+        scales.append(big_log - log_gamma[2 * r])
         ml = rows[r] if nodes.size == built.size else rows[r][np.searchsorted(built, nodes)]
-        return (big_sign * math.exp(big_log - log_gamma[2 * r])) * ml
+        return (big_sign * math.exp(scales[-1])) * ml
 
     # z = -c x^2/(4k), log|z| from the same log(x/2); at c = 0 the series ends after r = 0
     log_abs_z = 2.0 * log_half + (math.log(abs(p.c) / p.k) if p.c != 0 else 0.0)
-    return _wright_series_array(
+    totals, used, converged = _wright_series_array(
         "closed form", -p.c * x * x / (4.0 * p.k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
         log_pref, log_abs_z=log_abs_z, factor=ml_factor,
     )
+    if built is not None:  # else every term was 0
+        converged &= ~_rounding_flags(totals, used, log_pref, log_abs_z, q, scales,
+                                      np.array(peaks), edges)
+    return totals, used, converged
 
 
 def _solve_variants(p: KineticProblem, grid: TimeGrid, pol: TruncationPolicy):

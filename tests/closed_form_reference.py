@@ -38,8 +38,10 @@ def closed_form_reference(p, grid, variant, pol):
     runs to its own tolerance, whatever ``pol`` says: it stops at the first
     m with nu*(m - 1) + beta > 0 whose term falls from the one before at
     max|z| and is below 2^-64 of the largest term so far.  A term r whose
-    Gamma(big) is at a pole is zero and skipped.  Returns (values,
-    terms_used, truncation_flag).
+    Gamma(big) is at a pole is zero and skipped.  A node is flagged where it
+    stops on the budget, or where 2^-52 times its mass, the sum over its
+    terms r of |outer term r| times the sum over m of |weight| |z|^m, passes
+    1e-8 of its value.  Returns (values, terms_used, truncation_flag).
     """
     t = grid.points()
     n = grid.n_points
@@ -49,6 +51,7 @@ def closed_form_reference(p, grid, variant, pol):
     log_pref_base = np.log(x / 2.0)
     totals = np.zeros(n)
     carry = np.zeros(n)
+    mass = np.zeros(n)
     terms_used = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
     for r in range(pol.max_terms):
@@ -66,12 +69,14 @@ def closed_form_reference(p, grid, variant, pol):
         sign = (-1.0 if p.c > 0 else 1.0) ** r * sign_big
         beta = p.nu * (2 * r + q) + 1.0 + ml_shift
         ml = np.zeros(n)
+        ml_size = np.zeros(n)
         zp = np.ones(n)
         largest = previous = -math.inf  # term log-magnitudes at max|z|
         for m in range(1 << 16):
             g_sign, g_log = _signed_log_gamma(p.nu * m + beta)
             if g_sign != 0.0:
                 ml += g_sign * math.exp(log_big - g_log) * zp
+                ml_size += math.exp(log_big - g_log) * np.abs(zp)
                 size = m * log_z - g_log
                 falling = p.nu * m + beta > p.nu and size < previous
                 if falling and size < largest - 64 * math.log(2.0):
@@ -84,10 +89,11 @@ def closed_form_reference(p, grid, variant, pol):
         if over_t:
             log_mag = log_mag - np.log(t)
         term = np.where(active, sign * np.exp(log_mag) * ml, 0.0)
+        mass += np.where(active, np.exp(log_mag) * ml_size, 0.0)
         y = term - carry
         tot = totals + y
         carry = np.where(active, (tot - totals) - y, carry)
         totals = tot
         terms_used[active] = r + 1
         active &= ~((totals != 0.0) & (np.abs(term) <= pol.rel_tol * np.abs(totals)))
-    return p.n0 * totals, terms_used, active
+    return p.n0 * totals, terms_used, active | ~(2.0**-52 * mass <= 1e-8 * np.abs(totals))

@@ -326,6 +326,17 @@ class TestBudgetStopNotes:
         assert stdout.splitlines()[0] == out + ".csv"
         assert len(stdout.splitlines()) == (2 if command == "validate" else 1)
 
+    def test_rounding_flags_are_noted_apart(self, tmp_path, capsys):
+        # thm1 at nu = 0.9 and t = 20: the Mittag-Leffler factors' cancellation
+        # passes 1e-8 of the value at the last two nodes, which stop on the
+        # tolerance, not on the budget
+        out = str(tmp_path / "o")
+        assert main(["solve", "--nu", "0.9", "--t-max", "20", "--n-points", "8", "--out", out]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"solve, {column}: 2 of 8 nodes flagged: their rounding estimate passes 1e-08 "
+            "of the value" for column in ("N_printed", "N_consistent")
+        ]
+
     def test_each_swept_value_is_noted(self, tmp_path, capsys):
         # at d = 1e-10, d t is at most 1 and every node meets the tolerance
         out = str(tmp_path / "o")
@@ -483,11 +494,19 @@ class TestFigures:
         expect = []
         for which in range(1, 7):
             for nu, sol in zip(cli._FIGURE_NUS, _figure_reference(which, grid, TruncationPolicy())):
-                stopped = int(np.count_nonzero(sol.truncation_flag))
+                # a flagged node that used the whole budget stopped on it; the
+                # others were flagged for their rounding estimate
+                stopped = int(np.count_nonzero(sol.truncation_flag & (sol.terms_used == 50)))
+                rounded = int(np.count_nonzero(sol.truncation_flag)) - stopped
                 if stopped:
                     expect.append(
                         f"figure {which}, nu={nu:g}: {stopped} of 100 nodes "
                         "stopped on the 50-term budget"
+                    )
+                if rounded:
+                    expect.append(
+                        f"figure {which}, nu={nu:g}: {rounded} of 100 nodes "
+                        "flagged: their rounding estimate passes 1e-08 of the value"
                     )
         assert expect and err.splitlines() == expect
         # the note goes to stderr only

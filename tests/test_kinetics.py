@@ -33,13 +33,12 @@ KINETIC_THM1_NU1_T05 = 0.044416235956754749423
 KINETIC_THM1_NU09_T05 = 0.048721866863959855229
 
 # sumudu_consistent N/n0 at n0 = d = k = c = 1, a = 2, mu = 1, summed in
-# mpmath at 60 digits: ``python tests/make_horizon_table.py --values``.  At
-# t = 20, thm1 at nu = 0.5 and 0.9 (0.1073950683054902 and
-# 0.08515229617155919) are not tested: their Mittag-Leffler factors lose
-# about e^(d t) eps to cancellation, which leaves 1.7e-8 and 1.8e-7 unflagged.
+# mpmath at 60 digits: ``python tests/make_horizon_table.py --values``.
 HORIZON_THM1_NU03_T5 = 0.1788389651530907008062012
 HORIZON_THM1_NU05_T10 = 0.2400302760543358909685479
+HORIZON_THM1_NU05_T20 = 0.1073950683054902028522762
 HORIZON_THM2_NU05_T10 = 0.1539907639623730352612597
+HORIZON_THM1_NU09_T20 = 0.08515229617155919044378318
 HORIZON_THM2_NU09_T20 = 0.08481174349146495767192411
 
 POL = TruncationPolicy(max_terms=120, rel_tol=1e-16)
@@ -172,6 +171,7 @@ class TestClosedForm:
         [
             (1.1, 0.1, [0.0, -0.5, -1.23], 16, 50, 37),  # the terms peak past row 30
             (-4.0, 4.0, [-0.3, -2.0, -9.0], 3, 3, 3),  # Gamma poles at rows 0 and 1
+            (-2.5, 1.0, [-0.7, -3.0], 3, 3, 3),  # Gamma(b_j) < 0 at rows 0 and 2
             (2.9, 0.9, [-1.0, -14.8], 16, 50, 16),  # they peak below row 30 and cancel
             (1.5, 0.5, [-3.0], 1, 1, 1),
         ],
@@ -180,24 +180,27 @@ class TestClosedForm:
         # row r is e^L_2r E_{nu, c0 + 2r nu}(z), against the 30-digit power
         # series summed past its peak to 1e-30; each lattice row adds a few
         # roundings to every term, so the error is held to 4 eps per
-        # lattice row times e^L_2r sum|term|.  The rows checked are the
-        # first, the last asked for and the last served.
+        # lattice row times e^L_2r sum|term|.  The rows at the references
+        # |z| are e^L_2r sum|term|, to the same bound.  The rows checked are
+        # the first, the last asked for and the last served.
         import mpmath as mp
 
-        rows, log_gamma = kinetics._ml_lattice(np.array(zs), c0, nu, count, most)
-        assert len(rows) == served
+        rows, sizes, log_gamma = kinetics._ml_lattice(np.array(zs), c0, nu, count, most,
+                                                      np.abs(zs))
+        assert len(rows) == len(sizes) == served
         with mp.workdps(30):
             for r in sorted({0, count - 1, served - 1}):
                 scale, beta = mp.exp(log_gamma[2 * r]), mp.mpf(c0) + 2 * r * mp.mpf(nu)
-                for z, got in zip(zs, rows[r]):
+                for i, z in enumerate(zs):
                     total = size = mp.mpf(0)
                     for m in itertools.count():
                         term = mp.mpf(z) ** m * mp.rgamma(beta + m * mp.mpf(nu))
                         total, size = total + term, size + abs(term)
                         if beta + m * nu > 1 + abs(z) ** (1 / nu) and abs(term) < 1e-30 * size:
                             break
-                    error = abs(got - scale * total)
-                    assert error <= 4 * len(log_gamma) * 2.0**-52 * scale * size
+                    bound = 4 * len(log_gamma) * 2.0**-52 * scale * size
+                    assert abs(rows[r][i] - scale * total) <= bound
+                    assert abs(sizes[r][i] - scale * size) <= bound
 
     @staticmethod
     def _check_reference(p, variant, max_terms, t_max=1.0):
@@ -279,16 +282,76 @@ class TestClosedForm:
         [
             ("thm1", 0.3, 5.0, HORIZON_THM1_NU03_T5),
             ("thm1", 0.5, 10.0, HORIZON_THM1_NU05_T10),
+            ("thm1", 0.5, 20.0, HORIZON_THM1_NU05_T20),
             ("thm2", 0.5, 10.0, HORIZON_THM2_NU05_T10),
+            ("thm1", 0.9, 20.0, HORIZON_THM1_NU09_T20),
             ("thm2", 0.9, 20.0, HORIZON_THM2_NU09_T20),
         ],
     )
     def test_long_horizon_is_right_or_flagged(self, forcing, nu, t, truth):
         # each Mittag-Leffler factor is summed to its own tolerance, not to
-        # the outer term budget; a node the outer budget stops is flagged
+        # the outer term budget; a node the outer budget stops is flagged, and
+        # so is one whose factors' cancellation, about e^(d t) eps, passes
+        # 1e-8 of its value (thm1 at t = 20 was 1.7e-8 and 1.8e-7 off, unflagged)
         p = _problem(forcing=forcing, nu=nu, a=2.0)
         sol = solve_closed_form(p, TimeGrid(t_max=t, n_points=8), "sumudu_consistent")
         assert sol.truncation_flag[-1] or abs(sol.values[-1] - truth) <= 1e-8
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "kw, t_max",
+        [
+            (dict(forcing="thm1", nu=0.9), 20.0),
+            (dict(forcing="thm2", nu=0.5, a=2.0), 20.0),
+            (dict(forcing="thm3", nu=0.42, d=1.9, mu=1.5, c=1.3, k=3.0), 31.0),
+        ],
+    )
+    def test_rounding_flags_match_reference(self, kw, t_max, variant):
+        # at 48 nodes every block is one node, so each node's rounding
+        # estimate is its own mass, as the term-by-term reference sums it;
+        # the unflagged values agree to the estimate's 1e-8.  Where the sums
+        # cancel, the stop on 1e-16 of the running sum can come a term
+        # apart, so terms_used is not compared
+        p = _problem(**kw)
+        grid = TimeGrid(t_max=t_max, n_points=48)
+        sol = solve_closed_form(p, grid, variant)
+        values, _, flags = closed_form_reference(p, grid, variant, TruncationPolicy())
+        np.testing.assert_array_equal(sol.truncation_flag, flags)
+        assert flags.any() and not flags.all()
+        kept = ~flags
+        assert np.all(np.abs(sol.values - values)[kept] <= 2e-8 * np.abs(values[kept]))
+
+    def test_node_next_to_a_sign_change_is_flagged(self):
+        # figure 4's nu = 0.7 column at t_max = 10 crosses 0 between t = 9.8
+        # and 9.9; at t = 9.9, N = -1.5e-4 is small against its terms
+        p = _problem(forcing="thm3", nu=0.7)
+        sol = solve_closed_form(p, TimeGrid(t_max=10.0, n_points=100), "as_printed")
+        assert np.flatnonzero(sol.truncation_flag).tolist() == [98]
+        assert abs(sol.values[98]) < 2e-4 < abs(sol.values[97])
+
+    def test_blocks_only_add_flags(self):
+        # on 4800 nodes a block holds 75, and its magnitudes at its last node
+        # bound every node's own: the nodes the 48-node grid flags, one node a
+        # block, stay flagged, and the flags start at most 100 nodes (the
+        # coarse spacing) and one block before the coarse grid's first
+        p = _problem(forcing="thm3", nu=0.42, d=1.9, mu=1.5, c=1.3, k=3.0)
+        fine = solve_closed_form(p, TimeGrid(t_max=31.0, n_points=4800))
+        coarse = solve_closed_form(p, TimeGrid(t_max=31.0, n_points=48))
+        assert np.all(fine.truncation_flag[99::100][coarse.truncation_flag])
+        first = np.argmax(fine.truncation_flag)
+        assert 0 <= 100 * np.argmax(coarse.truncation_flag) + 99 - first < 100 + 75
+
+    def test_cancelling_nodes_are_flagged(self):
+        # thm3 at d t up to 59: the Mittag-Leffler factors lose about e^(d t)
+        # eps, which passes 1e-8 of the value between d t = 10 and 38; every
+        # node from there on is flagged
+        p = _problem(forcing="thm3", nu=0.42, d=1.9, mu=1.5, c=1.3, k=3.0)
+        grid = TimeGrid(t_max=31.0, n_points=64)
+        sol = solve_closed_form(p, grid, "sumudu_consistent")
+        flags = sol.truncation_flag
+        assert flags[-1] and not flags[0]
+        assert np.all(flags[np.argmax(flags):])  # from the first flag on
+        assert 10.0 < 1.9 * grid.points()[np.argmax(flags)] < 38.0
 
     def test_frozen_values(self):
         grid = TimeGrid(t_max=0.5, n_points=50)
