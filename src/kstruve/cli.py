@@ -114,10 +114,10 @@ def _grid(args: argparse.Namespace) -> TimeGrid:
 def _note_budget_stops(label: str, sol: SeriesSolution, pol: TruncationPolicy) -> None:
     """Stderr lines counting the flagged nodes of ``sol``, if any.
 
-    A flagged node that used the whole term budget stopped on it; any other
-    was flagged for its rounding estimate.
+    A node still summing when the term budget ran out stopped on it; any
+    other flagged node was flagged for its rounding estimate.
     """
-    stopped = int(np.count_nonzero(sol.truncation_flag & (sol.terms_used >= pol.max_terms)))
+    stopped = int(np.count_nonzero(sol.budget_stop))
     rounded = int(np.count_nonzero(sol.truncation_flag)) - stopped
     if stopped:
         print(f"{label}: {stopped} of {sol.grid.n_points} nodes stopped on the "

@@ -31,6 +31,7 @@ from .specfun import (
     TruncationPolicy,
     _k_struve_array,
     _signed_log_gamma,
+    _term_gamma_ratio,
     _wright_series_array,
     k_struve,
 )
@@ -155,11 +156,12 @@ class SeriesSolution:
     values: np.ndarray
     variant: str
     terms_used: np.ndarray
-    truncation_flag: np.ndarray
+    truncation_flag: np.ndarray  # a budget stop, or a rounding estimate past _ROUNDING_LIMIT
+    budget_stop: np.ndarray  # still summing when the term budget ran out
 
     def __post_init__(self):
-        n = self.grid.n_points
-        if not (self.values.shape == self.terms_used.shape == self.truncation_flag.shape == (n,)):
+        arrays = (self.values, self.terms_used, self.truncation_flag, self.budget_stop)
+        if any(a.shape != (self.grid.n_points,) for a in arrays):
             raise DomainError("solution arrays must match the grid length")
 
 
@@ -216,21 +218,42 @@ def _rate_power(rate: float, nu: float) -> float:
 
 
 def _variant_inputs(p: KineticProblem, t: np.ndarray, variant: str):
-    """Per-variant prefactor base X, Mittag-Leffler argument, index shift and 1/t flag.
+    """The outer series' (z, ln|z|, log-prefactor, lower pairs), its factors' (argument, c0, row).
 
-    ``as_printed`` keeps the displayed forms: d in the power for thm2 and a
-    plain (t/2)^e for thm3, with 1/t in front.  ``sumudu_consistent`` puts
-    the forcing's own argument in the power and shifts the index by nu.
-    X comes as (X, rate, e) with X = rate^e t^e.
+    Term r's factor is Gamma(beta_(2r + row)) E_{nu,beta_2r}(argument) on
+    the lattice beta_j = c0 + j nu.  The constant forcing is one term at
+    z = 0 whose factor is row 0 at c0 = 1, E_{nu,1}(-(d t)^nu); the other
+    outer series are k-Struve series of x = rate^e t^e.  ``as_printed``
+    keeps the displayed forms: d in the power for thm2 and a plain (t/2)^e
+    for thm3, with 1/t in front.  ``sumudu_consistent`` puts the forcing's
+    own argument in the power and shifts the index by nu.
     """
     tn = t ** p.nu
     d_tn = _rate_power(p.d, p.nu) * tn
+    if p.forcing == "constant":
+        zero = np.zeros(t.shape)
+        return zero, zero, 0.0, (), -d_tn, 1.0, 0
     if variant == "as_printed":
-        ml_arg = -_rate_power(p.a, p.nu) * tn if p.forcing == "thm2" else -d_tn
-        return ((t, 1.0, 1.0) if p.forcing == "thm3" else (d_tn, p.d, p.nu)), ml_arg, 0.0, True
-    if p.forcing == "thm2":
-        return (_rate_power(p.a, p.nu) * tn, p.a, p.nu), -d_tn, p.nu, False
-    return ((tn, 1.0, p.nu) if p.forcing == "thm3" else (d_tn, p.d, p.nu)), -d_tn, p.nu, False
+        ml_arg, shift = (-_rate_power(p.a, p.nu) * tn if p.forcing == "thm2" else -d_tn), 0.0
+        x, rate, power = (t, 1.0, 1.0) if p.forcing == "thm3" else (d_tn, p.d, p.nu)
+    elif p.forcing == "thm2":
+        ml_arg, shift, (x, rate, power) = -d_tn, p.nu, (_rate_power(p.a, p.nu) * tn, p.a, p.nu)
+    else:
+        ml_arg, shift = -d_tn, p.nu
+        x, rate, power = (tn, 1.0, p.nu) if p.forcing == "thm3" else (d_tn, p.d, p.nu)
+    q = p.mu / p.k
+    # below the normal range x / 2 has lost bits or is 0: ln(x/2) from ln t there
+    tiny = x < sys.float_info.min
+    log_half = np.log(np.where(tiny, 2.0, x) / 2.0)
+    log_half[tiny] = power * (math.log(rate) + np.log(t[tiny])) - math.log(2.0)
+    log_pref = (q + 1.0) * log_half - (q + 0.5) * math.log(p.k)
+    if variant == "as_printed":
+        log_pref = log_pref - np.log(t)
+    # z = -c x^2/(4k), log|z| from the same log(x/2); at c = 0 the series ends after r = 0
+    log_abs_z = 2.0 * log_half + (math.log(abs(p.c) / p.k) if p.c != 0 else 0.0)
+    # big = nu*(2r + q + 1) + 1 is the lattice row 2r + big row
+    return (-p.c * x * x / (4.0 * p.k), log_abs_z, log_pref, ((1.5, 1.0), (q + 1.5, 1.0)),
+            ml_arg, p.nu * q + 1.0 + shift, 0 if variant == "sumudu_consistent" else 1)
 
 
 def _times_n0(n0: float, totals: np.ndarray) -> np.ndarray:
@@ -253,15 +276,16 @@ def solve_closed_form(
     The outer r-series is the k-Struve series of the forcing argument x
     (divided by t for ``as_printed``) with term r multiplied at each node by
     a Mittag-Leffler factor, scaled by the large Gamma coefficient so that
-    neither overflows alone.  The shared array loop ``_wright_series_array``
-    sums it under the truncation policy and flags the nodes that stop on
-    the term budget.  The factors are not bound by that budget: one
-    backward recurrence over the Gamma lattice gives all of them, each
-    summed until its dropped tail is below 2^-64 of its largest term.  A
-    node is flagged too where its rounding estimate, 2^-52 times the
-    magnitudes of every term it gathered in both series, passes 1e-8 of
-    its value: the factors lose about e^(d t) 2^-52 to cancellation, and
-    the outer series its condition number times 2^-52.
+    neither overflows alone; the constant forcing's n0 E_{nu,1}(-(d t)^nu)
+    is its one term at z = 0, so its ``terms_used`` is 1.  The shared array
+    loop ``_wright_series_array`` sums it under the truncation policy and
+    marks the nodes that stop on the term budget.  The factors are not
+    bound by that budget: one backward recurrence over the Gamma lattice
+    gives all of them, each summed until its dropped tail is below 2^-64
+    of its largest term.  A node is flagged too where its rounding
+    estimate, 2^-52 times the magnitudes of every term it gathered in both
+    series, passes 1e-8 of its value: the factors lose about e^(d t) 2^-52
+    to cancellation, and the outer series its condition number times 2^-52.
 
     A series sum that is not finite, n0 times it, d^nu or a^nu past the
     largest double, or a factor whose terms pass the overflow guard before
@@ -274,8 +298,9 @@ def solve_closed_form(
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        totals, terms_used, converged = _closed_form_sums(p, grid.points(), variant, pol)
-    return SeriesSolution(grid, _times_n0(p.n0, totals), variant, terms_used, ~converged)
+        totals, terms_used, stopped, rounded = _closed_form_sums(p, grid.points(), variant, pol)
+    return SeriesSolution(grid, _times_n0(p.n0, totals), variant, terms_used, stopped | rounded,
+                          stopped)
 
 
 # outer terms of the first Mittag-Leffler lattice; the figures at t_max = 1 use
@@ -356,24 +381,26 @@ def _ml_lattice(
 
 
 def _rounding_flags(
-    totals: np.ndarray, used: np.ndarray, log_pref: np.ndarray, log_abs_z: np.ndarray,
-    q: float, scales: list[float], peaks: np.ndarray, edges: np.ndarray,
+    totals: np.ndarray, log_pref: np.ndarray | float, log_abs_z: np.ndarray, edges: np.ndarray,
+    lower: tuple[tuple[float, float], ...], scales: dict[int, float], peaks: np.ndarray,
 ) -> np.ndarray:
     """The nodes whose rounding estimate passes ``_ROUNDING_LIMIT`` of their sum.
 
     A node's estimate is 2^-52 times its mass: the sum over the terms r of
     |outer term r| times e^scales[r] times the magnitudes of the terms of
-    r's factor.  Over the prefactor e^log_pref, both grow with t, so they
+    r's factor.  The outer weight 1/|prod Gamma(b + B r)| is the array
+    loop's own row; a term with no scale, at a pole of Gamma(big) or of that
+    row, weighs 0.  Over the prefactor e^log_pref, both grow with t, so they
     are taken at the last node of the node's block: block b holds the
     nodes edges[b] to edges[b + 1] - 1, and peaks[r, b] holds r's factor
     magnitudes at its last node.  That over-estimates a node's mass by at
     most its growth across the block.
     """
-    terms = int(used.max())
-    outer = [-(math.lgamma(1.5) + math.lgamma(q + 1.5))]  # ln 1/(Gamma(r+3/2) Gamma(r+q+3/2))
-    for r in range(1, terms):
-        outer.append(outer[-1] - math.log((r + 0.5) * (r + q + 0.5)))
-    log_weight = np.array(outer) + np.array(scales[:terms]) - math.log(_ROUNDING_LIMIT * 2.0**52)
+    log_weight = np.full(max(scales) + 1, -math.inf)
+    for r, scale in scales.items():
+        log_weight[r] = _term_gamma_ratio(r, (), lower)[1] + scale
+    log_weight -= math.log(_ROUNDING_LIMIT * 2.0**52)
+    terms = log_weight.size
     per_block = np.exp(np.arange(terms)[:, None] * log_abs_z[edges[1:] - 1] + log_weight[:, None])
     per_block = np.repeat((per_block * peaks[:terms]).sum(axis=0), edges[1:] - edges[:-1])
     return ~(np.exp(log_pref) * per_block <= np.abs(totals))
@@ -381,48 +408,22 @@ def _rounding_flags(
 
 def _closed_form_sums(
     p: KineticProblem, t: np.ndarray, variant: str, pol: TruncationPolicy
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The closed form over n0 at the nodes t: (sums, terms_used, converged)."""
-    if p.forcing == "constant":
-        # geometric resummation of the unit-forcing series, exact for both variants
-        z = -((p.d * t) ** p.nu)
-        if not np.isfinite(z).all():
-            raise ConvergenceError("closed form: the Mittag-Leffler argument is not finite")
-        # ln|z| from numpy, any finite value where z = 0; the series is E_{nu,1}(z)
-        with np.errstate(divide="ignore"):
-            log_abs_z = p.nu * np.log(p.d * t)
-        log_abs_z[z == 0.0] = 0.0
-        return _wright_series_array("closed form", z, (), ((1.0, p.nu),), pol, log_abs_z=log_abs_z)
-
-    q = p.mu / p.k
-    (x, rate, power), ml_arg, ml_shift, over_t = _variant_inputs(p, t, variant)
-    with np.errstate(divide="ignore"):
-        log_half = np.log(x / 2.0)
-    # below the normal range x / 2 has lost bits or is 0: ln(x/2) from ln t there
-    tiny = x < sys.float_info.min
-    log_half[tiny] = power * (math.log(rate) + np.log(t[tiny])) - math.log(2.0)
-    log_pref = (q + 1.0) * log_half - (q + 0.5) * math.log(p.k)
-    if over_t:
-        log_pref = log_pref - np.log(t)
-
-    # term r's factor is Gamma(big) E_{nu,beta_2r}(z) on the lattice beta_j = c0 + j nu,
-    # with big = nu*(2r + q + 1) + 1 the lattice row 2r + big_index
-    c0 = p.nu * q + 1.0 + ml_shift
-    big_index = 0 if variant == "sumudu_consistent" else 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The closed form over n0 at the nodes t: (sums, terms_used, budget stops, rounding flags)."""
+    z, log_abs_z, log_pref, lower, ml_arg, c0, big_row = _variant_inputs(p, t, variant)
     built, rows, log_gamma = None, (), None  # the last lattice and the nodes it was built on
     # the first node of each block and one past the last, and per term r:
-    # ln|Gamma(big)| - L_2r (-inf at a pole of Gamma(big)) and the factor
+    # ln|Gamma(big)| - L_2r (none at a pole of Gamma(big)) and the factor
     # magnitudes at each block's last node
     blocks = min(t.size, _ROUNDING_BLOCKS)
     edges = np.arange(blocks + 1) * t.size // blocks
-    scales, peaks = [], []
+    scales, peaks = {}, []
 
     def ml_factor(r: int, nodes: np.ndarray) -> np.ndarray | None:
         # None at a pole of Gamma(big)
         nonlocal built, rows, log_gamma
-        big_sign, big_log = _signed_log_gamma(c0 + p.nu * (2 * r + big_index))
+        big_sign, big_log = _signed_log_gamma(c0 + p.nu * (2 * r + big_row))
         if big_sign == 0.0:
-            scales.append(-math.inf)
             return None
         if r >= len(rows):
             count = min(_FIRST_LATTICE_TERMS if built is None else pol.max_terms, pol.max_terms)
@@ -430,20 +431,17 @@ def _closed_form_sums(
             rows, tops, log_gamma = _ml_lattice(ml_arg[nodes], c0, p.nu, count, pol.max_terms,
                                                 np.abs(ml_arg[edges[1:] - 1]))
             peaks.extend(tops[len(peaks):])
-        scales.append(big_log - log_gamma[2 * r])
+        scales[r] = big_log - log_gamma[2 * r]
         ml = rows[r] if nodes.size == built.size else rows[r][np.searchsorted(built, nodes)]
-        return (big_sign * math.exp(scales[-1])) * ml
+        return (big_sign * math.exp(scales[r])) * ml
 
-    # z = -c x^2/(4k), log|z| from the same log(x/2); at c = 0 the series ends after r = 0
-    log_abs_z = 2.0 * log_half + (math.log(abs(p.c) / p.k) if p.c != 0 else 0.0)
     totals, used, converged = _wright_series_array(
-        "closed form", -p.c * x * x / (4.0 * p.k), (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
-        log_pref, log_abs_z=log_abs_z, factor=ml_factor,
+        "closed form", z, (), lower, pol, log_pref, log_abs_z=log_abs_z, factor=ml_factor,
     )
-    if built is not None:  # else every term was 0
-        converged &= ~_rounding_flags(totals, used, log_pref, log_abs_z, q, scales,
-                                      np.array(peaks), edges)
-    return totals, used, converged
+    if built is None:  # every term was 0
+        return totals, used, ~converged, np.zeros(t.shape, dtype=bool)
+    rounded = _rounding_flags(totals, log_pref, log_abs_z, edges, lower, scales, np.array(peaks))
+    return totals, used, ~converged, rounded
 
 
 def _solve_variants(p: KineticProblem, grid: TimeGrid, pol: TruncationPolicy):

@@ -11,8 +11,9 @@ replaced by ``<tmp>`` in all text.  The battery covers every subcommand,
 each exit code, both ``--config`` spellings, ``figures --format
 csv/svg/both``, negative values after a flag and in ``=`` form, and the
 closed form and Sumudu image at arguments that underflow or overflow, the
-overflow guard tripped in ``solve`` and ``sweep``, n0 times the sum past
-the largest double, a long horizon that stops on the term budget, and
+overflow guard tripped in ``solve`` and ``sweep`` (by the constant
+forcing's Mittag-Leffler factor too), n0 times the sum past the largest
+double, a long horizon that stops on the term budget, and
 tables longer than the float writer's 1024-row block.  Two
 checkouts that print the same digest write the same bytes for every argv;
 ``--lines`` prints one digest per argv, so a ``diff`` of two runs names the
@@ -79,6 +80,8 @@ BATTERY = [
     ["solve", "--d", "1e300", "--nu", "2", "--n-points", "4"],
     ["solve", "--t-max", "40", "--nu", "0.5", "--n-points", "6"],
     ["solve", "--forcing", "constant", "--n-points", "1030"],
+    ["solve", "--forcing", "constant", "--nu", "0.3", "--d", "1.3", "--n-points", "64"],
+    ["solve", "--forcing", "constant", "--nu", "0.5", "--t-max", "1e10", "--n-points", "4"],
     ["solve", "--nu", "0.9", "--t-max", "1e9", "--n-points", "4"],
     ["solve", "--c"],
     ["solve", "--help"],

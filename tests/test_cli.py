@@ -311,8 +311,9 @@ class TestSolve:
 class TestBudgetStopNotes:
     """``solve``, ``validate`` and ``sweep`` name each closed-form column with budget stops."""
 
-    # E_0.5(-t^0.5) at t up to 1e10: every node stops on the 50-term budget
-    FLAGGED = ["--forcing", "constant", "--nu", "0.5", "--t-max", "1e10", "--n-points", "4"]
+    # thm1 at nu = 0.9 and t up to 1 needs up to 10 outer terms: every node
+    # stops on a 3-term budget
+    FLAGGED = ["--max-terms", "3", "--n-points", "4"]
 
     @pytest.mark.parametrize("command, code", [("solve", EXIT_OK), ("validate", EXIT_DISAGREE)])
     def test_each_variant_column_is_noted(self, command, code, tmp_path, capsys):
@@ -320,7 +321,7 @@ class TestBudgetStopNotes:
         assert main([command, *self.FLAGGED, "--out", out]) == code
         stdout, err = capsys.readouterr()
         assert err.splitlines() == [
-            f"{command}, {column}: 4 of 4 nodes stopped on the 50-term budget"
+            f"{command}, {column}: 4 of 4 nodes stopped on the 3-term budget"
             for column in ("N_printed", "N_consistent")
         ]
         assert stdout.splitlines()[0] == out + ".csv"
@@ -338,17 +339,42 @@ class TestBudgetStopNotes:
         ]
 
     def test_each_swept_value_is_noted(self, tmp_path, capsys):
-        # at d = 1e-10, d t is at most 1 and every node meets the tolerance
+        # at d = 1e-10 the outer series' second term is below 1e-16 of the first
         out = str(tmp_path / "o")
         argv = ["sweep", "--param", "d", "--values", "1,1e-10", *self.FLAGGED, "--out", out]
         assert main(argv) == EXIT_OK
         stdout, err = capsys.readouterr()
-        assert err.splitlines() == ["sweep, d=1: 4 of 4 nodes stopped on the 50-term budget"]
+        assert err.splitlines() == ["sweep, d=1: 4 of 4 nodes stopped on the 3-term budget"]
         assert stdout == out + ".csv\n"
+
+    def test_rounding_flag_on_the_last_term_is_not_a_budget_stop(self, tmp_path, capsys):
+        # figure 3 at nu = 1.5: three flagged nodes meet the tolerance, one of
+        # them on term 50, which a count of terms_used = 50 took for a stop
+        argv = ["figures", "--which", "3", "--t-max", "20", "--n-points", "16", "--format", "csv"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines()[-2:] == [
+            "figure 3, nu=1.5: 6 of 16 nodes stopped on the 50-term budget",
+            "figure 3, nu=1.5: 3 of 16 nodes flagged: their rounding estimate passes 1e-08 "
+            "of the value",
+        ]
+
+    def test_constant_forcing_overflow_is_loud(self, tmp_path, capsys):
+        # its factor is summed to its own tolerance, whose terms pass e^700;
+        # a 50-term power series wrote -5.8e205 and a budget note
+        argv = ["solve", "--forcing", "constant", "--nu", "0.5", "--t-max", "1e10",
+                "--n-points", "4", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: closed form: Mittag-Leffler term 69 has log-magnitude "
+            "704.0369268171273 relative to its row's first, exceeding the overflow guard 700\n"
+        )
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["solve"], ["validate"], ["sweep", "--param", "nu", "--values", "0.5,1.5"],
         ["solve", "--forcing", "constant"],
+        # the 50-term power series of E_0.3 stopped on the budget at 40 nodes
+        ["solve", "--forcing", "constant", "--nu", "0.3", "--d", "1.3"],
     ])
     def test_no_note_without_budget_stops(self, argv, tmp_path, capsys):
         assert main([*argv, "--n-points", "64", "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -494,9 +520,9 @@ class TestFigures:
         expect = []
         for which in range(1, 7):
             for nu, sol in zip(cli._FIGURE_NUS, _figure_reference(which, grid, TruncationPolicy())):
-                # a flagged node that used the whole budget stopped on it; the
-                # others were flagged for their rounding estimate
-                stopped = int(np.count_nonzero(sol.truncation_flag & (sol.terms_used == 50)))
+                # a node still summing when the budget ran out stopped on it;
+                # the other flagged nodes were flagged for their rounding estimate
+                stopped = int(np.count_nonzero(sol.budget_stop))
                 rounded = int(np.count_nonzero(sol.truncation_flag)) - stopped
                 if stopped:
                     expect.append(
@@ -564,16 +590,17 @@ class TestSweep:
         assert rc == EXIT_INPUT
 
     def test_guard_trip_reads_above_the_guard(self, tmp_path, capsys):
-        # nu = 0.5 stops on the budget; at nu = 0.7 term 49 of the constant
-        # forcing's closed form passes the guard by 0.14, which ":.3g" printed as
-        # 700; the failure names the swept value, as the budget notes do
-        argv = ["sweep", "--param", "nu", "--values", "0.5,0.7", "--forcing", "constant",
-                "--t-max", "1e10", "--n-points", "4", "--out", str(tmp_path / "sw")]
+        # d = 1 stops on the 3-term budget; at d = 720 term 711 of the first
+        # Mittag-Leffler factor passes the guard by 0.10, which ":.3g" would
+        # print as 700; the failure names the swept value, as the budget notes do
+        argv = ["sweep", "--param", "d", "--values", "1,720", "--max-terms", "3",
+                "--n-points", "4", "--out", str(tmp_path / "sw")]
         assert main(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
-            "sweep, nu=0.5: 4 of 4 nodes stopped on the 50-term budget\n"
-            "numerical failure: sweep, nu=0.7: closed form: term 49 has log-magnitude "
-            "700.1422605641444 exceeding the overflow guard 700\n"
+            "sweep, d=1: 4 of 4 nodes stopped on the 3-term budget\n"
+            "numerical failure: sweep, d=720: closed form: Mittag-Leffler term 711 has "
+            "log-magnitude 700.1020399260686 relative to its row's first, exceeding the "
+            "overflow guard 700\n"
         )
         assert not list(tmp_path.iterdir())
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -42,6 +43,20 @@ HORIZON_THM1_NU09_T20 = 0.08515229617155919044378318
 HORIZON_THM2_NU09_T20 = 0.08481174349146495767192411
 
 POL = TruncationPolicy(max_terms=120, rel_tol=1e-16)
+
+
+def _mittag_leffler_mp(nu, z):
+    """E_{nu,1}(z) for real z <= 0, summed term by term at 60 digits."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        nu, z = mp.mpf(nu), mp.mpf(z)
+        total = size = mp.mpf(0)
+        for m in itertools.count():
+            term = z**m * mp.rgamma(nu * m + 1)
+            total, size = total + term, size + abs(term)
+            if nu * m > 1 + abs(z) ** (1 / nu) and abs(term) < 1e-40 * size:
+                return float(total)
 
 
 def _problem(**kw):
@@ -253,9 +268,9 @@ class TestClosedForm:
             solve_closed_form(p, TimeGrid(t_max=5.0, n_points=8), variant)
 
     def test_n0_overflow_raises_constant_forcing(self, monkeypatch):
-        # |E_nu(-x)| <= 1 for these orders, so the resummed branch is made
-        # to return 2
-        def two(what, z, upper, lower, pol, log_abs_z):
+        # |E_nu(-x)| <= 1 for these orders, so the outer series is made to
+        # return 2
+        def two(what, z, *args, **kwargs):
             return np.full(z.shape, 2.0), np.ones(z.shape, dtype=int), np.ones(z.shape, dtype=bool)
 
         monkeypatch.setattr(kinetics, "_wright_series_array", two)
@@ -392,27 +407,89 @@ class TestClosedForm:
         assert len(calls) == 1
         assert calls[0][1].shape == (64,)
 
-    def test_constant_forcing_budget_stop_is_flagged(self):
-        # E_0.5(-t^0.5) lies in (0, 1); at t up to 1e10 the 50-term series
-        # sums to -5.8e205 ... -3.2e220, and every node stops on the budget
-        sol = solve_closed_form(_problem(forcing="constant", nu=0.5), TimeGrid(1e10, 4))
-        assert sol.terms_used.tolist() == [50] * 4
-        assert sol.truncation_flag.all()
+    def test_constant_forcing_overflow_is_loud(self):
+        # E_0.5(-t^0.5) lies in (0, 1); at t up to 1e10 its terms pass e^700
+        # before they fall, and the factor raises where a 50-term power
+        # series summed to -5.8e205 ... -3.2e220 and stopped on the budget
+        with pytest.raises(ConvergenceError, match="Mittag-Leffler term 69 .* overflow guard"):
+            solve_closed_form(_problem(forcing="constant", nu=0.5), TimeGrid(1e10, 4))
         sol = solve_closed_form(_problem(forcing="constant", nu=0.5), TimeGrid(1.0, 4))
-        assert sol.terms_used.max() < 50 and not sol.truncation_flag.any()
+        assert sol.terms_used.tolist() == [1] * 4 and not sol.truncation_flag.any()
+
+    def test_constant_forcing_ignores_the_term_budget(self):
+        # the one outer term's factor sums to its own tolerance: E_0.3 at
+        # |z| up to 1.08 needs about 100 terms, and a 2-term budget stops none
+        p = _problem(forcing="constant", nu=0.3, d=1.3)
+        grid = TimeGrid(t_max=1.0, n_points=64)
+        short = solve_closed_form(p, grid, pol=TruncationPolicy(max_terms=2))
+        np.testing.assert_array_equal(short.values, solve_closed_form(p, grid).values)
+        assert not short.truncation_flag.any() and not short.budget_stop.any()
+
+    def test_constant_forcing_matches_mpmath_at_nu_0_3(self):
+        # the 50-term power series stopped on the budget at 40 of these 64
+        # nodes, up to 6.1e-11 off
+        p = _problem(forcing="constant", nu=0.3, d=1.3)
+        grid = TimeGrid(t_max=1.0, n_points=64)
+        sol = solve_closed_form(p, grid)
+        truth = [_mittag_leffler_mp(0.3, -((1.3 * t) ** 0.3)) for t in grid.points()]
+        assert np.all(np.abs(sol.values - truth) <= 1e-13 * np.abs(truth))
+        assert not sol.truncation_flag.any()
+
+    @pytest.mark.parametrize(
+        "nu, t_max, n",
+        [
+            # the value at t = 15 was 1.2e-7 off and not flagged
+            (1.5, 15.0, 4),
+            pytest.param(1.5, 15.0, 64, marks=pytest.mark.xfail(
+                raises=AssertionError, strict=True,
+                reason="ROADMAP item 1: five nodes unflagged, up to 3.8e-8 off")),
+        ],
+    )
+    def test_constant_forcing_within_1e_8_or_flagged(self, nu, t_max, n):
+        grid = TimeGrid(t_max=t_max, n_points=n)
+        sol = solve_closed_form(_problem(forcing="constant", nu=nu), grid)
+        truth = np.array([_mittag_leffler_mp(nu, -(t**nu)) for t in grid.points()])
+        assert np.all(sol.truncation_flag | (np.abs(sol.values - truth) <= 1e-8 * np.abs(truth)))
+
+    @pytest.mark.parametrize(
+        "nu, d, t_max, n, exact",
+        [
+            (1.0, 1.0, 30.0, 64, np.exp),
+            # 16 nodes were up to 2e-4 off cos(d t) and not flagged
+            (2.0, 1.0, 30.0, 64, lambda z: np.cos(np.sqrt(-z))),
+            pytest.param(
+                2.0, 1.7, 20.0, 200, lambda z: np.cos(np.sqrt(-z)), marks=pytest.mark.xfail(
+                    raises=AssertionError, strict=True,
+                    reason="ROADMAP item 1: two nodes unflagged, 1.5e-8 off")),
+        ],
+    )
+    def test_constant_forcing_exact_identities(self, nu, d, t_max, n, exact):
+        # E_{1,1}(z) = e^z and E_{2,1}(-x^2) = cos x: each node within 1e-8
+        # of the identity, or flagged
+        grid = TimeGrid(t_max=t_max, n_points=n)
+        sol = solve_closed_form(_problem(forcing="constant", nu=nu, d=d), grid)
+        truth = exact(-((d * grid.points()) ** nu))
+        assert np.all(sol.truncation_flag | (np.abs(sol.values - truth) <= 1e-8 * np.abs(truth)))
+        assert sol.truncation_flag.any() and not sol.budget_stop.any()
 
     def test_diagnostics_shapes(self):
         grid = TimeGrid(t_max=1.0, n_points=10)
         sol = solve_closed_form(_problem(), grid, "sumudu_consistent", POL)
         assert sol.terms_used.shape == (10,)
-        assert sol.truncation_flag.shape == (10,)
+        assert sol.truncation_flag.shape == sol.budget_stop.shape == (10,)
         assert not sol.truncation_flag.any()  # 120 terms ample on (0, 1]
         assert sol.terms_used.max() <= POL.max_terms
+
+    def test_solution_arrays_must_match_the_grid(self):
+        sol = solve_closed_form(_problem(), TimeGrid(t_max=1.0, n_points=4))
+        with pytest.raises(DomainError, match="grid length"):
+            dataclasses.replace(sol, budget_stop=sol.budget_stop[:3])
 
     def test_truncation_flag_raised_when_budget_too_small(self):
         grid = TimeGrid(t_max=1.0, n_points=4)
         sol = solve_closed_form(_problem(), grid, "sumudu_consistent", TruncationPolicy(max_terms=2))
-        assert sol.truncation_flag.any()
+        assert sol.budget_stop.any()
+        np.testing.assert_array_equal(sol.truncation_flag, sol.budget_stop)
 
     @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
     def test_c_zero_is_exact_after_one_term(self, variant):
