@@ -418,6 +418,9 @@ def _closed_form_sums(
     blocks = min(t.size, _ROUNDING_BLOCKS)
     edges = np.arange(blocks + 1) * t.size // blocks
     scales, peaks = {}, []
+    # the outer series ends at r = 0 where z is 0 at every node (the constant
+    # forcing, c = 0), so its first lattice needs one outer term
+    first = _FIRST_LATTICE_TERMS if z.any() else 1
 
     def ml_factor(r: int, nodes: np.ndarray) -> np.ndarray | None:
         # None at a pole of Gamma(big)
@@ -426,7 +429,7 @@ def _closed_form_sums(
         if big_sign == 0.0:
             return None
         if r >= len(rows):
-            count = min(_FIRST_LATTICE_TERMS if built is None else pol.max_terms, pol.max_terms)
+            count = min(first if built is None else pol.max_terms, pol.max_terms)
             built = nodes
             rows, tops, log_gamma = _ml_lattice(ml_arg[nodes], c0, p.nu, count, pol.max_terms,
                                                 np.abs(ml_arg[edges[1:] - 1]))

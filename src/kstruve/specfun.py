@@ -10,11 +10,13 @@ series with a rescaled argument.  An array form of the loop sums a whole
 grid of arguments at once for ``k_struve``, ``mittag_leffler`` and the
 kinetic closed form.
 
-Both loops read each term's Gamma ratio, as a (sign, log-magnitude) pair,
-from a table cached per parameter set: the key is the (upper, lower)
-tuples alone, never the argument.  A table grows only as far as a call
-reaches.  At most 1024 tables of at most 256 rows are kept; the cache is cleared
-when a new table finds it full.
+Both loops read each term's Gamma ratio from a table cached per parameter
+set and sign of the argument: the key is the (upper, lower) tuples and
+whether z < 0, never z itself.  Row n holds n as a float, the ratio's sign
+times the sign of z^n, and its log-magnitude, so the scalar loop is one
+pass over the rows.  A table grows only as far as a call reaches.  At most
+1024 tables of at most 256 rows are kept; the cache is cleared when a new
+table finds it full.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -228,17 +231,39 @@ def _term_gamma_ratio(
     return sign, log_up - log_low
 
 
-# Row n of the table under key (upper, lower) is _term_gamma_ratio(n, upper,
-# lower).  A published table is an immutable tuple, replaced only by a
-# longer one, so a caller still reading an older table reads the same rows.
-# A call that raises publishes nothing, and an upper pole has no row, so the
-# pole raises on every call that reaches its term.
+# Row n of the table under key (upper, lower, negative) is _ratio_row(n,
+# upper, lower, negative).  A published table is an immutable tuple, replaced
+# only by a longer one, so a caller still reading an older table reads the
+# same rows.  A call that raises publishes nothing, and an upper pole has no
+# row, so the pole raises on every call that reaches its term.
 _RATIO_TABLE_CAP = 1024  # tables; the cache is cleared when a new one finds it full
 _RATIO_ROW_CAP = 256  # rows published per table; later rows are computed per call
-_ratio_tables: dict[tuple, tuple[tuple[float, float], ...]] = {}
+_ratio_tables: dict[tuple, tuple[tuple[float, float, float], ...]] = {}
 
 
-def _publish_ratio_table(key: tuple, rows: list[tuple[float, float]]) -> None:
+def _ratio_row(
+    n: int,
+    upper: tuple[tuple[float, float], ...],
+    lower: tuple[tuple[float, float], ...],
+    negative: bool,
+) -> tuple[float, float, float]:
+    """Row n of a ratio table: n, the sign and ln|.| of prod Gamma(a + A n) / prod Gamma(b + B n).
+
+    With ``negative`` (z < 0) the sign also carries (-1)^n, the sign of z^n.
+    It is 0 at a lower Gamma pole.  n is a float: the loops multiply ln|z| by it.
+    """
+    g_sign, log_ratio = _term_gamma_ratio(n, upper, lower)
+    return float(n), (-g_sign if negative and n & 1 else g_sign), log_ratio
+
+
+def _grown_rows(grown: list, start: int, stop: int, upper, lower, negative: bool):
+    """Rows start to stop - 1 of ``_ratio_row``, each appended to ``grown`` as it is yielded."""
+    for n in range(start, stop):
+        grown.append(_ratio_row(n, upper, lower, negative))
+        yield grown[-1]
+
+
+def _publish_ratio_table(key: tuple, rows) -> None:
     """Cache rows under key if they extend the published table."""
     if min(len(rows), _RATIO_ROW_CAP) <= len(_ratio_tables.get(key, ())):
         return
@@ -268,27 +293,26 @@ def _wright_series(
     Returns (value, terms_used).
     """
     log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
-    # the sign of z^n for even and odd n
-    power_sign = (1.0, -1.0 if z < 0 else 1.0)
-    key = (upper, lower)
-    table = rows = _ratio_tables.get(key, ())
+    count = pol.max_terms if z != 0.0 else 1
+    key = (upper, lower, z < 0)
+    table = _ratio_tables.get(key, ())
+    grown = []  # rows past the published table, computed as the loop reaches them
+    if count <= len(table):
+        rows = table if count == len(table) else table[:count]
+    else:
+        rows = chain(table, _grown_rows(grown, len(table), count, upper, lower, z < 0))
     rel_tol, exp = pol.rel_tol, math.exp
     total = carry = 0.0
-    for n in range(pol.max_terms if z != 0.0 else 1):
-        if n == len(rows):
-            if rows is table:  # the published tuple is copied only to grow it
-                rows = list(table)
-            rows.append(_term_gamma_ratio(n, upper, lower))
-        g_sign, log_ratio = rows[n]
-        if g_sign == 0.0:
+    for n, sign, log_ratio in rows:
+        if sign == 0.0:
             continue
         log_mag = log_pref + n * log_abs_z + log_ratio
         if not log_mag <= _OVERFLOW_GUARD:
             raise ConvergenceError(
-                f"{what}: term {n} has log-magnitude {float(log_mag)!r} "
+                f"{what}: term {int(n)} has log-magnitude {float(log_mag)!r} "
                 f"exceeding the overflow guard {_OVERFLOW_GUARD:.3g}"
             )
-        term = power_sign[n & 1] * g_sign * exp(log_mag)
+        term = sign * exp(log_mag)
         # Kahan step: alternating series lose digits otherwise
         compensated = term + carry
         previous = total
@@ -296,9 +320,9 @@ def _wright_series(
         carry = compensated - (total - previous)
         if total != 0.0 and abs(term) <= rel_tol * abs(total):
             break
-    if rows is not table:
-        _publish_ratio_table(key, rows)
-    return total, n + 1
+    if grown:
+        _publish_ratio_table(key, table + tuple(grown))
+    return total, int(n) + 1
 
 
 def _series_terms(
@@ -314,13 +338,12 @@ def _series_terms(
     it is meant for terms the loop has already summed without raising.
     """
     log_abs_z = math.log(abs(z))
-    power_sign = (1.0, -1.0 if z < 0 else 1.0)
-    rows = list(_ratio_tables.get((upper, lower), ())[:count])
-    rows += [_term_gamma_ratio(n, upper, lower) for n in range(len(rows), count)]
+    rows = list(_ratio_tables.get((upper, lower, z < 0), ())[:count])
+    rows += [_ratio_row(n, upper, lower, z < 0) for n in range(len(rows), count)]
     exp = math.exp
     return [
-        power_sign[n & 1] * g_sign * exp(log_pref + n * log_abs_z + log_ratio) if g_sign else 0.0
-        for n, (g_sign, log_ratio) in enumerate(rows)
+        sign * exp(log_pref + n * log_abs_z + log_ratio) if sign else 0.0
+        for n, sign, log_ratio in rows
     ]
 
 
@@ -389,16 +412,15 @@ def _wright_series_array(
     log_pref = np.full(z.shape, log_pref, dtype=float)  # a copy: parked entries are written
     total = np.zeros(z.shape)
     carry = np.zeros(z.shape)
-    key = (upper, lower)
-    table = rows = _ratio_tables.get(key, ())
+    # the z >= 0 rows: each node's own sign multiplies the odd terms
+    key = (upper, lower, False)
+    table = _ratio_tables.get(key, ())
+    grown = []
+    rows = chain(table, _grown_rows(grown, len(table), pol.max_terms, upper, lower, False))
     for n in range(pol.max_terms):
         if nodes.size == 0:
             break
-        if n == len(rows):
-            if rows is table:  # the published tuple is copied only to grow it
-                rows = list(table)
-            rows.append(_term_gamma_ratio(n, upper, lower))
-        g_sign, log_ratio = rows[n]
+        _, g_sign, log_ratio = next(rows)
         scale = factor(n, nodes) if g_sign != 0.0 else None
         if scale is None:
             stop = np.zeros(nodes.size, dtype=bool)
@@ -430,8 +452,8 @@ def _wright_series_array(
                 nodes, live, log_pref, log_abs_z, z_sign, total, carry = (
                     arr[keep] for arr in (nodes, live, log_pref, log_abs_z, z_sign, total, carry)
                 )
-    if rows is not table:
-        _publish_ratio_table(key, rows)
+    if grown:
+        _publish_ratio_table(key, table + tuple(grown))
     values[nodes[live]] = total[live]
     converged = np.ones(z.shape, dtype=bool)
     converged[nodes[live]] = False  # still summing when the term budget ran out

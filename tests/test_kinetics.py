@@ -312,6 +312,21 @@ class TestClosedForm:
         sol = solve_closed_form(p, TimeGrid(t_max=t, n_points=8), "sumudu_consistent")
         assert sol.truncation_flag[-1] or abs(sol.values[-1] - truth) <= 1e-8
 
+    @pytest.mark.parametrize("mu", [0.5, 1.5])
+    def test_outer_cancellation_is_flagged(self, mu):
+        # the outer k-Struve series' argument (a t)^nu reaches 44 by t = 5:
+        # every node stops on rel_tol, and the worst is 0.37 (mu 0.5) and
+        # 0.13 (mu 1.5) of max|N| off the oracle; each node more than 1e-3
+        # off is flagged by its rounding estimate
+        p = _problem(n0=1.3, d=1.2, a=2.5, nu=1.5, k=0.5, c=1.0, mu=mu, forcing="thm2")
+        grid = TimeGrid(t_max=5.0, n_points=256)
+        pol = TruncationPolicy(max_terms=100, rel_tol=1e-16)
+        sol = solve_closed_form(p, grid, "sumudu_consistent", pol)
+        oracle = volterra_oracle(p, grid).values
+        off = np.abs(sol.values - oracle) > 1e-3 * np.max(np.abs(oracle))
+        assert off.any() and not sol.budget_stop.any()
+        assert np.all(sol.truncation_flag[off])
+
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize(
         "kw, t_max",
@@ -498,6 +513,17 @@ class TestClosedForm:
         assert np.all(np.isfinite(sol.values))
         assert not sol.truncation_flag.any()
         assert np.all(sol.terms_used == 1)
+
+    @pytest.mark.parametrize("kw", [dict(forcing="constant"), dict(c=0.0)])
+    def test_one_term_outer_series_builds_a_one_term_lattice(self, kw, monkeypatch):
+        # z is 0 at every node, so the outer series ends at r = 0 and its
+        # lattice need not store the first lattice's 16 terms
+        counts = []
+        real = kinetics._ml_lattice
+        monkeypatch.setattr(kinetics, "_ml_lattice", lambda z, c0, nu, count, *rest: (
+            counts.append(count) or real(z, c0, nu, count, *rest)))
+        sol = solve_closed_form(_problem(**kw), TimeGrid(t_max=1.0, n_points=64))
+        assert counts == [1] and np.all(sol.terms_used == 1)
 
     def test_scales_linearly_in_n0(self):
         grid = TimeGrid(t_max=1.0, n_points=8)

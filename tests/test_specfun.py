@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -866,9 +867,9 @@ class TestRatioTable:
         for _ in range(2):
             value, used = mittag_leffler_info(1.0, -1.0, 0.5)
             assert value == pytest.approx(0.25 * math.exp(0.5), rel=1e-14)
-        rows = specfun._ratio_tables[((), ((-1.0, 1.0),))]
+        rows = specfun._ratio_tables[((), ((-1.0, 1.0),), False)]
         assert len(rows) == used
-        assert rows[:2] == ((0.0, 0.0), (0.0, 0.0))
+        assert rows[:2] == ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
     def test_upper_pole_raises_at_its_term_every_call(self):
         # Gamma(-2.5 + n/2) has its first pole at n = 1
@@ -881,14 +882,14 @@ class TestRatioTable:
         # one term stops short of the pole; its row is cached and the pole still raises
         value, used = fox_wright_info(w, 0.5, TruncationPolicy(max_terms=1))
         assert (value, used) == (pytest.approx(math.gamma(-2.5), rel=1e-14), 1)
-        assert len(specfun._ratio_tables[(w.upper, w.lower + ((1.0, 1.0),))]) == 1
+        assert len(specfun._ratio_tables[(w.upper, w.lower + ((1.0, 1.0),), False)]) == 1
         with pytest.raises(DomainError, match="at term 1: argument -2.0"):
             fox_wright_info(w, 0.5)
 
     def test_short_table_serves_a_longer_call(self):
         # E_{0.3,0.7}(-2) is still summing at term 200, so both calls use every term
         alpha, beta, z = 0.3, 0.7, -2.0
-        key = ((), ((beta, alpha),))
+        key = ((), ((beta, alpha),), True)
         short = TruncationPolicy(max_terms=50, rel_tol=0.0)
         long = TruncationPolicy(max_terms=200, rel_tol=0.0)
         specfun._ratio_tables.clear()
@@ -898,13 +899,61 @@ class TestRatioTable:
         assert len(specfun._ratio_tables[key]) == 200
         with mock.patch.object(specfun, "_wright_series", _reference_series):
             assert got == mittag_leffler_info(alpha, beta, z, long)
-        # the array loop reads the same table, and gives its cold result
+        # the array loop reads the z >= 0 table: a short one serves its
+        # longer call too, which gives its cold result
         nodes = np.array([z, -0.5, 0.0])
+        specfun._mittag_leffler_array(alpha, beta, nodes, short)
+        assert len(specfun._ratio_tables[key[:2] + (False,)]) == 50
         warm = specfun._mittag_leffler_array(alpha, beta, nodes, long)
+        assert len(specfun._ratio_tables[key[:2] + (False,)]) == 200
         specfun._ratio_tables.clear()
         cold = specfun._mittag_leffler_array(alpha, beta, nodes, long)
         assert warm[0].tobytes() == cold[0].tobytes()
         assert warm[1].tolist() == cold[1].tolist()
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(["negative", "zero", "positive", "array"]))
+    )
+    def test_signs_of_z_share_no_rows(self, order):
+        # the rows of z < 0 flip the odd terms' signs, and Gamma(-0.4 + 0.7 n)
+        # < 0 at n = 0 mixes the ratios' own; each call reaches past or stops
+        # short of the tables the calls before it grew
+        alpha, beta = 0.7, -0.4
+        scalar = {
+            "negative": (-1.7, TruncationPolicy(max_terms=40, rel_tol=0.0)),
+            "zero": (0.0, TruncationPolicy(max_terms=60, rel_tol=0.0)),
+            "positive": (1.3, TruncationPolicy(max_terms=25, rel_tol=0.0)),
+        }
+        nodes = np.array([-1.7, 0.0, 1.3, -0.4])
+        array_pol = TruncationPolicy(max_terms=55, rel_tol=0.0)
+        with mock.patch.object(specfun, "_wright_series", _reference_series):
+            expected = {k: mittag_leffler_info(alpha, beta, *call) for k, call in scalar.items()}
+        specfun._ratio_tables.clear()
+        values, used, _ = specfun._mittag_leffler_array(alpha, beta, nodes, array_pol)
+        expected["array"] = values.tobytes(), used.tolist()
+        specfun._ratio_tables.clear()
+        for _ in range(2):
+            for kind in order:
+                if kind == "array":
+                    values, used, _ = specfun._mittag_leffler_array(alpha, beta, nodes, array_pol)
+                    assert (values.tobytes(), used.tolist()) == expected[kind]
+                else:
+                    assert mittag_leffler_info(alpha, beta, *scalar[kind]) == expected[kind]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(["radius", "zero", "positive"])))
+    def test_borderline_rebuild_reads_its_own_sign(self, order):
+        # the CVZ branch at z = -radius rebuilds its terms from the z < 0 rows;
+        # rows of z > 0 would not alternate, and the plain partial sum would stay
+        w = WrightParams(upper=((3.0, 2.0), (1.0, 1.0)), lower=((2.5, 1.0), (1.5, 1.0)))
+        args = {"radius": -w.radius, "zero": 0.0, "positive": 0.2}
+        pol = TruncationPolicy(max_terms=50)
+        specfun._ratio_tables.clear()
+        with mock.patch.object(specfun, "_wright_series", _reference_series):
+            expected = {k: fox_wright_info(w, z, pol) for k, z in args.items()}
+        assert expected["radius"] == (pytest.approx(PSI22_BOUNDARY, rel=1e-12), 50)
+        for _ in range(2):
+            for kind in order:
+                assert fox_wright_info(w, args[kind], pol) == expected[kind]
 
     def test_cache_is_bounded(self):
         specfun._ratio_tables.clear()
@@ -912,11 +961,11 @@ class TestRatioTable:
         for i in range(cap + 100):
             mittag_leffler(1.0, 1.0 + i / 4096, 0.5)
             assert len(specfun._ratio_tables) <= cap
-        assert ((), ((1.0 + (cap + 99) / 4096, 1.0),)) in specfun._ratio_tables
+        assert ((), ((1.0 + (cap + 99) / 4096, 1.0),), False) in specfun._ratio_tables
         # a long call computes every row but publishes at most the row cap
         value, used = mittag_leffler_info(0.3, 0.7, -2.0, TruncationPolicy(max_terms=300, rel_tol=0.0))
         assert used == 300
-        assert len(specfun._ratio_tables[((), ((0.7, 0.3),))]) == specfun._RATIO_ROW_CAP
+        assert len(specfun._ratio_tables[((), ((0.7, 0.3),), True)]) == specfun._RATIO_ROW_CAP
 
     def test_threads_share_a_fresh_table(self):
         # each round, 4 threads start one fresh parameter set together, so
