@@ -217,43 +217,65 @@ def _rate_power(rate: float, nu: float) -> float:
         raise ConvergenceError(f"{rate!r} ** {nu!r} overflows a double") from None
 
 
-def _variant_inputs(p: KineticProblem, t: np.ndarray, variant: str):
-    """The outer series' (z, ln|z|, log-prefactor, lower pairs), its factors' (argument, c0, row).
+def _variant_inputs(p: KineticProblem, t: np.ndarray, variants: tuple[str, ...]):
+    """Per variant, the outer series' (z, ln|z|, log-prefactor) and its factors' (argument, row).
 
-    Term r's factor is Gamma(beta_(2r + row)) E_{nu,beta_2r}(argument) on
-    the lattice beta_j = c0 + j nu.  The constant forcing is one term at
-    z = 0 whose factor is row 0 at c0 = 1, E_{nu,1}(-(d t)^nu); the other
-    outer series are k-Struve series of x = rate^e t^e.  ``as_printed``
-    keeps the displayed forms: d in the power for thm2 and a plain (t/2)^e
-    for thm3, with 1/t in front.  ``sumudu_consistent`` puts the forcing's
-    own argument in the power and shifts the index by nu.
+    Term r's factor is Gamma(b_(2r+1)) E_{nu,b_(2r+row)}(argument) on the
+    lattice of ``_lattice_origin``.  The constant forcing is one term at
+    z = 0 whose factor is row 1, E_{nu,1}(-(d t)^nu); the other outer
+    series are k-Struve series of x = rate^e t^e.  ``as_printed`` keeps the
+    displayed forms: d in the power for thm2 and a plain (t/2)^e for thm3,
+    with 1/t in front, and reads the even rows.  ``sumudu_consistent`` puts
+    the forcing's own argument in the power and reads the odd rows, its
+    index shifted by nu.  Variants with one argument share its array, and
+    variants with one x share its series.
     """
     tn = t ** p.nu
     d_tn = _rate_power(p.d, p.nu) * tn
     if p.forcing == "constant":
         zero = np.zeros(t.shape)
-        return zero, zero, 0.0, (), -d_tn, 1.0, 0
-    if variant == "as_printed":
-        ml_arg, shift = (-_rate_power(p.a, p.nu) * tn if p.forcing == "thm2" else -d_tn), 0.0
-        x, rate, power = (t, 1.0, 1.0) if p.forcing == "thm3" else (d_tn, p.d, p.nu)
-    elif p.forcing == "thm2":
-        ml_arg, shift, (x, rate, power) = -d_tn, p.nu, (_rate_power(p.a, p.nu) * tn, p.a, p.nu)
-    else:
-        ml_arg, shift = -d_tn, p.nu
-        x, rate, power = (tn, 1.0, p.nu) if p.forcing == "thm3" else (d_tn, p.d, p.nu)
+        return [(zero, zero, zero, -d_tn, 1)] * len(variants)
     q = p.mu / p.k
-    # below the normal range x / 2 has lost bits or is 0: ln(x/2) from ln t there
-    tiny = x < sys.float_info.min
-    log_half = np.log(np.where(tiny, 2.0, x) / 2.0)
-    log_half[tiny] = power * (math.log(rate) + np.log(t[tiny])) - math.log(2.0)
-    log_pref = (q + 1.0) * log_half - (q + 0.5) * math.log(p.k)
-    if variant == "as_printed":
-        log_pref = log_pref - np.log(t)
-    # z = -c x^2/(4k), log|z| from the same log(x/2); at c = 0 the series ends after r = 0
-    log_abs_z = 2.0 * log_half + (math.log(abs(p.c) / p.k) if p.c != 0 else 0.0)
-    # big = nu*(2r + q + 1) + 1 is the lattice row 2r + big row
-    return (-p.c * x * x / (4.0 * p.k), log_abs_z, log_pref, ((1.5, 1.0), (q + 1.5, 1.0)),
-            ml_arg, p.nu * q + 1.0 + shift, 0 if variant == "sumudu_consistent" else 1)
+    d_arg, series, inputs = -d_tn, {}, []
+    for variant in variants:
+        if variant == "as_printed":
+            ml_arg, row = (-_rate_power(p.a, p.nu) * tn if p.forcing == "thm2" else d_arg), 0
+            x, rate, power = (t, 1.0, 1.0) if p.forcing == "thm3" else (d_tn, p.d, p.nu)
+        elif p.forcing == "thm2":
+            ml_arg, row, (x, rate, power) = d_arg, 1, (_rate_power(p.a, p.nu) * tn, p.a, p.nu)
+        else:
+            ml_arg, row = d_arg, 1
+            x, rate, power = (tn, 1.0, p.nu) if p.forcing == "thm3" else (d_tn, p.d, p.nu)
+        if (rate, power) not in series:
+            # below the normal range x / 2 has lost bits or is 0: ln(x/2) from ln t there
+            tiny = x < sys.float_info.min
+            log_half = np.log(np.where(tiny, 2.0, x) / 2.0)
+            log_half[tiny] = power * (math.log(rate) + np.log(t[tiny])) - math.log(2.0)
+            # z = -c x^2/(4k), log|z| from the same log(x/2); at c = 0 the series ends after r = 0
+            series[rate, power] = (
+                -p.c * x * x / (4.0 * p.k),
+                2.0 * log_half + (math.log(abs(p.c) / p.k) if p.c != 0 else 0.0),
+                (q + 1.0) * log_half - (q + 0.5) * math.log(p.k),
+            )
+        z, log_abs_z, log_pref = series[rate, power]
+        if variant == "as_printed":
+            log_pref = log_pref - np.log(t)
+        inputs.append((z, log_abs_z, log_pref, ml_arg, row))
+    return inputs
+
+
+def _lattice_origin(p: KineticProblem):
+    """(b_0, b_1, the outer series' lower pairs) of the lattice b_j = b_1 + (j - 1) nu, j >= 1.
+
+    b_0 = nu q + 1 and b_1 = nu q + 1 + nu with q = mu/k, so Gamma(b_(2r+1))
+    is term r's large coefficient in both variants.  The constant forcing's
+    factor is row 1 at b_1 = 1, as if q were -1.
+    """
+    if p.forcing == "constant":
+        return 1.0 - p.nu, 1.0, ()
+    q = p.mu / p.k
+    b0 = p.nu * q + 1.0
+    return b0, b0 + p.nu, ((1.5, 1.0), (q + 1.5, 1.0))
 
 
 def _times_n0(n0: float, totals: np.ndarray) -> np.ndarray:
@@ -281,8 +303,13 @@ def solve_closed_form(
     loop ``_wright_series_array`` sums it under the truncation policy and
     marks the nodes that stop on the term budget.  The factors are not
     bound by that budget: one backward recurrence over the Gamma lattice
-    gives all of them, each summed until its dropped tail is below 2^-64
-    of its largest term.  A node is flagged too where its rounding
+    b_0 = nu q + 1, b_j = (nu q + 1 + nu) + (j - 1) nu (q = mu/k) gives all
+    of them, each summed until its dropped tail is below 2^-64 of its
+    largest term.  Term r reads row 2r (``as_printed``) or row 2r + 1
+    (``sumudu_consistent``), so both variants read one walk of the lattice
+    where their factors share an argument (thm1, thm3), and ``validate``
+    and ``solve`` sum both in one pass that gives each the bits this
+    function gives it alone.  A node is flagged too where its rounding
     estimate, 2^-52 times the magnitudes of every term it gathered in both
     series, passes 1e-8 of its value: the factors lose about e^(d t) 2^-52
     to cancellation, and the outer series its condition number times 2^-52.
@@ -297,10 +324,17 @@ def solve_closed_form(
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return _solutions(p, grid, (variant,), pol)[0]
+
+
+def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
+               pol: TruncationPolicy) -> tuple[SeriesSolution, ...]:
+    """``solve_closed_form`` for each of ``variants``, summed in one pass."""
     with np.errstate(over="ignore", invalid="ignore"):
-        totals, terms_used, stopped, rounded = _closed_form_sums(p, grid.points(), variant, pol)
-    return SeriesSolution(grid, _times_n0(p.n0, totals), variant, terms_used, stopped | rounded,
-                          stopped)
+        sums = _closed_form_sums(p, grid.points(), variants, pol)
+    return tuple(SeriesSolution(grid, _times_n0(p.n0, totals), variant, used, stopped | rounded,
+                                stopped)
+                 for variant, (totals, used, stopped, rounded) in zip(variants, sums))
 
 
 # outer terms of the first Mittag-Leffler lattice; the figures at t_max = 1 use
@@ -315,73 +349,105 @@ _ROUNDING_BLOCKS = 64
 
 
 def _ml_lattice(
-    z: np.ndarray, c0: float, nu: float, count: int, most: int, refs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """(u_2r at z, w_2r at refs, L_j) with u_j = e^L_j E_{nu,beta_j}(z), beta_j = c0 + j nu, r < count.
+    lattice: tuple[float, float, float], most: int,
+    groups: list[tuple[np.ndarray, float, np.ndarray, tuple[int, ...], int]],
+) -> tuple[list[float], list[tuple[np.ndarray, np.ndarray]]]:
+    """(L_j, per group (u_j at z, w_j at refs)), u_j = e^L_j E_{nu,b_j}(z), b_j on ``lattice``.
 
-    (s_j, L_j) is ``_signed_log_gamma(beta_j)``, with L_j = L_{j+1} at a pole.
-    E_{a,b}(z) = 1/Gamma(b) + z E_{a,b+a}(z) runs down the lattice as
-    u_j = s_j + e^(L_j - L_{j+1}) z u_{j+1}, which damps where beta_j^nu > |z|.
-    It starts past the stored rows, at the first row j with beta_{j-1} > 0
-    whose term at max|z| falls and is below 2^-64 of each stored row's
-    largest term; ln Gamma is convex there, so later terms fall faster.
-    The rows past the stored ones up to the smallest term, and r < most,
-    meet the same rule and are returned too.  A term past the overflow
-    guard relative to its row's first is a ConvergenceError.  w_j is the
-    same recurrence at the magnitudes ``refs`` with |s_j| for s_j: e^L_j
-    times the sum of the magnitudes of E_{nu,beta_j}'s terms there, over
-    the same rows, so a ref past max|z| drops more than 2^-64.
+    ``lattice`` is (b_0, b_1, nu), b_j = b_1 + (j - 1) nu for j >= 1, and
+    (s_j, L_j) is ``_signed_log_gamma(b_j)``, with L_j = L_{j+1} at a pole.
+    A group (z, z_max, refs, reads, count) is one argument at the nodes z,
+    bounded by z_max on the whole grid, whose rows 2r + i, i in ``reads``
+    and r < count, are stored.  E_{a,b}(z) = 1/Gamma(b) + z E_{a,b+a}(z)
+    runs down the lattice as u_j = s_j + e^(L_j - L_{j+1}) z u_{j+1}, which
+    damps where b_j^nu > |z|.  Each group starts past rows 0 to 2 count - 1,
+    at the first row j with b_{j-1} > 0 whose term at z_max falls and is
+    below 2^-64 of each of those rows' largest term; ln Gamma is convex
+    there, so later terms fall faster.  The rows past them up to the
+    smallest term, and r < most, meet the same rule: a group's arrays hold
+    the rows j < 2 served, and the rows it does not read are not set.  A term
+    past the overflow guard relative to the first of a row the group reads
+    is a ConvergenceError.  w_j is the same recurrence at the magnitudes
+    ``refs`` with |s_j| for s_j: e^L_j times the sum of the magnitudes of
+    E_{nu,b_j}'s terms there, over the same rows, so a ref past z_max drops
+    more than 2^-64.  The groups take one walk down the lattice: each joins
+    it at its own start, so its rows do not depend on the others.
     """
-    top = 2 * (count - 1)
-    z_max = float(np.max(np.abs(z)))
-    if not math.isfinite(z_max):
-        raise ConvergenceError("closed form: the Mittag-Leffler argument is not finite")
-    log_z = math.log(max(z_max, math.ulp(0.0)))  # finite at z = 0
-    sign, log_gamma = [], []
-    lead = -math.inf  # the largest L_j - j log|z| of the stored rows so far
-    low = math.inf  # the smallest from the top stored row on, at or below every row's largest
-    for j in range(_LATTICE_ROWS):
-        s, g = _signed_log_gamma(c0 + nu * j)
-        sign.append(s)
-        log_gamma.append(g)
-        if s == 0.0:
-            continue
-        scaled = g - j * log_z
-        if not lead - scaled <= _OVERFLOW_GUARD:
+    b0, b1, nu = lattice
+    zs, z_maxes, refs, reads_of, counts = zip(*groups)
+    sign, log_gamma = map(list, zip(_signed_log_gamma(b0)))
+    known, starts, served = 1, [], []
+    for z_max, reads, count in zip(z_maxes, reads_of, counts):
+        if not math.isfinite(z_max):
+            raise ConvergenceError("closed form: the Mittag-Leffler argument is not finite")
+        log_z = math.log(max(z_max, math.ulp(0.0)))  # finite at z = 0
+        top = 2 * count - 1
+        lead = -math.inf  # the largest L_j - (j - 1) log|z| of the rows read so far
+        low = math.inf  # the smallest from row top on, at or below every row's largest
+        for j in range(min(reads), _LATTICE_ROWS):
+            if j < known:  # another group's scan reached it
+                s, g = sign[j], log_gamma[j]
+            else:
+                s, g = _signed_log_gamma(b1 + nu * (j - 1))
+                sign.append(s)
+                log_gamma.append(g)
+                known += 1
+            if s == 0.0:
+                continue
+            scaled = g - (j - 1) * log_z
+            if not lead - scaled <= _OVERFLOW_GUARD:
+                raise ConvergenceError(
+                    f"closed form: Mittag-Leffler term {j - min(reads)} has log-magnitude "
+                    f"{lead - scaled!r} relative to its row's first, exceeding the overflow "
+                    f"guard {_OVERFLOW_GUARD:.3g}"
+                )
+            if j <= top:
+                if j % 2 in reads:
+                    lead = max(lead, scaled)
+            elif b1 + nu * (j - 2) > 0 and log_z + log_gamma[j - 1] < g:
+                if low - scaled < -64 * math.log(2.0):
+                    break
+            if j >= top and scaled <= low:
+                low, low_at = scaled, j
+        else:
             raise ConvergenceError(
-                f"closed form: Mittag-Leffler term {j} has log-magnitude {lead - scaled!r} "
-                f"relative to its row's first, exceeding the overflow guard {_OVERFLOW_GUARD:.3g}"
-            )
-        if j <= top and j % 2 == 0:
-            lead = max(lead, scaled)
-        elif j > top and c0 + nu * (j - 1) > 0 and log_z + log_gamma[j - 1] < g:
-            if low - scaled < -64 * math.log(2.0):
-                break
-        if j >= top and scaled <= low:
-            low, low_at = scaled, j
-    else:
-        raise ConvergenceError(f"closed form: a Mittag-Leffler factor needs {_LATTICE_ROWS}+ rows")
-    count = max(count, min(most, low_at // 2 + 1))
-    top = 2 * (count - 1)
-    size = z.size
-    z = np.concatenate((z, refs))
-    u = np.zeros(z.shape)  # u_j = 0: the terms from row j on are dropped
-    rows = np.empty((count, z.size))
-    for i in range(j - 1, -1, -1):
-        if sign[i] == 0.0:
+                f"closed form: a Mittag-Leffler factor needs {_LATTICE_ROWS}+ rows")
+        starts.append(j)
+        served.append(max(count, min(most, (low_at - 1) // 2 + 1)))
+    # every group's nodes, then every group's refs
+    x = np.concatenate(zs + refs)
+    size = at_refs = sum(z.size for z in zs)
+    # joins[i]: the entries of the groups that start at row i + 1, set to 0 before row i
+    at_z, parts, joins = 0, [], {}
+    for z, ref, start in zip(zs, refs, starts):
+        parts.append((slice(at_z, at_z + z.size), slice(at_refs, at_refs + ref.size)))
+        at_z, at_refs = at_z + z.size, at_refs + ref.size
+        if start < max(starts):
+            joins.setdefault(start - 1, []).extend(parts[-1])
+    parities = set().union(*reads_of)
+    stored = 2 * max(served)
+    rows = np.empty((stored, x.size))
+    u = np.zeros(x.size)  # u_j = 0: the terms from row j on are dropped
+    for i in range(max(starts) - 1, min(map(min, reads_of)) - 1, -1):
+        if i in joins:
+            for part in joins[i]:
+                u[part] = 0.0
+        s = sign[i]
+        if s == 0.0:
             log_gamma[i] = log_gamma[i + 1]
-        u *= z
+        u *= x
         u *= math.exp(log_gamma[i] - log_gamma[i + 1])
-        u += sign[i]
-        if sign[i] < 0.0:
+        u += s
+        if s < 0.0:
             u[size:] += 2.0  # |s_j| at refs
-        if i <= top and i % 2 == 0:
-            rows[i // 2] = u
-    return rows[:, :size], rows[:, size:], log_gamma
+        if i < stored and i % 2 in parities:
+            rows[i] = u
+    return log_gamma, [(rows[: 2 * count, at_z], rows[: 2 * count, at_refs])
+                       for count, (at_z, at_refs) in zip(served, parts)]
 
 
 def _rounding_flags(
-    totals: np.ndarray, log_pref: np.ndarray | float, log_abs_z: np.ndarray, edges: np.ndarray,
+    totals: np.ndarray, log_pref: np.ndarray, log_abs_z: np.ndarray, edges: np.ndarray,
     lower: tuple[tuple[float, float], ...], scales: dict[int, float], peaks: np.ndarray,
 ) -> np.ndarray:
     """The nodes whose rounding estimate passes ``_ROUNDING_LIMIT`` of their sum.
@@ -406,53 +472,122 @@ def _rounding_flags(
     return ~(np.exp(log_pref) * per_block <= np.abs(totals))
 
 
+class _ArgumentGroup:
+    """The variants whose factors share one argument, and the lattice last built for them."""
+
+    def __init__(self, arg: np.ndarray, first: int):
+        self.arg = arg  # the Mittag-Leffler argument at every node
+        self.first = first  # outer terms of the first lattice
+        self.readers: list[tuple[int, int]] = []  # (variant, row parity)
+        self.rows: np.ndarray | tuple = ()  # the lattice's rows at every node
+        self.log_gamma: list[float] | None = None
+
+
 def _closed_form_sums(
-    p: KineticProblem, t: np.ndarray, variant: str, pol: TruncationPolicy
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The closed form over n0 at the nodes t: (sums, terms_used, budget stops, rounding flags)."""
-    z, log_abs_z, log_pref, lower, ml_arg, c0, big_row = _variant_inputs(p, t, variant)
-    built, rows, log_gamma = None, (), None  # the last lattice and the nodes it was built on
-    # the first node of each block and one past the last, and per term r:
-    # ln|Gamma(big)| - L_2r (none at a pole of Gamma(big)) and the factor
-    # magnitudes at each block's last node
-    blocks = min(t.size, _ROUNDING_BLOCKS)
-    edges = np.arange(blocks + 1) * t.size // blocks
-    scales, peaks = {}, []
-    # the outer series ends at r = 0 where z is 0 at every node (the constant
-    # forcing, c = 0), so its first lattice needs one outer term
-    first = _FIRST_LATTICE_TERMS if z.any() else 1
+    p: KineticProblem, t: np.ndarray, variants: tuple[str, ...], pol: TruncationPolicy
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per variant, (sums, terms_used, budget stops, rounding flags) of its closed form over n0.
+
+    The variants' outer series at the nodes t are one array loop over their
+    nodes laid end to end, and the variants whose factors share an argument
+    and a first lattice read one walk of it.  Every stop, lattice start and
+    rebuild follows from the variant's own nodes, so each variant gets the
+    bits it gets alone.
+    """
+    n = t.size
+    b0, b1, lower = _lattice_origin(p)
+    inputs = _variant_inputs(p, t, variants)
+    # per variant: its group, row parity, first node in the pass and, per term
+    # r, ln|Gamma(big)| - L_(2r+row) (none at a pole of Gamma(big)); and blocks
+    # of rows of its factor magnitudes at the last node of each rounding block
+    groups, plan, peaks = [], [], [[] for _ in inputs]
+    for v, (z, _, _, arg, row) in enumerate(inputs):
+        # the outer series ends at r = 0 where z is 0 at every node (the
+        # constant forcing, c = 0), so its first lattice needs one outer term
+        first = _FIRST_LATTICE_TERMS if z.any() else 1
+        group = next((g for g in groups if g.first == first and g.arg is arg), None)
+        if group is None:
+            group = _ArgumentGroup(arg, first)
+            groups.append(group)
+        group.readers.append((v, row))
+        plan.append((group, row, v * n, {}))
+    # the first node of each block and one past the last
+    blocks = min(n, _ROUNDING_BLOCKS)
+    edges = np.arange(blocks + 1) * n // blocks
+    cuts = [v * n for v in range(1, len(inputs))]
+    covered = 0  # rows every group's lattice holds
+
+    def build(stale: list[_ArgumentGroup]) -> None:
+        # at every node: a rebuild is rare, and its rows cost little more there
+        specs = [(g.arg, float(np.max(np.abs(g.arg))), np.abs(g.arg[edges[1:] - 1]),
+                  tuple({i for _, i in g.readers}),
+                  min(g.first if g.log_gamma is None else pol.max_terms, pol.max_terms))
+                 for g in stale]
+        log_gamma, built = _ml_lattice((b0, b1, p.nu), pol.max_terms, specs)
+        for g, (rows, sizes) in zip(stale, built):
+            g.rows, g.log_gamma = rows, log_gamma
+            for v, row in g.readers:  # the rows past the terms it covers so far
+                peaks[v].append(sizes[2 * sum(map(len, peaks[v])) + row :: 2])
 
     def ml_factor(r: int, nodes: np.ndarray) -> np.ndarray | None:
         # None at a pole of Gamma(big)
-        nonlocal built, rows, log_gamma
-        big_sign, big_log = _signed_log_gamma(c0 + p.nu * (2 * r + big_row))
+        nonlocal covered
+        big_sign, big_log = _signed_log_gamma(b1 + p.nu * (2 * r))
         if big_sign == 0.0:
             return None
-        if r >= len(rows):
-            count = min(first if built is None else pol.max_terms, pol.max_terms)
-            built = nodes
-            rows, tops, log_gamma = _ml_lattice(ml_arg[nodes], c0, p.nu, count, pol.max_terms,
-                                                np.abs(ml_arg[edges[1:] - 1]))
-            peaks.extend(tops[len(peaks):])
-        scales[r] = big_log - log_gamma[2 * r]
-        ml = rows[r] if nodes.size == built.size else rows[r][np.searchsorted(built, nodes)]
-        return (big_sign * math.exp(scales[r])) * ml
+        # variant v's working nodes are nodes[bounds[v]:bounds[v + 1]]
+        bounds = [0, *nodes.searchsorted(cuts).tolist(), nodes.size] if cuts else [0, nodes.size]
+        if 2 * r >= covered:
+            stale = [g for g in groups if 2 * r >= len(g.rows)
+                     and any(bounds[v] < bounds[v + 1] for v, _ in g.readers)]
+            if stale:
+                build(stale)
+            covered = min(len(g.rows) for g in groups)
+        factors = []
+        for (g, row, start, scales), lo, hi in zip(plan, bounds, bounds[1:]):
+            if lo < hi:
+                scales[r] = big_log - g.log_gamma[2 * r + row]
+                ml = g.rows[2 * r + row]
+                if hi - lo != n:
+                    ml = ml[nodes[lo:hi] - start]
+                factors.append((big_sign * math.exp(scales[r])) * ml)
+        return factors[0] if len(factors) == 1 else np.concatenate(factors)
 
+    z, log_abs_z, log_pref = inputs[0][:3] if len(inputs) == 1 else (
+        np.concatenate(column) for column in list(zip(*inputs))[:3])
     totals, used, converged = _wright_series_array(
         "closed form", z, (), lower, pol, log_pref, log_abs_z=log_abs_z, factor=ml_factor,
     )
-    if built is None:  # every term was 0
-        return totals, used, ~converged, np.zeros(t.shape, dtype=bool)
-    rounded = _rounding_flags(totals, log_pref, log_abs_z, edges, lower, scales, np.array(peaks))
-    return totals, used, ~converged, rounded
+    sums = []
+    for (_, log_abs_z, log_pref, _, _), (_, _, start, scales), magnitudes in zip(
+            inputs, plan, peaks):
+        part = slice(start, start + n)
+        if len(inputs) > 1:  # the terms its own nodes reached; another variant's may reach further
+            terms = used[part].max()
+            scales = {r: scale for r, scale in scales.items() if r < terms}
+        rounded = (_rounding_flags(totals[part], log_pref, log_abs_z, edges, lower, scales,
+                                   np.concatenate(magnitudes))
+                   if scales else np.zeros(t.shape, dtype=bool))
+        sums.append((totals[part], used[part], ~converged[part], rounded))
+    return sums
 
 
 def _solve_variants(p: KineticProblem, grid: TimeGrid, pol: TruncationPolicy):
-    """``solve_closed_form`` for each of ``VARIANTS``; the constant forcing's one is summed once."""
-    printed = solve_closed_form(p, grid, VARIANTS[0], pol)
+    """``solve_closed_form`` for each of ``VARIANTS``, summed in one pass.
+
+    The constant forcing's one closed form is summed once.  On a
+    ``ConvergenceError`` the pass gives way to one solve per variant, so the
+    first variant that fails alone names the failure, and a variant whose
+    nodes are all parked in the pass, yet ask for a lattice its own solve
+    never builds, fails nothing.
+    """
     if p.forcing == "constant":
+        printed = solve_closed_form(p, grid, VARIANTS[0], pol)
         return printed, replace(printed, variant=VARIANTS[1])
-    return printed, solve_closed_form(p, grid, VARIANTS[1], pol)
+    try:
+        return _solutions(p, grid, VARIANTS, pol)
+    except ConvergenceError:
+        return tuple(solve_closed_form(p, grid, variant, pol) for variant in VARIANTS)
 
 
 def solve_corollary_k1(

@@ -13,7 +13,8 @@ csv/svg/both``, negative values after a flag and in ``=`` form, and the
 closed form and Sumudu image at arguments that underflow or overflow, the
 overflow guard tripped in ``solve`` and ``sweep`` (by the constant
 forcing's Mittag-Leffler factor too), n0 times the sum past the largest
-double, a long horizon that stops on the term budget, and
+double, a long horizon that stops on the term budget, thm2 with d > a,
+a 17-term outer series that rebuilds its Mittag-Leffler lattice, and
 tables longer than the float writer's 1024-row block.  Two
 checkouts that print the same digest write the same bytes for every argv;
 ``--lines`` prints one digest per argv, so a ``diff`` of two runs names the
@@ -83,6 +84,9 @@ BATTERY = [
     ["solve", "--forcing", "constant", "--nu", "0.3", "--d", "1.3", "--n-points", "64"],
     ["solve", "--forcing", "constant", "--nu", "0.5", "--t-max", "1e10", "--n-points", "4"],
     ["solve", "--nu", "0.9", "--t-max", "1e9", "--n-points", "4"],
+    ["solve", "--forcing", "thm2", "--d", "2.5", "--a", "1.2", "--n-points", "64"],
+    ["solve", "--forcing", "thm2", "--n0", "0.899508", "--d", "1.24305", "--a", "3.56385",
+     "--nu", "1.46682", "--mu", "1.5", "--c", "0.883669", "--k", "2", "--n-points", "512"],
     ["solve", "--c"],
     ["solve", "--help"],
     # validate: agreement, disagreement, input and numerical failures
@@ -91,6 +95,9 @@ BATTERY = [
     ["validate", "--tol", "-1", "--n-points", "8"],
     ["validate", "--forcing", "thm2", "--a", "1e300", "--nu", "2", "--n-points", "4"],
     ["validate", "--forcing", "constant", "--n-points", "1030"],
+    ["validate", "--forcing", "thm2", "--d", "2.5", "--a", "1.2", "--n-points", "64"],
+    ["validate", "--forcing", "thm2", "--n0", "0.899508", "--d", "1.24305", "--a", "3.56385",
+     "--nu", "1.46682", "--mu", "1.5", "--c", "0.883669", "--k", "2", "--n-points", "512"],
     ["validate", "--bogus", "-1"],
     # figures
     ["figures", "--which", "2", "--n-points", "9", "--format", "csv"],

@@ -59,6 +59,10 @@ def _mittag_leffler_mp(nu, z):
                 return float(total)
 
 
+# a thm3 problem whose factors cancel from d t = 10 or so on
+_THM3 = dict(forcing="thm3", nu=0.42, d=1.9, mu=1.5, c=1.3, k=3.0)
+
+
 def _problem(**kw):
     base = dict(n0=1.0, d=1.0, nu=0.9, mu=1.0, c=1.0, k=1.0, forcing="thm1")
     base.update(kw)
@@ -164,9 +168,9 @@ class TestClosedForm:
     @pytest.mark.parametrize(
         "nu,d,max_terms",
         [
-            (0.3, 2.0, 100),  # Mittag-Leffler terms fall slowly: 97 to 103 lattice rows
-            (1.5, 1.0, 100),  # they fall fast: 39 to 41 rows
-            (0.9, 1.0, 1),  # one term: Gamma(big) of as_printed lies past the single stored row
+            (0.3, 2.0, 100),  # Mittag-Leffler terms fall slowly: 97 to 104 lattice rows
+            (1.5, 1.0, 100),  # they fall fast: 39 to 42 rows
+            (0.9, 1.0, 1),  # one term: the lattice stores rows 0 and 1 only
         ],
     )
     def test_row_cut_matches_reference(self, variant, forcing, nu, d, max_terms):
@@ -182,30 +186,44 @@ class TestClosedForm:
         self._check_reference(p, variant, 100, t_max=40.0)
 
     @pytest.mark.parametrize(
-        "c0, nu, zs, count, most, served",
+        "b0, b1, nu, zs, count, most, reads, served",
         [
-            (1.1, 0.1, [0.0, -0.5, -1.23], 16, 50, 37),  # the terms peak past row 30
-            (-4.0, 4.0, [-0.3, -2.0, -9.0], 3, 3, 3),  # Gamma poles at rows 0 and 1
-            (-2.5, 1.0, [-0.7, -3.0], 3, 3, 3),  # Gamma(b_j) < 0 at rows 0 and 2
-            (2.9, 0.9, [-1.0, -14.8], 16, 50, 16),  # they peak below row 30 and cancel
-            (1.5, 0.5, [-3.0], 1, 1, 1),
+            # the odd rows, as sumudu_consistent reads them: row 2r + 1 is b_1 + 2r nu
+            (1.0, 1.1, 0.1, [0.0, -0.5, -1.23], 16, 50, (1,), 37),  # the terms peak past row 31
+            (-8.0, -4.0, 4.0, [-0.3, -2.0, -9.0], 3, 3, (1,), 3),  # Gamma poles at rows 1 and 2
+            (-3.5, -2.5, 1.0, [-0.7, -3.0], 3, 3, (1,), 3),  # Gamma(b_j) < 0 at rows 1 and 3
+            (2.0, 2.9, 0.9, [-1.0, -14.8], 16, 50, (1,), 16),  # they peak below row 31 and cancel
+            (1.0, 1.5, 0.5, [-3.0], 1, 1, (1,), 1),
+            # row 0 at nu q + 1 and the even rows, as as_printed reads them: b_1 is
+            # b_0 + nu in doubles, so their Gamma arguments round apart from b_0 + j nu
+            (0.1 * 0.3 + 1.0, None, 0.1, [0.0, -0.5, -1.23], 16, 50, (0,), 37),
+            (0.9 * 1.1 + 1.0, None, 0.9, [-1.0, -14.8], 16, 50, (0, 1), 16),
+            (2.0 * -0.5 + 1.0, None, 2.0, [-0.3, -2.0, -9.0], 3, 3, (0, 1), 3),  # a pole at row 0
         ],
     )
-    def test_lattice_rows_match_mpmath(self, c0, nu, zs, count, most, served):
-        # row r is e^L_2r E_{nu, c0 + 2r nu}(z), against the 30-digit power
-        # series summed past its peak to 1e-30; each lattice row adds a few
+    def test_lattice_rows_match_mpmath(self, b0, b1, nu, zs, count, most, reads, served):
+        # row j is e^L_j E_{nu, b_j}(z), against the 30-digit power series
+        # summed past its peak to 1e-30; each lattice row adds a few
         # roundings to every term, so the error is held to 4 eps per
-        # lattice row times e^L_2r sum|term|.  The rows at the references
-        # |z| are e^L_2r sum|term|, to the same bound.  The rows checked are
-        # the first, the last asked for and the last served.
+        # lattice row walked times e^L_j sum|term|.  The rows at the
+        # references |z| are e^L_j sum|term|, to the same bound.  The terms
+        # checked are the first, the last asked for and the last served, in
+        # each row parity read.  Where b_1 is None the reference is the
+        # exact lattice b_0 + j nu, else b_1 + (j - 1) nu from row 1 on.
         import mpmath as mp
 
-        rows, sizes, log_gamma = kinetics._ml_lattice(np.array(zs), c0, nu, count, most,
-                                                      np.abs(zs))
-        assert len(rows) == len(sizes) == served
+        lattice = (b0, b0 + nu if b1 is None else b1, nu)
+        log_gamma, [(rows, sizes)] = kinetics._ml_lattice(
+            lattice, most, [(np.array(zs), max(map(abs, zs)), np.abs(zs), reads, count)])
+        assert len(rows) == len(sizes) == 2 * served
+        walked = len(log_gamma) - min(reads)
         with mp.workdps(30):
-            for r in sorted({0, count - 1, served - 1}):
-                scale, beta = mp.exp(log_gamma[2 * r]), mp.mpf(c0) + 2 * r * mp.mpf(nu)
+            for j in (2 * r + i for r in sorted({0, count - 1, served - 1}) for i in reads):
+                scale = mp.exp(log_gamma[j])
+                if b1 is None or j == 0:
+                    beta = mp.mpf(b0) + j * mp.mpf(nu)
+                else:
+                    beta = mp.mpf(b1) + (j - 1) * mp.mpf(nu)
                 for i, z in enumerate(zs):
                     total = size = mp.mpf(0)
                     for m in itertools.count():
@@ -213,9 +231,38 @@ class TestClosedForm:
                         total, size = total + term, size + abs(term)
                         if beta + m * nu > 1 + abs(z) ** (1 / nu) and abs(term) < 1e-30 * size:
                             break
-                    bound = 4 * len(log_gamma) * 2.0**-52 * scale * size
-                    assert abs(rows[r][i] - scale * total) <= bound
-                    assert abs(sizes[r][i] - scale * size) <= bound
+                    bound = 4 * walked * 2.0**-52 * scale * size
+                    assert abs(rows[j][i] - scale * total) <= bound
+                    assert abs(sizes[j][i] - scale * size) <= bound
+
+    def test_argument_groups_walk_together_as_alone(self):
+        # two arguments whose starts lie rows apart take one walk; each group
+        # joins it at its own start, so its rows, sizes and L_j are the bits
+        # its own walk gives.  The node at -6 lies past its group's z_max, so
+        # a walk that entered it from any other row would give it other rows
+        lattice = (0.55, 0.55 + 0.9, 0.9)
+        small = (np.array([-0.2, -1.5, -6.0]), 1.5, np.array([1.5]), (1,), 16)
+        large = (np.array([-4.0, -30.0, -2.0]), 30.0, np.array([4.0, 30.0]), (0,), 4)
+        log_gamma, built = kinetics._ml_lattice(lattice, 50, [small, large])
+        for group, (rows, sizes) in zip((small, large), built):
+            alone_log_gamma, [(alone_rows, alone_sizes)] = kinetics._ml_lattice(
+                lattice, 50, [group])
+            read = slice(min(group[3]), None, 2)
+            assert rows[read].tobytes() == alone_rows[read].tobytes()
+            assert sizes[read].tobytes() == alone_sizes[read].tobytes()
+            assert log_gamma[: len(rows)] == alone_log_gamma[: len(rows)]
+        assert len(built[0][0]) != len(built[1][0])
+
+    def test_guard_weighs_only_the_rows_read(self):
+        # b_0 = 0.02 makes row 0's leading term 10 log-units above row 1's at
+        # |z| = 4.9e5: the odd rows alone stay under the overflow guard, and
+        # a group that reads row 0 trips it
+        b0 = 2.0 * -0.49 + 1.0
+        lattice, z = (b0, b0 + 2.0, 2.0), np.array([-4.9e5])
+        kinetics._ml_lattice(lattice, 50, [(z, 4.9e5, -z, (1,), 16)])
+        for reads in ((0,), (0, 1)):
+            with pytest.raises(ConvergenceError, match="Mittag-Leffler term 305 .* overflow guard"):
+                kinetics._ml_lattice(lattice, 50, [(z, 4.9e5, -z, reads, 16)])
 
     @staticmethod
     def _check_reference(p, variant, max_terms, t_max=1.0):
@@ -392,6 +439,32 @@ class TestClosedForm:
         s9 = solve_closed_form(p9, grid, "sumudu_consistent", POL)
         assert s9.values[-1] == pytest.approx(KINETIC_THM1_NU09_T05, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "kw, t_max, hexes",
+        [
+            (dict(), 1.0, ("0x1.356e0fe7c5c3fp-8", "0x1.8f212918fc190p-5", "0x1.18bbea7144d27p-3")),
+            (dict(), 20.0,
+             ("0x1.5765abf5af603p-2", "0x1.5cb499aca87cap-5", "0x1.5cc8d89c15bbep-4")),
+            (dict(forcing="thm2", a=2.0), 1.0,
+             ("0x1.0c4bf8ff2eb15p-6", "0x1.4a0467b279db5p-3", "0x1.9267041d5e48fp-2")),
+            (dict(forcing="thm2", a=2.0), 20.0,
+             ("0x1.e4b579ccc851fp-3", "0x1.6a395560cd977p-4", "0x1.5b9983a3c2525p-4")),
+            (_THM3, 1.0, ("0x1.85813955bb216p-6", "0x1.6826dd1a34e5fp-5", "0x1.d447d34d92742p-5")),
+            (_THM3, 20.0, ("0x1.37d8fd2005cf2p-4", "0x1.857bfdfb626d8p-4", "0x1.aea0c8fdf3fcep+2")),
+            (dict(c=-1.0, nu=1.5, k=0.5, mu=-0.5), 5.0,
+             ("0x1.7cb2ccbdf5068p-2", "0x1.863fdd4840486p+4", "0x1.c1e03c3ec3ec4p+18")),
+        ],
+    )
+    def test_consistent_values_are_pinned(self, kw, t_max, hexes):
+        # nodes 0, 3 and 7 of 8, flagged or not, as float.hex literals taken
+        # before both variants shared one lattice: any later drift of the
+        # sumudu_consistent column, alone or summed with as_printed, fails here
+        p, grid = _problem(**kw), TimeGrid(t_max=t_max, n_points=8)
+        alone = solve_closed_form(p, grid, "sumudu_consistent")
+        together = kinetics._solve_variants(p, grid, TruncationPolicy())[1]
+        for sol in (alone, together):
+            assert tuple(v.hex() for v in sol.values[[0, 3, 7]]) == hexes
+
     def test_variants_differ(self):
         grid = TimeGrid(t_max=1.0, n_points=16)
         p = _problem()
@@ -520,8 +593,8 @@ class TestClosedForm:
         # lattice need not store the first lattice's 16 terms
         counts = []
         real = kinetics._ml_lattice
-        monkeypatch.setattr(kinetics, "_ml_lattice", lambda z, c0, nu, count, *rest: (
-            counts.append(count) or real(z, c0, nu, count, *rest)))
+        monkeypatch.setattr(kinetics, "_ml_lattice", lambda lattice, most, groups: (
+            counts.extend(group[4] for group in groups) or real(lattice, most, groups)))
         sol = solve_closed_form(_problem(**kw), TimeGrid(t_max=1.0, n_points=64))
         assert counts == [1] and np.all(sol.terms_used == 1)
 
@@ -846,21 +919,119 @@ class TestAdjudicate:
         assert "sumudu_consistent" in text
         assert "monotone" in text
 
-    def test_constant_forcing_sums_its_closed_form_once(self, monkeypatch):
-        # the unit forcing's closed form is the same for both variants
+    @pytest.mark.parametrize(
+        "kw, t_max, n",
+        [
+            (dict(), 1.0, 64),
+            (dict(forcing="thm2", a=2.0), 1.0, 64),
+            (dict(forcing="thm2", d=2.5, a=1.2), 1.0, 64),  # d > a
+            (dict(forcing="thm3"), 1.0, 64),
+            (dict(forcing="constant", nu=0.5), 1.0, 64),  # the same closed form twice
+            (dict(c=-1.0), 1.0, 64),
+            (dict(forcing="thm3", c=0.0), 1.0, 64),
+            (dict(nu=2.0, mu=-0.5), 1.0, 64),  # a Gamma pole at row 0: nu q + 1 = 0
+            # the benchmark's validate slot whose outer series rebuilds the lattice
+            (dict(forcing="thm2", n0=0.899508, d=1.24305, a=3.56385, nu=1.46682, mu=1.5,
+                  c=0.883669, k=2.0), 1.0, 512),
+            (_THM3, 28.0, 64),
+        ],
+    )
+    def test_both_closed_forms_are_one_pass(self, kw, t_max, n, monkeypatch):
+        # one outer array loop for both variants, and each reported solution
+        # holds the bits solve_closed_form gives it alone
         calls = []
         real = kinetics._wright_series_array
         monkeypatch.setattr(
             kinetics, "_wright_series_array",
             lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
         )
-        p, grid = _problem(forcing="constant", nu=0.5), TimeGrid(t_max=1.0, n_points=64)
+        p, grid = _problem(**kw), TimeGrid(t_max=t_max, n_points=n)
         report = adjudicate(p, grid, POL)
         assert len(calls) == 1
-        for sol in (report.printed, report.consistent):
-            expect = solve_closed_form(p, grid, sol.variant, POL)
-            assert sol.values.tobytes() == expect.values.tobytes()
         assert (report.printed.variant, report.consistent.variant) == VARIANTS
+        for sol in (report.printed, report.consistent):
+            alone = solve_closed_form(p, grid, sol.variant, POL)
+            for field in ("values", "terms_used", "truncation_flag", "budget_stop"):
+                assert getattr(sol, field).tobytes() == getattr(alone, field).tobytes()
+        if kw.get("nu") == 1.46682:  # past the first lattice's 16 outer terms
+            assert report.consistent.terms_used.max() == 17
+
+    def test_each_argument_keeps_the_lattices_of_its_solo_solve(self, monkeypatch):
+        # thm2's two arguments share a walk, not a start rule: the pass asks
+        # for the lattices (largest |z| on the grid, rows read, outer terms)
+        # that the two solo solves ask for, the rebuild of the 17-term
+        # sumudu_consistent series included
+        specs = []
+        real = kinetics._ml_lattice
+
+        def spy(lattice, most, groups):
+            specs.extend((z_max, reads, count) for _, z_max, _, reads, count in groups)
+            return real(lattice, most, groups)
+
+        monkeypatch.setattr(kinetics, "_ml_lattice", spy)
+        p = _problem(forcing="thm2", n0=0.899508, d=1.24305, a=3.56385, nu=1.46682, mu=1.5,
+                     c=0.883669, k=2.0)
+        grid = TimeGrid(t_max=1.0, n_points=64)
+        kinetics._solve_variants(p, grid, TruncationPolicy())
+        together = sorted(specs)
+        specs.clear()
+        for variant in VARIANTS:
+            solve_closed_form(p, grid, variant)
+        assert together == sorted(specs)
+        assert len(together) == 3
+
+    @pytest.mark.parametrize(
+        "kw, t_max, failing",
+        [
+            (dict(forcing="thm2", a=2.0), 400.0, "as_printed"),  # a lattice guard
+            (dict(forcing="thm2", a=2.0, nu=2.0), 120.0, "sumudu_consistent"),  # an outer guard
+            (dict(forcing="thm3", nu=2.0), 400.0, "sumudu_consistent"),
+            (dict(), 1e10, "as_printed"),  # both fail
+        ],
+    )
+    def test_one_pass_fails_as_the_first_failing_variant(self, kw, t_max, failing):
+        p, grid, pol = _problem(**kw), TimeGrid(t_max=t_max, n_points=4), TruncationPolicy()
+        texts = {}
+        for variant in VARIANTS:
+            try:
+                solve_closed_form(p, grid, variant, pol)
+            except ConvergenceError as exc:
+                texts[variant] = str(exc)
+        assert next(iter(texts)) == failing
+        assert len(texts) == (2 if t_max == 1e10 else 1)
+        with pytest.raises(ConvergenceError) as caught:
+            kinetics._solve_variants(p, grid, pol)
+        assert str(caught.value) == texts[failing]
+
+    def test_one_pass_matches_solo_solves_on_a_seeded_battery(self):
+        # 60 problems over every forcing, c < 0 and c = 0, t_max 1 to 35
+        # and budgets 10 to 100: the pass gives each variant its solo bits
+        rng = np.random.default_rng(24)
+        for i in range(60):
+            k = float(rng.choice([0.5, 1.0, 2.0]))
+            p = _problem(forcing=FORCINGS[i % 4], k=k, mu=rng.uniform(-1.4, 2.0) * k,
+                         nu=rng.uniform(0.2, 2.5), d=rng.uniform(0.3, 2.5), a=rng.uniform(0.3, 4.0),
+                         c=float(rng.choice([-1.0, 0.0, 1.0, 1.0])) * rng.uniform(0.3, 1.6),
+                         n0=rng.uniform(0.5, 2.0))
+            grid = TimeGrid(t_max=float(np.exp(rng.uniform(0.0, np.log(35.0)))), n_points=24)
+            pol = TruncationPolicy(max_terms=int(rng.choice([10, 50, 100])))
+            try:
+                together = kinetics._solve_variants(p, grid, pol)
+            except ConvergenceError as exc:
+                together = str(exc)
+            alone = []
+            for variant in VARIANTS:
+                try:
+                    alone.append(solve_closed_form(p, grid, variant, pol))
+                except ConvergenceError as exc:
+                    alone = str(exc)
+                    break
+            if isinstance(alone, str):
+                assert together == alone
+                continue
+            for sol, solo in zip(together, alone):
+                for field in ("values", "terms_used", "truncation_flag", "budget_stop"):
+                    assert getattr(sol, field).tobytes() == getattr(solo, field).tobytes()
 
     def test_tight_tolerance_rejects_both(self):
         grid = TimeGrid(t_max=1.0, n_points=64)
