@@ -30,6 +30,7 @@ from .specfun import (
     KStruveParams,
     TruncationPolicy,
     _k_struve_array,
+    _ratio_tables,
     _signed_log_gamma,
     _term_gamma_ratio,
     _wright_series_array,
@@ -307,9 +308,10 @@ def solve_closed_form(
     of them, each summed until its dropped tail is below 2^-64 of its
     largest term.  Term r reads row 2r (``as_printed``) or row 2r + 1
     (``sumudu_consistent``), so both variants read one walk of the lattice
-    where their factors share an argument (thm1, thm3), and ``validate``
-    and ``solve`` sum both in one pass that gives each the bits this
-    function gives it alone.  A node is flagged too where its rounding
+    where their factors share an argument (thm1, thm3); thm2's two
+    arguments walk it one after the other.  ``validate`` and ``solve`` sum
+    both variants in one pass that gives each the bits this function gives
+    it alone.  A node is flagged too where its rounding
     estimate, 2^-52 times the magnitudes of every term it gathered in both
     series, passes 1e-8 of its value: the factors lose about e^(d t) 2^-52
     to cancellation, and the outer series its condition number times 2^-52.
@@ -349,101 +351,73 @@ _ROUNDING_BLOCKS = 64
 
 
 def _ml_lattice(
-    lattice: tuple[float, float, float], most: int,
-    groups: list[tuple[np.ndarray, float, np.ndarray, tuple[int, ...], int]],
-) -> tuple[list[float], list[tuple[np.ndarray, np.ndarray]]]:
-    """(L_j, per group (u_j at z, w_j at refs)), u_j = e^L_j E_{nu,b_j}(z), b_j on ``lattice``.
+    lattice: tuple[float, float, float], most: int, z: np.ndarray, z_max: float,
+    refs: np.ndarray, reads: tuple[int, ...], count: int,
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """(L_j, u_j at z, w_j at refs), u_j = e^L_j E_{nu,b_j}(z), b_j on ``lattice``.
 
     ``lattice`` is (b_0, b_1, nu), b_j = b_1 + (j - 1) nu for j >= 1, and
     (s_j, L_j) is ``_signed_log_gamma(b_j)``, with L_j = L_{j+1} at a pole.
-    A group (z, z_max, refs, reads, count) is one argument at the nodes z,
-    bounded by z_max on the whole grid, whose rows 2r + i, i in ``reads``
-    and r < count, are stored.  E_{a,b}(z) = 1/Gamma(b) + z E_{a,b+a}(z)
-    runs down the lattice as u_j = s_j + e^(L_j - L_{j+1}) z u_{j+1}, which
-    damps where b_j^nu > |z|.  Each group starts past rows 0 to 2 count - 1,
-    at the first row j with b_{j-1} > 0 whose term at z_max falls and is
-    below 2^-64 of each of those rows' largest term; ln Gamma is convex
-    there, so later terms fall faster.  The rows past them up to the
-    smallest term, and r < most, meet the same rule: a group's arrays hold
-    the rows j < 2 served, and the rows it does not read are not set.  A term
-    past the overflow guard relative to the first of a row the group reads
-    is a ConvergenceError.  w_j is the same recurrence at the magnitudes
-    ``refs`` with |s_j| for s_j: e^L_j times the sum of the magnitudes of
-    E_{nu,b_j}'s terms there, over the same rows, so a ref past z_max drops
-    more than 2^-64.  The groups take one walk down the lattice: each joins
-    it at its own start, so its rows do not depend on the others.
+    z is one argument at the nodes, bounded by z_max on the whole grid, and
+    the rows 2r + i, i in ``reads`` and r < count, are stored.
+    E_{a,b}(z) = 1/Gamma(b) + z E_{a,b+a}(z) runs down the lattice as
+    u_j = s_j + e^(L_j - L_{j+1}) z u_{j+1}, which damps where b_j^nu > |z|.
+    The walk starts past rows 0 to 2 count - 1, at the first row j with
+    b_{j-1} > 0 whose term at z_max falls and is below 2^-64 of each of
+    those rows' largest term; ln Gamma is convex there, so later terms fall
+    faster.  The rows past them up to the smallest term, and r < most, meet
+    the same rule: the arrays hold the rows j < 2 served, and the rows
+    not read are not set.  A term past the overflow guard relative to the
+    first of a row read is a ConvergenceError.  w_j is the same recurrence
+    at the magnitudes ``refs`` with |s_j| for s_j: e^L_j times the sum of
+    the magnitudes of E_{nu,b_j}'s terms there, over the same rows, so a
+    ref past z_max drops more than 2^-64.
     """
+    if not math.isfinite(z_max):
+        raise ConvergenceError("closed form: the Mittag-Leffler argument is not finite")
     b0, b1, nu = lattice
-    zs, z_maxes, refs, reads_of, counts = zip(*groups)
-    sign, log_gamma = map(list, zip(_signed_log_gamma(b0)))
-    known, starts, served = 1, [], []
-    for z_max, reads, count in zip(z_maxes, reads_of, counts):
-        if not math.isfinite(z_max):
-            raise ConvergenceError("closed form: the Mittag-Leffler argument is not finite")
-        log_z = math.log(max(z_max, math.ulp(0.0)))  # finite at z = 0
-        top = 2 * count - 1
-        lead = -math.inf  # the largest L_j - (j - 1) log|z| of the rows read so far
-        low = math.inf  # the smallest from row top on, at or below every row's largest
-        for j in range(min(reads), _LATTICE_ROWS):
-            if j < known:  # another group's scan reached it
-                s, g = sign[j], log_gamma[j]
-            else:
-                s, g = _signed_log_gamma(b1 + nu * (j - 1))
-                sign.append(s)
-                log_gamma.append(g)
-                known += 1
-            if s == 0.0:
-                continue
-            scaled = g - (j - 1) * log_z
-            if not lead - scaled <= _OVERFLOW_GUARD:
-                raise ConvergenceError(
-                    f"closed form: Mittag-Leffler term {j - min(reads)} has log-magnitude "
-                    f"{lead - scaled!r} relative to its row's first, exceeding the overflow "
-                    f"guard {_OVERFLOW_GUARD:.3g}"
-                )
-            if j <= top:
-                if j % 2 in reads:
-                    lead = max(lead, scaled)
-            elif b1 + nu * (j - 2) > 0 and log_z + log_gamma[j - 1] < g:
-                if low - scaled < -64 * math.log(2.0):
-                    break
-            if j >= top and scaled <= low:
-                low, low_at = scaled, j
-        else:
+    first, top = min(reads), 2 * count - 1
+    log_z = math.log(max(z_max, math.ulp(0.0)))  # finite at z = 0
+    lead = -math.inf  # the largest L_j - (j - 1) log|z| of the rows read so far
+    low = math.inf  # the smallest from row top on, at or below every row's largest
+    sign, log_gamma = [], []
+    for j in range(_LATTICE_ROWS):
+        s, g = _signed_log_gamma(b1 + nu * (j - 1) if j else b0)
+        sign.append(s)
+        log_gamma.append(g)
+        if j < first or s == 0.0:
+            continue
+        scaled = g - (j - 1) * log_z
+        if not lead - scaled <= _OVERFLOW_GUARD:
             raise ConvergenceError(
-                f"closed form: a Mittag-Leffler factor needs {_LATTICE_ROWS}+ rows")
-        starts.append(j)
-        served.append(max(count, min(most, (low_at - 1) // 2 + 1)))
-    # every group's nodes, then every group's refs
-    x = np.concatenate(zs + refs)
-    size = at_refs = sum(z.size for z in zs)
-    # joins[i]: the entries of the groups that start at row i + 1, set to 0 before row i
-    at_z, parts, joins = 0, [], {}
-    for z, ref, start in zip(zs, refs, starts):
-        parts.append((slice(at_z, at_z + z.size), slice(at_refs, at_refs + ref.size)))
-        at_z, at_refs = at_z + z.size, at_refs + ref.size
-        if start < max(starts):
-            joins.setdefault(start - 1, []).extend(parts[-1])
-    parities = set().union(*reads_of)
-    stored = 2 * max(served)
+                f"closed form: Mittag-Leffler term {j - first} has log-magnitude "
+                f"{lead - scaled!r} relative to its row's first, exceeding the overflow "
+                f"guard {_OVERFLOW_GUARD:.3g}"
+            )
+        if j <= top:
+            if j % 2 in reads:
+                lead = max(lead, scaled)
+        elif b1 + nu * (j - 2) > 0 and log_z + log_gamma[j - 1] < g:
+            if low - scaled < -64 * math.log(2.0):
+                break
+        if j >= top and scaled <= low:
+            low, low_at = scaled, j
+    else:
+        raise ConvergenceError(f"closed form: a Mittag-Leffler factor needs {_LATTICE_ROWS}+ rows")
+    x = np.concatenate((z, refs))
+    stored = 2 * max(count, min(most, (low_at - 1) // 2 + 1))
     rows = np.empty((stored, x.size))
-    u = np.zeros(x.size)  # u_j = 0: the terms from row j on are dropped
-    for i in range(max(starts) - 1, min(map(min, reads_of)) - 1, -1):
-        if i in joins:
-            for part in joins[i]:
-                u[part] = 0.0
+    u = spare = np.zeros(x.size)  # u_j = 0: the terms from row j on are dropped
+    for i in range(j - 1, first - 1, -1):
         s = sign[i]
         if s == 0.0:
             log_gamma[i] = log_gamma[i + 1]
-        u *= x
+        u = np.multiply(u, x, out=rows[i] if i < stored and i % 2 in reads else spare)
         u *= math.exp(log_gamma[i] - log_gamma[i + 1])
         u += s
         if s < 0.0:
-            u[size:] += 2.0  # |s_j| at refs
-        if i < stored and i % 2 in parities:
-            rows[i] = u
-    return log_gamma, [(rows[: 2 * count, at_z], rows[: 2 * count, at_refs])
-                       for count, (at_z, at_refs) in zip(served, parts)]
+            u[z.size:] += 2.0  # |s_j| at refs
+    return log_gamma, rows[:, : z.size], rows[:, z.size :]
 
 
 def _rounding_flags(
@@ -462,9 +436,11 @@ def _rounding_flags(
     magnitudes at its last node.  That over-estimates a node's mass by at
     most its growth across the block.
     """
+    table = _ratio_tables.get(((), lower, False), ())  # the outer array loop's rows
     log_weight = np.full(max(scales) + 1, -math.inf)
     for r, scale in scales.items():
-        log_weight[r] = _term_gamma_ratio(r, (), lower)[1] + scale
+        log_ratio = table[r][2] if r < len(table) else _term_gamma_ratio(r, (), lower)[1]
+        log_weight[r] = log_ratio + scale
     log_weight -= math.log(_ROUNDING_LIMIT * 2.0**52)
     terms = log_weight.size
     per_block = np.exp(np.arange(terms)[:, None] * log_abs_z[edges[1:] - 1] + log_weight[:, None])
@@ -489,10 +465,10 @@ def _closed_form_sums(
     """Per variant, (sums, terms_used, budget stops, rounding flags) of its closed form over n0.
 
     The variants' outer series at the nodes t are one array loop over their
-    nodes laid end to end, and the variants whose factors share an argument
-    and a first lattice read one walk of it.  Every stop, lattice start and
-    rebuild follows from the variant's own nodes, so each variant gets the
-    bits it gets alone.
+    nodes laid end to end.  The variants whose factors share an argument
+    and a first lattice read one walk of it, and each other argument takes
+    its own walk.  Every stop, lattice start and rebuild follows from the
+    variant's own nodes, so each variant gets the bits it gets alone.
     """
     n = t.size
     b0, b1, lower = _lattice_origin(p)
@@ -517,17 +493,14 @@ def _closed_form_sums(
     cuts = [v * n for v in range(1, len(inputs))]
     covered = 0  # rows every group's lattice holds
 
-    def build(stale: list[_ArgumentGroup]) -> None:
+    def build(g: _ArgumentGroup) -> None:
         # at every node: a rebuild is rare, and its rows cost little more there
-        specs = [(g.arg, float(np.max(np.abs(g.arg))), np.abs(g.arg[edges[1:] - 1]),
-                  tuple({i for _, i in g.readers}),
-                  min(g.first if g.log_gamma is None else pol.max_terms, pol.max_terms))
-                 for g in stale]
-        log_gamma, built = _ml_lattice((b0, b1, p.nu), pol.max_terms, specs)
-        for g, (rows, sizes) in zip(stale, built):
-            g.rows, g.log_gamma = rows, log_gamma
-            for v, row in g.readers:  # the rows past the terms it covers so far
-                peaks[v].append(sizes[2 * sum(map(len, peaks[v])) + row :: 2])
+        g.log_gamma, g.rows, sizes = _ml_lattice(
+            (b0, b1, p.nu), pol.max_terms, g.arg, float(np.max(np.abs(g.arg))),
+            np.abs(g.arg[edges[1:] - 1]), tuple({i for _, i in g.readers}),
+            min(g.first if g.log_gamma is None else pol.max_terms, pol.max_terms))
+        for v, row in g.readers:  # the rows past the terms it covers so far
+            peaks[v].append(sizes[2 * sum(map(len, peaks[v])) + row :: 2])
 
     def ml_factor(r: int, nodes: np.ndarray) -> np.ndarray | None:
         # None at a pole of Gamma(big)
@@ -538,10 +511,9 @@ def _closed_form_sums(
         # variant v's working nodes are nodes[bounds[v]:bounds[v + 1]]
         bounds = [0, *nodes.searchsorted(cuts).tolist(), nodes.size] if cuts else [0, nodes.size]
         if 2 * r >= covered:
-            stale = [g for g in groups if 2 * r >= len(g.rows)
-                     and any(bounds[v] < bounds[v + 1] for v, _ in g.readers)]
-            if stale:
-                build(stale)
+            for g in groups:
+                if 2 * r >= len(g.rows) and any(bounds[v] < bounds[v + 1] for v, _ in g.readers):
+                    build(g)
             covered = min(len(g.rows) for g in groups)
         factors = []
         for (g, row, start, scales), lo, hi in zip(plan, bounds, bounds[1:]):

@@ -213,8 +213,8 @@ class TestClosedForm:
         import mpmath as mp
 
         lattice = (b0, b0 + nu if b1 is None else b1, nu)
-        log_gamma, [(rows, sizes)] = kinetics._ml_lattice(
-            lattice, most, [(np.array(zs), max(map(abs, zs)), np.abs(zs), reads, count)])
+        log_gamma, rows, sizes = kinetics._ml_lattice(
+            lattice, most, np.array(zs), max(map(abs, zs)), np.abs(zs), reads, count)
         assert len(rows) == len(sizes) == 2 * served
         walked = len(log_gamma) - min(reads)
         with mp.workdps(30):
@@ -235,34 +235,16 @@ class TestClosedForm:
                     assert abs(rows[j][i] - scale * total) <= bound
                     assert abs(sizes[j][i] - scale * size) <= bound
 
-    def test_argument_groups_walk_together_as_alone(self):
-        # two arguments whose starts lie rows apart take one walk; each group
-        # joins it at its own start, so its rows, sizes and L_j are the bits
-        # its own walk gives.  The node at -6 lies past its group's z_max, so
-        # a walk that entered it from any other row would give it other rows
-        lattice = (0.55, 0.55 + 0.9, 0.9)
-        small = (np.array([-0.2, -1.5, -6.0]), 1.5, np.array([1.5]), (1,), 16)
-        large = (np.array([-4.0, -30.0, -2.0]), 30.0, np.array([4.0, 30.0]), (0,), 4)
-        log_gamma, built = kinetics._ml_lattice(lattice, 50, [small, large])
-        for group, (rows, sizes) in zip((small, large), built):
-            alone_log_gamma, [(alone_rows, alone_sizes)] = kinetics._ml_lattice(
-                lattice, 50, [group])
-            read = slice(min(group[3]), None, 2)
-            assert rows[read].tobytes() == alone_rows[read].tobytes()
-            assert sizes[read].tobytes() == alone_sizes[read].tobytes()
-            assert log_gamma[: len(rows)] == alone_log_gamma[: len(rows)]
-        assert len(built[0][0]) != len(built[1][0])
-
     def test_guard_weighs_only_the_rows_read(self):
         # b_0 = 0.02 makes row 0's leading term 10 log-units above row 1's at
         # |z| = 4.9e5: the odd rows alone stay under the overflow guard, and
-        # a group that reads row 0 trips it
+        # a walk that reads row 0 trips it
         b0 = 2.0 * -0.49 + 1.0
         lattice, z = (b0, b0 + 2.0, 2.0), np.array([-4.9e5])
-        kinetics._ml_lattice(lattice, 50, [(z, 4.9e5, -z, (1,), 16)])
+        kinetics._ml_lattice(lattice, 50, z, 4.9e5, -z, (1,), 16)
         for reads in ((0,), (0, 1)):
             with pytest.raises(ConvergenceError, match="Mittag-Leffler term 305 .* overflow guard"):
-                kinetics._ml_lattice(lattice, 50, [(z, 4.9e5, -z, reads, 16)])
+                kinetics._ml_lattice(lattice, 50, z, 4.9e5, -z, reads, 16)
 
     @staticmethod
     def _check_reference(p, variant, max_terms, t_max=1.0):
@@ -593,8 +575,8 @@ class TestClosedForm:
         # lattice need not store the first lattice's 16 terms
         counts = []
         real = kinetics._ml_lattice
-        monkeypatch.setattr(kinetics, "_ml_lattice", lambda lattice, most, groups: (
-            counts.extend(group[4] for group in groups) or real(lattice, most, groups)))
+        monkeypatch.setattr(kinetics, "_ml_lattice", lambda *args: (
+            counts.append(args[-1]) or real(*args)))
         sol = solve_closed_form(_problem(**kw), TimeGrid(t_max=1.0, n_points=64))
         assert counts == [1] and np.all(sol.terms_used == 1)
 
@@ -957,16 +939,15 @@ class TestAdjudicate:
             assert report.consistent.terms_used.max() == 17
 
     def test_each_argument_keeps_the_lattices_of_its_solo_solve(self, monkeypatch):
-        # thm2's two arguments share a walk, not a start rule: the pass asks
-        # for the lattices (largest |z| on the grid, rows read, outer terms)
-        # that the two solo solves ask for, the rebuild of the 17-term
-        # sumudu_consistent series included
+        # the pass asks for thm2's lattices (largest |z| on the grid, rows
+        # read, outer terms) that the two solo solves ask for, the rebuild
+        # of the 17-term sumudu_consistent series included
         specs = []
         real = kinetics._ml_lattice
 
-        def spy(lattice, most, groups):
-            specs.extend((z_max, reads, count) for _, z_max, _, reads, count in groups)
-            return real(lattice, most, groups)
+        def spy(lattice, most, z, z_max, refs, reads, count):
+            specs.append((z_max, reads, count))
+            return real(lattice, most, z, z_max, refs, reads, count)
 
         monkeypatch.setattr(kinetics, "_ml_lattice", spy)
         p = _problem(forcing="thm2", n0=0.899508, d=1.24305, a=3.56385, nu=1.46682, mu=1.5,
