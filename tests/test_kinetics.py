@@ -235,6 +235,31 @@ class TestClosedForm:
                     assert abs(rows[j][i] - scale * total) <= bound
                     assert abs(sizes[j][i] - scale * size) <= bound
 
+    def test_argument_groups_walk_together_as_alone(self, monkeypatch):
+        # thm2's two arguments take one walk each in the one pass, the
+        # 17-term rebuild included; once the pass is done, every walk's L_j,
+        # rows and sizes still hold the bits a fresh walk at its inputs
+        # gives, so no walk or outer term wrote into another walk's rows
+        walks = []
+        real = kinetics._ml_lattice
+
+        def spy(*args):
+            walks.append((args, real(*args)))
+            return walks[-1][1]
+
+        monkeypatch.setattr(kinetics, "_ml_lattice", spy)
+        p = _problem(forcing="thm2", n0=0.899508, d=1.24305, a=3.56385, nu=1.46682, mu=1.5,
+                     c=0.883669, k=2.0)
+        kinetics._solve_variants(p, TimeGrid(t_max=1.0, n_points=64), TruncationPolicy())
+        assert len(walks) == 3
+        assert len({args[2].tobytes() for args, _ in walks}) == 2
+        kept = [(list(log_gamma), rows[min(args[5])::2].tobytes(),
+                 sizes[min(args[5])::2].tobytes()) for args, (log_gamma, rows, sizes) in walks]
+        for (args, _), walked in zip(walks, kept):
+            log_gamma, rows, sizes = real(*args)
+            read = slice(min(args[5]), None, 2)
+            assert walked == (log_gamma, rows[read].tobytes(), sizes[read].tobytes())
+
     def test_guard_weighs_only_the_rows_read(self):
         # b_0 = 0.02 makes row 0's leading term 10 log-units above row 1's at
         # |z| = 4.9e5: the odd rows alone stay under the overflow guard, and
