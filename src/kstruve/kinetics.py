@@ -310,11 +310,13 @@ def solve_closed_form(
     (``sumudu_consistent``), so both variants read one walk of the lattice
     where their factors share an argument (thm1, thm3); thm2's two
     arguments walk it one after the other.  ``validate`` and ``solve`` sum
-    both variants in one pass that gives each the bits this function gives
-    it alone.  A node is flagged too where its rounding
-    estimate, 2^-52 times the magnitudes of every term it gathered in both
-    series, passes 1e-8 of its value: the factors lose about e^(d t) 2^-52
-    to cancellation, and the outer series its condition number times 2^-52.
+    both variants in one pass that gives each the sums, terms used and
+    budget stops this function gives it alone.  A node is flagged too
+    where its rounding estimate, 2^-52 times the magnitudes of every term it
+    gathered in both series, passes 1e-8 of its value: the factors lose
+    about e^(d t) 2^-52 to cancellation, and the outer series its condition
+    number times 2^-52.  The factors' magnitudes come from the argument's
+    last walk, a rebuild if there was one.
 
     A series sum that is not finite, n0 times it, d^nu or a^nu past the
     largest double, or a factor whose terms pass the overflow guard before
@@ -327,16 +329,6 @@ def solve_closed_form(
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
     return _solutions(p, grid, (variant,), pol)[0]
-
-
-def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
-               pol: TruncationPolicy) -> tuple[SeriesSolution, ...]:
-    """``solve_closed_form`` for each of ``variants``, summed in one pass."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = _closed_form_sums(p, grid.points(), variants, pol)
-    return tuple(SeriesSolution(grid, _times_n0(p.n0, totals), variant, used, stopped | rounded,
-                                stopped)
-                 for variant, (totals, used, stopped, rounded) in zip(variants, sums))
 
 
 # outer terms of the first Mittag-Leffler lattice; the figures at t_max = 1 use
@@ -422,19 +414,19 @@ def _ml_lattice(
 
 def _rounding_flags(
     totals: np.ndarray, log_pref: np.ndarray, log_abs_z: np.ndarray, edges: np.ndarray,
-    lower: tuple[tuple[float, float], ...], scales: dict[int, float], peaks: np.ndarray,
+    lower: tuple[tuple[float, float], ...], scales: dict[int, float], sizes: np.ndarray,
 ) -> np.ndarray:
     """The nodes whose rounding estimate passes ``_ROUNDING_LIMIT`` of their sum.
 
     A node's estimate is 2^-52 times its mass: the sum over the terms r of
     |outer term r| times e^scales[r] times the magnitudes of the terms of
     r's factor.  The outer weight 1/|prod Gamma(b + B r)| is the array
-    loop's own row; a term with no scale, at a pole of Gamma(big) or of that
-    row, weighs 0.  Over the prefactor e^log_pref, both grow with t, so they
-    are taken at the last node of the node's block: block b holds the
-    nodes edges[b] to edges[b + 1] - 1, and peaks[r, b] holds r's factor
-    magnitudes at its last node.  That over-estimates a node's mass by at
-    most its growth across the block.
+    loop's own row; a term with no scale, at a pole of Gamma(big), weighs 0.
+    Over the prefactor e^log_pref, both grow with t, so they are taken at
+    the last node of the node's block: block b holds the nodes edges[b] to
+    edges[b + 1] - 1, and sizes[r, b] holds r's factor magnitudes at its
+    last node.  That over-estimates a node's mass by at most its growth
+    across the block.
     """
     table = _ratio_tables.get(((), lower, False), ())  # the outer array loop's rows
     log_weight = np.full(max(scales) + 1, -math.inf)
@@ -444,85 +436,78 @@ def _rounding_flags(
     log_weight -= math.log(_ROUNDING_LIMIT * 2.0**52)
     terms = log_weight.size
     per_block = np.exp(np.arange(terms)[:, None] * log_abs_z[edges[1:] - 1] + log_weight[:, None])
-    per_block = np.repeat((per_block * peaks[:terms]).sum(axis=0), edges[1:] - edges[:-1])
+    per_block = np.repeat((per_block * sizes[:terms]).sum(axis=0), edges[1:] - edges[:-1])
     return ~(np.exp(log_pref) * per_block <= np.abs(totals))
 
 
 class _ArgumentGroup:
-    """The variants whose factors share one argument, and the lattice last built for them."""
+    """One Mittag-Leffler argument of the pass, and its last walk of the lattice."""
 
     def __init__(self, arg: np.ndarray, first: int):
         self.arg = arg  # the Mittag-Leffler argument at every node
         self.first = first  # outer terms of the first lattice
-        self.readers: list[tuple[int, int]] = []  # (variant, row parity)
-        self.rows: np.ndarray | tuple = ()  # the lattice's rows at every node
+        self.reads: tuple[int, ...] = ()  # the row parities its variants read
+        # the last walk's L_j, its rows at every node and at each rounding block's last node
         self.log_gamma: list[float] | None = None
+        self.rows: np.ndarray | tuple = ()
+        self.sizes: np.ndarray | None = None
 
 
-def _closed_form_sums(
-    p: KineticProblem, t: np.ndarray, variants: tuple[str, ...], pol: TruncationPolicy
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per variant, (sums, terms_used, budget stops, rounding flags) of its closed form over n0.
+@np.errstate(over="ignore", invalid="ignore")
+def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
+               pol: TruncationPolicy) -> tuple[SeriesSolution, ...]:
+    """``solve_closed_form`` for each of ``variants``, summed in one pass.
 
-    The variants' outer series at the nodes t are one array loop over their
-    nodes laid end to end.  The variants whose factors share an argument
-    and a first lattice read one walk of it, and each other argument takes
-    its own walk.  Every stop, lattice start and rebuild follows from the
-    variant's own nodes, so each variant gets the bits it gets alone.
+    The variants' outer series are one array loop over their nodes laid end
+    to end.  Variants whose factors share an argument and a first lattice
+    share one group and its walks, and a group is walked again, for the
+    whole term budget, when one of its variants has working nodes past its
+    rows.  So each variant gets the sums, terms used and budget stops it
+    gets alone.  Its rounding estimate reads the group's last walk: after a
+    rebuild, which the other variant alone may have needed, that walk's
+    magnitudes can differ from the first walk's by rounding only.
     """
+    t = grid.points()
     n = t.size
     b0, b1, lower = _lattice_origin(p)
     inputs = _variant_inputs(p, t, variants)
-    # per variant: its group, row parity, first node in the pass and, per term
-    # r, ln|Gamma(big)| - L_(2r+row) (none at a pole of Gamma(big)); and blocks
-    # of rows of its factor magnitudes at the last node of each rounding block
-    groups, plan, peaks = [], [], [[] for _ in inputs]
-    for v, (z, _, _, arg, row) in enumerate(inputs):
+    groups = []  # variant v's is groups[v]
+    for z, _, _, arg, row in inputs:
         # the outer series ends at r = 0 where z is 0 at every node (the
         # constant forcing, c = 0), so its first lattice needs one outer term
         first = _FIRST_LATTICE_TERMS if z.any() else 1
         group = next((g for g in groups if g.first == first and g.arg is arg), None)
         if group is None:
             group = _ArgumentGroup(arg, first)
-            groups.append(group)
-        group.readers.append((v, row))
-        plan.append((group, row, v * n, {}))
+        if row not in group.reads:
+            group.reads += (row,)
+        groups.append(group)
     # the first node of each block and one past the last
     blocks = min(n, _ROUNDING_BLOCKS)
     edges = np.arange(blocks + 1) * n // blocks
     cuts = [v * n for v in range(1, len(inputs))]
-    covered = 0  # rows every group's lattice holds
-
-    def build(g: _ArgumentGroup) -> None:
-        # at every node: a rebuild is rare, and its rows cost little more there
-        g.log_gamma, g.rows, sizes = _ml_lattice(
-            (b0, b1, p.nu), pol.max_terms, g.arg, float(np.max(np.abs(g.arg))),
-            np.abs(g.arg[edges[1:] - 1]), tuple({i for _, i in g.readers}),
-            min(g.first if g.log_gamma is None else pol.max_terms, pol.max_terms))
-        for v, row in g.readers:  # the rows past the terms it covers so far
-            peaks[v].append(sizes[2 * sum(map(len, peaks[v])) + row :: 2])
 
     def ml_factor(r: int, nodes: np.ndarray) -> np.ndarray | None:
         # None at a pole of Gamma(big)
-        nonlocal covered
         big_sign, big_log = _signed_log_gamma(b1 + p.nu * (2 * r))
         if big_sign == 0.0:
             return None
         # variant v's working nodes are nodes[bounds[v]:bounds[v + 1]]
         bounds = [0, *nodes.searchsorted(cuts).tolist(), nodes.size] if cuts else [0, nodes.size]
-        if 2 * r >= covered:
-            for g in groups:
-                if 2 * r >= len(g.rows) and any(bounds[v] < bounds[v + 1] for v, _ in g.readers):
-                    build(g)
-            covered = min(len(g.rows) for g in groups)
         factors = []
-        for (g, row, start, scales), lo, hi in zip(plan, bounds, bounds[1:]):
-            if lo < hi:
-                scales[r] = big_log - g.log_gamma[2 * r + row]
-                ml = g.rows[2 * r + row]
-                if hi - lo != n:
-                    ml = ml[nodes[lo:hi] - start]
-                factors.append((big_sign * math.exp(scales[r])) * ml)
+        for v, ((*_, row), g, lo, hi) in enumerate(zip(inputs, groups, bounds, bounds[1:])):
+            if lo == hi:
+                continue
+            if 2 * r >= len(g.rows):
+                # at every node: a rebuild is rare, and its rows cost little more there
+                g.log_gamma, g.rows, g.sizes = _ml_lattice(
+                    (b0, b1, p.nu), pol.max_terms, g.arg, float(np.max(np.abs(g.arg))),
+                    np.abs(g.arg[edges[1:] - 1]), g.reads,
+                    min(g.first if g.log_gamma is None else pol.max_terms, pol.max_terms))
+            ml = g.rows[2 * r + row]
+            if hi - lo != n:
+                ml = ml[nodes[lo:hi] - v * n]
+            factors.append((big_sign * math.exp(big_log - g.log_gamma[2 * r + row])) * ml)
         return factors[0] if len(factors) == 1 else np.concatenate(factors)
 
     z, log_abs_z, log_pref = inputs[0][:3] if len(inputs) == 1 else (
@@ -530,18 +515,22 @@ def _closed_form_sums(
     totals, used, converged = _wright_series_array(
         "closed form", z, (), lower, pol, log_pref, log_abs_z=log_abs_z, factor=ml_factor,
     )
-    sums = []
-    for (_, log_abs_z, log_pref, _, _), (_, _, start, scales), magnitudes in zip(
-            inputs, plan, peaks):
-        part = slice(start, start + n)
-        if len(inputs) > 1:  # the terms its own nodes reached; another variant's may reach further
-            terms = used[part].max()
-            scales = {r: scale for r, scale in scales.items() if r < terms}
+    solutions = []
+    for v, (variant, (_, log_abs_z, log_pref, _, row), g) in enumerate(
+            zip(variants, inputs, groups)):
+        part = slice(v * n, v * n + n)
+        values = _times_n0(p.n0, totals[part])
+        # per term r its nodes reached, ln|Gamma(big)| - L_(2r+row); none at a pole of Gamma(big)
+        bigs = (_signed_log_gamma(b1 + p.nu * (2 * r)) for r in range(used[part].max()))
+        scales = {r: big_log - g.log_gamma[2 * r + row]
+                  for r, (big_sign, big_log) in enumerate(bigs) if big_sign != 0.0}
         rounded = (_rounding_flags(totals[part], log_pref, log_abs_z, edges, lower, scales,
-                                   np.concatenate(magnitudes))
-                   if scales else np.zeros(t.shape, dtype=bool))
-        sums.append((totals[part], used[part], ~converged[part], rounded))
-    return sums
+                                   g.sizes[row::2])
+                   if scales else np.zeros(n, dtype=bool))
+        stopped = ~converged[part]
+        solutions.append(SeriesSolution(grid, values, variant, used[part], stopped | rounded,
+                                        stopped))
+    return tuple(solutions)
 
 
 def _solve_variants(p: KineticProblem, grid: TimeGrid, pol: TruncationPolicy):

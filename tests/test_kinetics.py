@@ -944,8 +944,10 @@ class TestAdjudicate:
         ],
     )
     def test_both_closed_forms_are_one_pass(self, kw, t_max, n, monkeypatch):
-        # one outer array loop for both variants, and each reported solution
-        # holds the bits solve_closed_form gives it alone
+        # one outer array loop for both variants; each reported solution
+        # holds the values, terms used and budget stops solve_closed_form
+        # gives it alone, and its flags, which read its argument's last walk
+        # (a rebuild only the other variant needs: the test below)
         calls = []
         real = kinetics._wright_series_array
         monkeypatch.setattr(
@@ -962,6 +964,37 @@ class TestAdjudicate:
                 assert getattr(sol, field).tobytes() == getattr(alone, field).tobytes()
         if kw.get("nu") == 1.46682:  # past the first lattice's 16 outer terms
             assert report.consistent.terms_used.max() == 17
+
+    @pytest.mark.parametrize(
+        "kw, t_max, quiet",
+        [
+            (dict(mu=1.1232, nu=0.589045, d=1.45202, a=0.781213, c=1.35916), 19.8563,
+             "as_printed"),
+            (dict(forcing="thm3", mu=-0.423, nu=0.449, d=2.228, a=2.549, c=1.084), 8.91,
+             "sumudu_consistent"),
+        ],
+    )
+    def test_a_rebuild_one_variant_needs_keeps_the_others_solo_flags(self, kw, t_max, quiet,
+                                                                      monkeypatch):
+        # thm1 and thm3 share one argument: the pass rebuilds its lattice
+        # for one variant, while the other (quiet) walks it once alone.  The
+        # quiet variant's flags read the rebuilt walk in the pass and the
+        # first walk alone; at n = 200 its rounding blocks hold several nodes
+        counts = []
+        real = kinetics._ml_lattice
+        monkeypatch.setattr(kinetics, "_ml_lattice",
+                            lambda *args: counts.append(args[-1]) or real(*args))
+        p, grid = _problem(**kw), TimeGrid(t_max=t_max, n_points=200)
+        together = kinetics._solve_variants(p, grid, POL)
+        assert counts == [16, POL.max_terms]
+        for sol in together:
+            counts.clear()
+            alone = solve_closed_form(p, grid, sol.variant, POL)
+            assert counts == ([16] if sol.variant == quiet else [16, POL.max_terms])
+            for field in ("values", "terms_used", "truncation_flag", "budget_stop"):
+                assert getattr(sol, field).tobytes() == getattr(alone, field).tobytes()
+            if sol.variant == quiet:
+                assert sol.truncation_flag.any() and not sol.budget_stop.any()
 
     def test_each_argument_keeps_the_lattices_of_its_solo_solve(self, monkeypatch):
         # the pass asks for thm2's lattices (largest |z| on the grid, rows
@@ -1010,16 +1043,19 @@ class TestAdjudicate:
         assert str(caught.value) == texts[failing]
 
     def test_one_pass_matches_solo_solves_on_a_seeded_battery(self):
-        # 60 problems over every forcing, c < 0 and c = 0, t_max 1 to 35
-        # and budgets 10 to 100: the pass gives each variant its solo bits
-        rng = np.random.default_rng(24)
+        # 60 problems over every forcing, c < 0 and c = 0, t_max 1 to 35,
+        # budgets 10 to 100 and n 24 or 200 (one node or several per
+        # rounding block, drawn apart so the problems stay those of
+        # seed 24): the pass gives each variant its solo bits
+        rng, sizes = np.random.default_rng(24), np.random.default_rng(26)
         for i in range(60):
             k = float(rng.choice([0.5, 1.0, 2.0]))
             p = _problem(forcing=FORCINGS[i % 4], k=k, mu=rng.uniform(-1.4, 2.0) * k,
                          nu=rng.uniform(0.2, 2.5), d=rng.uniform(0.3, 2.5), a=rng.uniform(0.3, 4.0),
                          c=float(rng.choice([-1.0, 0.0, 1.0, 1.0])) * rng.uniform(0.3, 1.6),
                          n0=rng.uniform(0.5, 2.0))
-            grid = TimeGrid(t_max=float(np.exp(rng.uniform(0.0, np.log(35.0)))), n_points=24)
+            grid = TimeGrid(t_max=float(np.exp(rng.uniform(0.0, np.log(35.0)))),
+                            n_points=int(sizes.choice([24, 200])))
             pol = TruncationPolicy(max_terms=int(rng.choice([10, 50, 100])))
             try:
                 together = kinetics._solve_variants(p, grid, pol)
