@@ -30,9 +30,9 @@ from .specfun import (
     KStruveParams,
     TruncationPolicy,
     _k_struve_array,
-    _ratio_tables,
+    _k_struve_series,
+    _ratio_rows,
     _signed_log_gamma,
-    _term_gamma_ratio,
     _wright_series_array,
     k_struve,
 )
@@ -219,24 +219,28 @@ def _rate_power(rate: float, nu: float) -> float:
 
 
 def _variant_inputs(p: KineticProblem, t: np.ndarray, variants: tuple[str, ...]):
-    """Per variant, the outer series' (z, ln|z|, log-prefactor) and its factors' (argument, row).
+    """(b_0, b_1, the outer lower pairs, and per variant (z, ln|z|, log-prefactor, argument, row)).
 
-    Term r's factor is Gamma(b_(2r+1)) E_{nu,b_(2r+row)}(argument) on the
-    lattice of ``_lattice_origin``.  The constant forcing is one term at
-    z = 0 whose factor is row 1, E_{nu,1}(-(d t)^nu); the other outer
-    series are k-Struve series of x = rate^e t^e.  ``as_printed`` keeps the
-    displayed forms: d in the power for thm2 and a plain (t/2)^e for thm3,
-    with 1/t in front, and reads the even rows.  ``sumudu_consistent`` puts
-    the forcing's own argument in the power and reads the odd rows, its
-    index shifted by nu.  Variants with one argument share its array, and
-    variants with one x share its series.
+    z, ln|z| and the log-prefactor are the outer series'.  Term r's factor is
+    Gamma(b_(2r+1)) E_{nu,b_(2r+row)}(argument) on the lattice b_0 = nu q + 1,
+    b_j = b_1 + (j - 1) nu, b_1 = nu q + 1 + nu (q = mu/k), so Gamma(b_(2r+1))
+    is term r's large coefficient in both variants.  The constant forcing is
+    one term at z = 0 whose factor is row 1 at b_1 = 1, as if q were -1:
+    E_{nu,1}(-(d t)^nu).  The other outer series are specfun's k-Struve
+    series of x = rate^e t^e.  ``as_printed`` keeps the displayed forms: d in
+    the power for thm2 and a plain (t/2)^e for thm3, with 1/t in front, and
+    reads the even rows.  ``sumudu_consistent`` puts the forcing's own
+    argument in the power and reads the odd rows, its index shifted by nu.
+    Variants with one argument share its array, and variants with one x share
+    its series.
     """
     tn = t ** p.nu
     d_tn = _rate_power(p.d, p.nu) * tn
     if p.forcing == "constant":
         zero = np.zeros(t.shape)
-        return [(zero, zero, zero, -d_tn, 1)] * len(variants)
+        return 1.0 - p.nu, 1.0, (), [(zero, zero, zero, -d_tn, 1)] * len(variants)
     q = p.mu / p.k
+    b0 = p.nu * q + 1.0
     d_arg, series, inputs = -d_tn, {}, []
     for variant in variants:
         if variant == "as_printed":
@@ -248,35 +252,18 @@ def _variant_inputs(p: KineticProblem, t: np.ndarray, variants: tuple[str, ...])
             ml_arg, row = d_arg, 1
             x, rate, power = (tn, 1.0, p.nu) if p.forcing == "thm3" else (d_tn, p.d, p.nu)
         if (rate, power) not in series:
+            half = x / 2.0
             # below the normal range x / 2 has lost bits or is 0: ln(x/2) from ln t there
             tiny = x < sys.float_info.min
-            log_half = np.log(np.where(tiny, 2.0, x) / 2.0)
+            log_half = np.log(np.where(tiny, 1.0, half))
             log_half[tiny] = power * (math.log(rate) + np.log(t[tiny])) - math.log(2.0)
-            # z = -c x^2/(4k), log|z| from the same log(x/2); at c = 0 the series ends after r = 0
-            series[rate, power] = (
-                -p.c * x * x / (4.0 * p.k),
-                2.0 * log_half + (math.log(abs(p.c) / p.k) if p.c != 0 else 0.0),
-                (q + 1.0) * log_half - (q + 0.5) * math.log(p.k),
-            )
-        z, log_abs_z, log_pref = series[rate, power]
+            # ln|z| comes from the same ln(x/2); z sets only each node's sign and whether it is 0
+            series[rate, power] = _k_struve_series(q, p.c, p.k, half, log_half)
+        z, log_abs_z, log_pref, lower = series[rate, power]
         if variant == "as_printed":
             log_pref = log_pref - np.log(t)
         inputs.append((z, log_abs_z, log_pref, ml_arg, row))
-    return inputs
-
-
-def _lattice_origin(p: KineticProblem):
-    """(b_0, b_1, the outer series' lower pairs) of the lattice b_j = b_1 + (j - 1) nu, j >= 1.
-
-    b_0 = nu q + 1 and b_1 = nu q + 1 + nu with q = mu/k, so Gamma(b_(2r+1))
-    is term r's large coefficient in both variants.  The constant forcing's
-    factor is row 1 at b_1 = 1, as if q were -1.
-    """
-    if p.forcing == "constant":
-        return 1.0 - p.nu, 1.0, ()
-    q = p.mu / p.k
-    b0 = p.nu * q + 1.0
-    return b0, b0 + p.nu, ((1.5, 1.0), (q + 1.5, 1.0))
+    return b0, b0 + p.nu, lower, inputs
 
 
 def _times_n0(n0: float, totals: np.ndarray) -> np.ndarray:
@@ -428,11 +415,10 @@ def _rounding_flags(
     last node.  That over-estimates a node's mass by at most its growth
     across the block.
     """
-    table = _ratio_tables.get(((), lower, False), ())  # the outer array loop's rows
-    log_weight = np.full(max(scales) + 1, -math.inf)
+    rows = _ratio_rows(max(scales) + 1, (), lower, False)  # the outer array loop's rows
+    log_weight = np.full(len(rows), -math.inf)
     for r, scale in scales.items():
-        log_ratio = table[r][2] if r < len(table) else _term_gamma_ratio(r, (), lower)[1]
-        log_weight[r] = log_ratio + scale
+        log_weight[r] = rows[r][2] + scale
     log_weight -= math.log(_ROUNDING_LIMIT * 2.0**52)
     terms = log_weight.size
     per_block = np.exp(np.arange(terms)[:, None] * log_abs_z[edges[1:] - 1] + log_weight[:, None])
@@ -469,8 +455,7 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
     """
     t = grid.points()
     n = t.size
-    b0, b1, lower = _lattice_origin(p)
-    inputs = _variant_inputs(p, t, variants)
+    b0, b1, lower, inputs = _variant_inputs(p, t, variants)
     groups = []  # variant v's is groups[v]
     for z, _, _, arg, row in inputs:
         # the outer series ends at r = 0 where z is 0 at every node (the

@@ -256,6 +256,13 @@ def _ratio_row(
     return float(n), (-g_sign if negative and n & 1 else g_sign), log_ratio
 
 
+def _ratio_rows(count: int, upper, lower, negative: bool) -> list:
+    """Rows 0 to count - 1 of the table under (upper, lower, negative): published, then computed."""
+    rows = list(_ratio_tables.get((upper, lower, negative), ())[:count])
+    rows += [_ratio_row(n, upper, lower, negative) for n in range(len(rows), count)]
+    return rows
+
+
 def _grown_rows(grown: list, start: int, stop: int, upper, lower, negative: bool):
     """Rows start to stop - 1 of ``_ratio_row``, each appended to ``grown`` as it is yielded."""
     for n in range(start, stop):
@@ -338,12 +345,10 @@ def _series_terms(
     it is meant for terms the loop has already summed without raising.
     """
     log_abs_z = math.log(abs(z))
-    rows = list(_ratio_tables.get((upper, lower, z < 0), ())[:count])
-    rows += [_ratio_row(n, upper, lower, z < 0) for n in range(len(rows), count)]
     exp = math.exp
     return [
         sign * exp(log_pref + n * log_abs_z + log_ratio) if sign else 0.0
-        for n, sign, log_ratio in rows
+        for n, sign, log_ratio in _ratio_rows(count, upper, lower, z < 0)
     ]
 
 
@@ -555,6 +560,19 @@ def k_struve_info(params: KStruveParams, x: float, pol: TruncationPolicy = _DEFA
     return _struve_series("k_struve", q, params.c, params.k, x, pol)
 
 
+def _k_struve_series(q: float, c: float, k: float, half: np.ndarray, log_half: np.ndarray):
+    """(z, ln|z|, log-prefactor, lower pairs) of ``k_struve_info``'s series at x = 2 half, q = nu/k.
+
+    z = -c (x/2)(x/2) / k, which can pass the largest double; ln|z| is
+    2 ln(x/2) + ln(|c|/k), or any finite value at c = 0, where z is 0.  Each
+    caller forms ln(x/2) its own way.
+    """
+    z = -c * half * half / k
+    log_abs_z = 2.0 * log_half + (math.log(abs(c) / k) if c else 0.0)
+    log_pref = (q + 1.0) * log_half - (q + 0.5) * math.log(k)
+    return z, log_abs_z, log_pref, ((1.5, 1.0), (q + 1.5, 1.0))
+
+
 def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy, log=None):
     """``k_struve_info`` at every node of a 1-D array x; returns (values, terms_used).
 
@@ -576,20 +594,16 @@ def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy,
     used = np.ones(x.shape, dtype=int)
     xp = x[positive]
     half = xp / 2.0  # as in _struve_series
-    k = params.k
-    with np.errstate(over="ignore"):
-        z = -params.c * half * half / k
-    if not np.isfinite(z).all():
-        raise ConvergenceError(_argument_overflow("k_struve", xp.max()))
     # _log_half at every node: ln(x/2) where x/2 is exact, else ln x - ln 2
     exact = half * 2.0 == xp
     log_half = (log or _scalar_logs)(np.where(exact, half, xp))
     log_half[~exact] -= _LOG_2
-    c = params.c
-    log_abs_z = None if log is None else 2.0 * log_half + (math.log(abs(c) / k) if c else 0.0)
+    with np.errstate(over="ignore"):
+        z, log_abs_z, log_pref, lower = _k_struve_series(q, params.c, params.k, half, log_half)
+    if not np.isfinite(z).all():
+        raise ConvergenceError(_argument_overflow("k_struve", xp.max()))
     values[positive], used[positive], _ = _wright_series_array(
-        "k_struve", z, (), ((1.5, 1.0), (q + 1.5, 1.0)), pol,
-        (q + 1.0) * log_half - (q + 0.5) * math.log(k), log_abs_z,
+        "k_struve", z, (), lower, pol, log_pref, None if log is None else log_abs_z,
     )
     return values, used
 
