@@ -8,7 +8,8 @@ Contracts: CSV output is UTF-8 with a leading ``#`` metadata line recording
 the resolved configuration, floats written exactly as ``%.17g`` writes them,
 ``\\n`` line endings, whole-file atomic writes with the permissions the
 umask gives a new file.  Exit codes: 0 success, 2 input error,
-3 numerical failure, 4 adjudication disagreement.
+3 numerical failure, 4 no variant agrees (``validate``: none lies within
+tol of the oracle at t_max, or each that does is flagged there, undecided).
 
 ``figures`` sums each node's series under the package default policy, as
 ``solve``, ``sweep`` and ``validate`` do by default: at most 50 terms,
@@ -16,8 +17,9 @@ stopping once a term is at most 1e-16 of the running sum.  For each
 closed-form column with nodes that stopped on the term budget instead
 (a figure's nu, a sweep's value, ``solve``'s and ``validate``'s two
 variants), one line on stderr gives their count, and one more counts the
-nodes whose rounding estimate passes 1e-8 of their value; the files,
-stdout and exit code do not change.
+nodes whose rounding estimate passes 1e-8 of their value; the notes
+change no file, stdout or exit code, though a flag at t_max leaves a
+``validate`` variant undecided.
 """
 
 from __future__ import annotations

@@ -10,10 +10,14 @@ Two closed-form variants are first class:
   the power rule S^-1{u^m} = t^m / Gamma(m+1): no 1/t factor and the index
   shifted to nu*(2r + mu/k + 1) + 1.
 
-The two differ because the source derivation uses two mutually inconsistent
+Each is ``specfun``'s k-Struve series of the forcing argument with a
+Mittag-Leffler factor on each term: ``specfun`` forms the series and reads
+its Gamma-ratio rows, and this module adds the factors.  The two differ
+because the source derivation uses two mutually inconsistent
 inverse-transform rules; neither variant is asserted as the truth.  The
 direct Volterra discretization is the ground truth and ``adjudicate``
-measures both variants against it.
+measures both variants against it; a variant whose value at t_max is
+flagged is undecided, never agreeing.
 """
 
 from __future__ import annotations
@@ -195,6 +199,10 @@ class AdjudicationReport:
 
     def summary(self) -> str:
         verdict = ", ".join(self.agreeing) if self.agreeing else "neither variant"
+        flagged = [sol.variant for sol in (self.printed, self.consistent)
+                   if sol.truncation_flag[-1]]
+        if flagged:
+            verdict += f"; undecided (flagged at t_max): {', '.join(flagged)}"
         return (
             f"max|dev|/max|N_oracle|: as_printed={self.dev_printed:.6g} "
             f"sumudu_consistent={self.dev_consistent:.6g}; "
@@ -679,6 +687,8 @@ def adjudicate(
     Deviations are normalized by the oracle's maximum magnitude over the
     grid; the at-end deviations are relative at t = t_max, which is what the
     tolerance verdict uses.  Nothing about the printed formula is presumed.
+    A variant whose node at t_max is flagged (``truncation_flag[-1]``) is
+    never agreeing, whatever its deviation; the summary names it undecided.
     A NaN, infinite or negative ``tol`` is a ``DomainError``.
     """
     if not (tol >= 0.0 and math.isfinite(tol)):
@@ -694,9 +704,9 @@ def adjudicate(
     dev_p_end = abs(printed.values[-1] - oracle.values[-1]) / end_ref
     dev_c_end = abs(consistent.values[-1] - oracle.values[-1]) / end_ref
     agreeing = tuple(
-        name
-        for name, dev in (("as_printed", dev_p_end), ("sumudu_consistent", dev_c_end))
-        if dev <= tol
+        sol.variant
+        for sol, dev in ((printed, dev_p_end), (consistent, dev_c_end))
+        if dev <= tol and not sol.truncation_flag[-1]
     )
     monotone = bool(np.all(np.diff(oracle.values) >= 0))
     return AdjudicationReport(

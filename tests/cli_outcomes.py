@@ -13,7 +13,8 @@ csv/svg/both``, negative values after a flag and in ``=`` form, and the
 closed form and Sumudu image at arguments that underflow or overflow, the
 overflow guard tripped in ``solve`` and ``sweep`` (by the constant
 forcing's Mittag-Leffler factor too), n0 times the sum past the largest
-double, a long horizon that stops on the term budget, thm2 with d > a,
+double, a long horizon that stops on the term budget, ``validate`` verdicts
+left undecided by closed forms flagged at t_max, thm2 with d > a,
 a 17-term outer series that rebuilds its Mittag-Leffler lattice, and
 tables longer than the float writer's 1024-row block.  Two
 checkouts that print the same digest write the same bytes for every argv;
@@ -98,6 +99,11 @@ BATTERY = [
     ["validate", "--forcing", "thm2", "--d", "2.5", "--a", "1.2", "--n-points", "64"],
     ["validate", "--forcing", "thm2", "--n0", "0.899508", "--d", "1.24305", "--a", "3.56385",
      "--nu", "1.46682", "--mu", "1.5", "--c", "0.883669", "--k", "2", "--n-points", "512"],
+    # long horizons whose closed forms are flagged at t_max: an undecided verdict
+    ["validate", "--forcing", "thm2", "--nu", "0.9", "--t-max", "30", "--n-points", "257",
+     "--max-terms", "100", "--tol", "0.1"],
+    ["validate", "--forcing", "thm2", "--nu", "0.9", "--t-max", "20", "--n-points", "257",
+     "--max-terms", "100"],
     ["validate", "--bogus", "-1"],
     # figures
     ["figures", "--which", "2", "--n-points", "9", "--format", "csv"],

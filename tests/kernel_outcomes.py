@@ -1,4 +1,4 @@
-"""Print one SHA-256 over the outcomes of a seeded battery of scalar kernel calls.
+"""Print one SHA-256 over the outcomes of a seeded battery of kernel calls.
 
     PYTHONPATH=src python tests/kernel_outcomes.py [--seed 1] [--lines]
 
@@ -12,7 +12,11 @@ radius, entire, an upper pole), ``sumudu_kstruve_closed``,
 ``sumudu_numeric`` of ``k_struve``, ``inverse_sumudu_kstruve`` (t from 0
 to 1e300, nu/k <= 0 too), and series arguments past the overflow
 guard, under the policies (50, 1e-16), (200, 0) and (7, 1e-16); the
-overflow cases also run at one term.  Two checkouts that print the same
+overflow cases also run at one term.  Array calls are hashed node by node:
+``k_struve`` and ``mittag_leffler`` on 1-D arrays, and
+``specfun._k_struve_array`` with numpy's log, as the Volterra oracle's
+forcing calls it, with x at 0, below the normal range and past the
+argument's overflow too.  Two checkouts that print the same
 digest give the same outcomes bit for bit; ``--lines`` prints every
 outcome, so a ``diff`` of two runs names the calls that differ.  Tier-1
 does not collect this file.
@@ -22,6 +26,8 @@ import argparse
 import hashlib
 import math
 import random
+
+import numpy as np
 
 from kstruve import specfun, transforms
 from kstruve.errors import ConvergenceError, DomainError, QuadratureError
@@ -35,6 +41,7 @@ POLICIES = (
 ONE_TERM = TruncationPolicy(max_terms=1, rel_tol=1e-16)
 ORDERS = (-2.0, -1.0, 0.0, 1.0, 2.0)  # integer orders put poles into the lower Gammas
 CASES = 100  # random draws per family and policy
+ARRAY_CASES = 20  # random 1-D arrays per array family and policy
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -111,6 +118,24 @@ def battery(seed: int) -> list:
     tiny = KStruveParams(0.5, 500.0, 1e-300)
     add(("inverse_sumudu_kstruve", tiny, 1e3),
         lambda pol: transforms.inverse_sumudu_kstruve(tiny, 1e3, pol))
+    for _ in range(ARRAY_CASES):
+        k = rng.choice((0.5, 1.0, 2.0, 3.0))
+        params = KStruveParams(k, rng.uniform(-1.45, 3.0) * k, rng.choice((1.0, -1.0, 0.0)))
+        # 0, x whose half is not exact or underflows, and x whose z overflows
+        x = [_log_uniform(rng, 1e-3, 50.0) for _ in range(rng.randrange(1, 40))]
+        x += rng.sample((0.0, 5e-324, 3e-308, 1e-170, 3e154), rng.randrange(3))
+        x = np.array(sorted(x))
+        add(("k_struve array", params, *x),
+            lambda pol, pr=params, x=x: specfun.k_struve(pr, x, pol))
+        add(("_k_struve_array np.log", params, *x),
+            lambda pol, pr=params, x=x: specfun._k_struve_array(pr, x, pol, np.log))
+    for _ in range(ARRAY_CASES):
+        alpha = rng.choice((0.5, 1.0, 2.0, rng.uniform(0.2, 3.0)))
+        beta = rng.choice(ORDERS + (rng.uniform(-3.0, 4.0),))
+        z = np.array([rng.choice((0.0, rng.uniform(-35.0, 10.0)))
+                      for _ in range(rng.randrange(1, 40))])
+        add(("mittag_leffler array", alpha, beta, *z),
+            lambda pol, a=alpha, b=beta, z=z: specfun.mittag_leffler(a, b, z, pol))
     return calls
 
 
@@ -141,9 +166,10 @@ def _outcome(call, pol) -> str:
         out = call(pol)
     except (DomainError, ConvergenceError, QuadratureError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    if isinstance(out, tuple):
-        return f"{float(out[0]).hex()} {out[1]}"
-    return float(out).hex()
+    value, used = out if isinstance(out, tuple) else (out, None)
+    # an array call gives one value (and terms_used) per node
+    text = " ".join(float(v).hex() for v in np.ravel(value))
+    return text if used is None else f"{text} {' '.join(map(str, np.ravel(used).tolist()))}"
 
 
 def _label(label) -> str:

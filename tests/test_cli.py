@@ -404,6 +404,17 @@ class TestValidate:
         assert rc != EXIT_INPUT
         assert rc == EXIT_OK
 
+    def test_flagged_at_t_max_is_undecided(self, tmp_path, capsys):
+        # sumudu_consistent lies within --tol 0.1 of the oracle at t_max = 30,
+        # but both closed forms flag that node: neither agrees, and validate exits 4
+        argv = ["validate", "--forcing", "thm2", "--nu", "0.9", "--t-max", "30",
+                "--n-points", "257", "--max-terms", "100", "--tol", "0.1"]
+        assert main([*argv, "--out", str(tmp_path / "val")]) == EXIT_DISAGREE
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert ("within tol 0.1 at t_max: neither variant; "
+                "undecided (flagged at t_max): as_printed, sumudu_consistent;" in summary)
+        assert _read(tmp_path / "val.csv").endswith(f"# summary: {summary}\n")
+
     def test_disagreement_exit_code(self, tmp_path):
         rc = main(
             [

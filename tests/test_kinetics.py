@@ -925,6 +925,7 @@ class TestAdjudicate:
         assert "as_printed" in text
         assert "sumudu_consistent" in text
         assert "monotone" in text
+        assert "undecided" not in text  # no node at t_max is flagged
 
     @pytest.mark.parametrize(
         "kw, t_max, n",
@@ -1074,6 +1075,20 @@ class TestAdjudicate:
             for sol, solo in zip(together, alone):
                 for field in ("values", "terms_used", "truncation_flag", "budget_stop"):
                     assert getattr(sol, field).tobytes() == getattr(solo, field).tobytes()
+
+    @pytest.mark.parametrize("t_max, tol", [(30.0, 0.1), (20.0, 1e-3)])
+    def test_a_variant_flagged_at_t_max_never_agrees(self, t_max, tol):
+        # thm2 at nu = 0.9: sumudu_consistent lies within tol of the oracle at
+        # t_max, but both closed forms flag that node, and at t_max = 30 the
+        # closed form and the oracle are both far from the truth, 0.0415
+        grid = TimeGrid(t_max=t_max, n_points=257)
+        report = adjudicate(_problem(forcing="thm2"), grid, TruncationPolicy(max_terms=100), tol)
+        assert report.dev_consistent_at_end <= tol
+        assert report.printed.truncation_flag[-1] and report.consistent.truncation_flag[-1]
+        assert report.agreeing == ()
+        assert (f"within tol {tol:g} at t_max: neither variant; "
+                "undecided (flagged at t_max): as_printed, sumudu_consistent; oracle"
+                in report.summary())
 
     def test_tight_tolerance_rejects_both(self):
         grid = TimeGrid(t_max=1.0, n_points=64)

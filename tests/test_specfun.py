@@ -955,6 +955,30 @@ class TestRatioTable:
             for kind in order:
                 assert fox_wright_info(w, args[kind], pol) == expected[kind]
 
+    def test_ratio_rows_read_the_published_rows_then_compute_the_rest(self):
+        # E_{1,-2}: 1/Gamma is 0 at n = 0, 1 and 2, and z < 0 makes n = 1's sign -0.0
+        lower = ((-2.0, 1.0),)
+        key = ((), lower, True)
+
+        def hexes(rows):
+            return [tuple(map(float.hex, row)) for row in rows]
+
+        def check(count):
+            expected = [specfun._ratio_row(n, (), lower, True) for n in range(count)]
+            assert hexes(specfun._ratio_rows(count, (), lower, True)) == hexes(expected)
+
+        specfun._ratio_tables.clear()
+        check(9)
+        assert key not in specfun._ratio_tables  # the reader publishes nothing
+        mittag_leffler_info(1.0, -2.0, -0.5, TruncationPolicy(max_terms=5, rel_tol=0.0))
+        for count in (3, 5, 12):  # inside, at the end of and past the published table
+            check(count)
+        assert len(specfun._ratio_tables[key]) == 5
+        cap = specfun._RATIO_ROW_CAP
+        mittag_leffler_info(1.0, -2.0, -30.0, TruncationPolicy(max_terms=cap + 40, rel_tol=0.0))
+        assert len(specfun._ratio_tables[key]) == cap
+        check(cap + 7)
+
     def test_cache_is_bounded(self):
         specfun._ratio_tables.clear()
         cap = specfun._RATIO_TABLE_CAP
