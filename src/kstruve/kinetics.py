@@ -305,13 +305,14 @@ def solve_closed_form(
     (``sumudu_consistent``), so both variants read one walk of the lattice
     where their factors share an argument (thm1, thm3); thm2's two
     arguments walk it one after the other.  ``validate`` and ``solve`` sum
-    both variants in one pass that gives each the sums, terms used and
-    budget stops this function gives it alone.  A node is flagged too
+    both variants in one pass that gives each the sums, terms used, budget
+    stops and flags this function gives it alone.  A node is flagged too
     where its rounding estimate, 2^-52 times the magnitudes of every term it
     gathered in both series, passes 1e-8 of its value: the factors lose
     about e^(d t) 2^-52 to cancellation, and the outer series its condition
     number times 2^-52.  The factors' magnitudes come from the argument's
-    last walk, a rebuild if there was one.
+    first walk whose rows cover the terms used: the first walk, or the
+    rebuild if a node used a term past it.
 
     A series sum that is not finite, n0 times it, d^nu or a^nu past the
     largest double, or a factor whose terms pass the overflow guard before
@@ -434,19 +435,6 @@ def _rounding_flags(
     return ~(np.exp(log_pref) * per_block <= np.abs(totals))
 
 
-class _ArgumentGroup:
-    """One Mittag-Leffler argument of the pass, and its last walk of the lattice."""
-
-    def __init__(self, arg: np.ndarray, first: int):
-        self.arg = arg  # the Mittag-Leffler argument at every node
-        self.first = first  # outer terms of the first lattice
-        self.reads: tuple[int, ...] = ()  # the row parities its variants read
-        # the last walk's L_j, its rows at every node and at each rounding block's last node
-        self.log_gamma: list[float] | None = None
-        self.rows: np.ndarray | tuple = ()
-        self.sizes: np.ndarray | None = None
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
                pol: TruncationPolicy) -> tuple[SeriesSolution, ...]:
@@ -454,27 +442,25 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
 
     The variants' outer series are one array loop over their nodes laid end
     to end.  Variants whose factors share an argument and a first lattice
-    share one group and its walks, and a group is walked again, for the
-    whole term budget, when one of its variants has working nodes past its
+    share its walks, each over the rows all of them read; a factor reads the
+    latest walk, and the argument is walked again, for the whole term
+    budget, when one of its variants has working nodes past that walk's
     rows.  So each variant gets the sums, terms used and budget stops it
-    gets alone.  Its rounding estimate reads the group's last walk: after a
-    rebuild, which the other variant alone may have needed, that walk's
-    magnitudes can differ from the first walk's by rounding only.
+    gets alone.  Its rounding estimate reads the first walk whose rows cover
+    the terms it used, which depends on those terms only: the walk it reads
+    alone.
     """
     t = grid.points()
     n = t.size
     b0, b1, lower, inputs = _variant_inputs(p, t, variants)
-    groups = []  # variant v's is groups[v]
-    for z, _, _, arg, row in inputs:
-        # the outer series ends at r = 0 where z is 0 at every node (the
-        # constant forcing, c = 0), so its first lattice needs one outer term
-        first = _FIRST_LATTICE_TERMS if z.any() else 1
-        group = next((g for g in groups if g.first == first and g.arg is arg), None)
-        if group is None:
-            group = _ArgumentGroup(arg, first)
-        if row not in group.reads:
-            group.reads += (row,)
-        groups.append(group)
+    # a variant's key is its argument and its first lattice's outer terms:
+    # one where z is 0 at every node (the constant forcing, c = 0), so that
+    # the outer series ends at r = 0
+    keys = [(id(arg), _FIRST_LATTICE_TERMS if z.any() else 1) for z, *_, arg, _ in inputs]
+    reads = [tuple(row for other, (*_, row) in zip(keys, inputs) if other == key) for key in keys]
+    # variant v's key's walks, (L_j, rows at every node, sizes), the latest last
+    shared = {key: [] for key in keys}
+    walks = [shared[key] for key in keys]
     # the first node of each block and one past the last
     blocks = min(n, _ROUNDING_BLOCKS)
     edges = np.arange(blocks + 1) * n // blocks
@@ -488,19 +474,23 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
         # variant v's working nodes are nodes[bounds[v]:bounds[v + 1]]
         bounds = [0, *nodes.searchsorted(cuts).tolist(), nodes.size] if cuts else [0, nodes.size]
         factors = []
-        for v, ((*_, row), g, lo, hi) in enumerate(zip(inputs, groups, bounds, bounds[1:])):
+        for v, ((*_, arg, row), (_, first), ws, lo, hi) in enumerate(
+                zip(inputs, keys, walks, bounds, bounds[1:])):
             if lo == hi:
                 continue
-            if 2 * r >= len(g.rows):
+            if not ws or 2 * r >= len(ws[-1][1]):
+                if ws:  # a superseded walk keeps its L_j and sizes for the flags
+                    ws[-1] = ws[-1][0], (), ws[-1][2]
                 # at every node: a rebuild is rare, and its rows cost little more there
-                g.log_gamma, g.rows, g.sizes = _ml_lattice(
-                    (b0, b1, p.nu), pol.max_terms, g.arg, float(np.max(np.abs(g.arg))),
-                    np.abs(g.arg[edges[1:] - 1]), g.reads,
-                    min(g.first if g.log_gamma is None else pol.max_terms, pol.max_terms))
-            ml = g.rows[2 * r + row]
+                ws.append(_ml_lattice(
+                    (b0, b1, p.nu), pol.max_terms, arg, float(np.max(np.abs(arg))),
+                    np.abs(arg[edges[1:] - 1]), reads[v],
+                    min(pol.max_terms if ws else first, pol.max_terms)))
+            log_gamma, rows, _ = ws[-1]
+            ml = rows[2 * r + row]
             if hi - lo != n:
                 ml = ml[nodes[lo:hi] - v * n]
-            factors.append((big_sign * math.exp(big_log - g.log_gamma[2 * r + row])) * ml)
+            factors.append((big_sign * math.exp(big_log - log_gamma[2 * r + row])) * ml)
         return factors[0] if len(factors) == 1 else np.concatenate(factors)
 
     z, log_abs_z, log_pref = inputs[0][:3] if len(inputs) == 1 else (
@@ -509,17 +499,21 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
         "closed form", z, (), lower, pol, log_pref, log_abs_z=log_abs_z, factor=ml_factor,
     )
     solutions = []
-    for v, (variant, (_, log_abs_z, log_pref, _, row), g) in enumerate(
-            zip(variants, inputs, groups)):
+    for v, (variant, (_, log_abs_z, log_pref, _, row), ws) in enumerate(
+            zip(variants, inputs, walks)):
         part = slice(v * n, v * n + n)
         values = _times_n0(p.n0, totals[part])
-        # per term r its nodes reached, ln|Gamma(big)| - L_(2r+row); none at a pole of Gamma(big)
-        bigs = (_signed_log_gamma(b1 + p.nu * (2 * r)) for r in range(used[part].max()))
-        scales = {r: big_log - g.log_gamma[2 * r + row]
-                  for r, (big_sign, big_log) in enumerate(bigs) if big_sign != 0.0}
-        rounded = (_rounding_flags(totals[part], log_pref, log_abs_z, edges, lower, scales,
-                                   g.sizes[row::2])
-                   if scales else np.zeros(n, dtype=bool))
+        terms = used[part].max()
+        # per term r its nodes reached, ln|Gamma(big)|; none at a pole of Gamma(big)
+        bigs = (_signed_log_gamma(b1 + p.nu * (2 * r)) for r in range(terms))
+        scales = {r: big_log for r, (big_sign, big_log) in enumerate(bigs) if big_sign != 0.0}
+        rounded = np.zeros(n, dtype=bool)
+        if scales:
+            # the first walk that served every term used, with its L_j: ln|Gamma(big)| - L_(2r+row)
+            log_gamma, _, sizes = next(w for w in ws if len(w[2]) >= 2 * terms)
+            scales = {r: big_log - log_gamma[2 * r + row] for r, big_log in scales.items()}
+            rounded = _rounding_flags(totals[part], log_pref, log_abs_z, edges, lower, scales,
+                                      sizes[row::2])
         stopped = ~converged[part]
         solutions.append(SeriesSolution(grid, values, variant, used[part], stopped | rounded,
                                         stopped))
