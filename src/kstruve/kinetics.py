@@ -523,11 +523,12 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
 def _solve_variants(p: KineticProblem, grid: TimeGrid, pol: TruncationPolicy):
     """``solve_closed_form`` for each of ``VARIANTS``, summed in one pass.
 
-    The constant forcing's one closed form is summed once.  On a
-    ``ConvergenceError`` the pass gives way to one solve per variant, so the
-    first variant that fails alone names the failure, and a variant whose
-    nodes are all parked in the pass, yet ask for a lattice its own solve
-    never builds, fails nothing.
+    The pass gives each variant its solo values, terms used, budget stops
+    and flags (see ``_solutions``).  The constant forcing's one closed form
+    is summed once.  On a ``ConvergenceError`` the pass gives way to one
+    solve per variant, so the first variant that fails alone names the
+    failure, and a variant whose nodes are all parked in the pass, yet ask
+    for a lattice its own solve never builds, fails nothing.
     """
     if p.forcing == "constant":
         printed = solve_closed_form(p, grid, VARIANTS[0], pol)

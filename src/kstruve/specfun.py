@@ -54,7 +54,8 @@ class TruncationPolicy:
 
     Summation halts at the first of: ``max_terms`` terms consumed, the last
     term satisfying ``|term| <= rel_tol * |partial_sum|`` with a nonzero
-    partial sum, or a term whose log-magnitude exceeds 700 (an error).  The
+    partial sum, a zero partial sum whose later terms are all exactly 0, or
+    a term whose log-magnitude exceeds 700 (an error).  The
     default of 50 terms is the plotting convention used throughout; tests
     that need tighter accuracy raise it explicitly.
     """
@@ -279,6 +280,26 @@ def _publish_ratio_table(key: tuple, rows) -> None:
     _ratio_tables[key] = tuple(rows[:_RATIO_ROW_CAP])
 
 
+# below this log-magnitude a term is exactly 0: ln of half the smallest
+# subnormal is -745.13, and the margin covers the rounding of log-magnitudes
+_LOG_UNDERFLOW = math.log(math.ulp(0.0)) - 1.0
+
+
+def _past_underflow(n: int, upper, lower, log_mag, log_abs_z, log_ratio):
+    """Whether every term past term n is exactly 0, per node.
+
+    ``log_mag`` is term n's log-magnitude, ``log_ratio`` its row's ln|ratio|
+    and ``log_abs_z`` ln|z|.  With no upper pairs and every lower argument
+    b + B n positive, the log-magnitudes are concave from term n on (ln Gamma
+    is convex there), so once one is below ``_LOG_UNDERFLOW`` and falls to
+    the next, every later one is below it too.  Elsewhere this is False.
+    """
+    if upper or not all(b + B * n > 0 for b, B in lower):
+        return False
+    fall = log_ratio - _ratio_row(n + 1, upper, lower, False)[2]
+    return (log_mag < _LOG_UNDERFLOW) & (log_abs_z < fall)
+
+
 def _wright_series(
     what: str,
     z: float,
@@ -290,12 +311,14 @@ def _wright_series(
     """e^log_pref sum_n z^n prod Gamma(a + A n) / prod Gamma(b + B n).
 
     ``upper`` and ``lower`` hold the (a, A) and (b, B) pairs.  Summation
-    stops under the policy's rules.  A Gamma pole in an upper factor is a
-    DomainError.  A pole in a lower factor zeroes the term (1/Gamma continued
-    analytically), and the term still counts toward max_terms.  At z == 0
-    the series is exact after its n = 0 term.  A term whose log-magnitude
-    exceeds the overflow guard, or is NaN (0 * inf at n = 0 when z is
-    infinite), is a ConvergenceError.  ``_series_terms`` rebuilds the terms.
+    stops under the policy's rules; a sum still 0 stops where
+    ``_past_underflow`` shows every later term is 0.  A Gamma pole in an
+    upper factor is a DomainError.  A pole in a lower factor zeroes the
+    term (1/Gamma continued analytically), and the term still counts toward
+    max_terms.  At z == 0 the series is exact after its n = 0 term.  A term
+    whose log-magnitude exceeds the overflow guard, or is NaN (0 * inf at
+    n = 0 when z is infinite), is a ConvergenceError.  ``_series_terms``
+    rebuilds the terms.
 
     Returns (value, terms_used).
     """
@@ -325,7 +348,10 @@ def _wright_series(
         previous = total
         total += compensated
         carry = compensated - (total - previous)
-        if total != 0.0 and abs(term) <= rel_tol * abs(total):
+        if total != 0.0:
+            if abs(term) <= rel_tol * abs(total):
+                break
+        elif _past_underflow(n, upper, lower, log_mag, log_abs_z, log_ratio):
             break
     if grown:
         _publish_ratio_table(key, table + tuple(grown))
@@ -443,7 +469,14 @@ def _wright_series_array(
             previous = total
             total = total + compensated
             carry = compensated - (total - previous)
-            stop = live & (total != 0.0) & (np.abs(term) <= pol.rel_tol * np.abs(total))
+            # a node whose sum is 0 passes this only with a 0 term, and stops only
+            # once every later term is 0 too
+            stop = live & (np.abs(term) <= pol.rel_tol * np.abs(total))
+            if stop.any():
+                held = np.flatnonzero(stop)[total[stop] == 0.0]
+                if held.size:
+                    stop[held] = _past_underflow(n, upper, lower, log_mag[held],
+                                                 log_abs_z[held], log_ratio)
         if n == 0:  # z == 0: exact after the n = 0 term
             stop |= ~nonzero
         if stop.any():
@@ -500,12 +533,16 @@ def _struve_series(what: str, q: float, c: float, k: float, x: float, pol: Trunc
 
 
 def _struve_transform_series(what: str, name: str, params: KStruveParams, x: float, power: float,
-                             upper, lower, pol: TruncationPolicy, borderline: bool = False):
-    """The Sumudu image of S^k (power q + 1, ``borderline``) or its inverse (power q).
+                             upper, lower, pol: TruncationPolicy):
+    """The Sumudu image of S^k (power q + 1) or its inverse (power q).
 
-    Returns (value, terms_used); a term past the overflow guard names x.
+    A series whose lower B's, the n! pair's included, sum to its upper A's
+    has a finite radius (the image does, the inverse not); it is summed as
+    ``fox_wright_info`` sums such a borderline series.  Returns (value,
+    terms_used); a term past the overflow guard names x.
     """
     z, log_pref = _struve_setup(what, params.order_ratio, params.c, params.k, x, power, name)
+    borderline = sum(B for _, B in lower) == sum(A for _, A in upper)
     series = _borderline_series if borderline else _wright_series
     try:
         return series(what, z, upper, lower, pol, log_pref)

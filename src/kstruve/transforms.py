@@ -253,7 +253,7 @@ def _sumudu_kstruve_image(
     # the 2Psi2's lower pairs and the (1, 1) pair of the Fox-Wright series' n!
     lower = ((q + 1.5, 1.0), (1.5, 1.0), (1.0, 1.0))
     return _struve_transform_series("sumudu_kstruve", "u", params, u, q + 1.0,
-                                    ((q + 2.0, 2.0), (1.0, 1.0)), lower, pol, borderline=True)
+                                    ((q + 2.0, 2.0), (1.0, 1.0)), lower, pol)
 
 
 def sumudu_kstruve_closed(

@@ -10,7 +10,8 @@ bytes of every file the run left behind.  The temporary directory's path is
 replaced by ``<tmp>`` in all text.  The battery covers every subcommand,
 each exit code, both ``--config`` spellings, ``figures --format
 csv/svg/both``, negative values after a flag and in ``=`` form, and the
-closed form and Sumudu image at arguments that underflow or overflow, the
+closed form and Sumudu image at arguments that underflow or overflow,
+series whose terms all lie below the subnormal range, the
 overflow guard tripped in ``solve`` and ``sweep`` (by the constant
 forcing's Mittag-Leffler factor too), n0 times the sum past the largest
 double, a long horizon that stops on the term budget, ``validate`` verdicts
@@ -46,6 +47,7 @@ BATTERY = [
     ["eval", "--fn", "kstruve", "--x", "1e300", "--max-terms", "1"],
     ["eval", "--fn", "kstruve", "--x", "1e300"],
     ["eval", "--fn", "struve", "--p", "1", "--x", "3e154"],
+    ["eval", "--fn", "struve", "--p", "3", "--x", "1e-160"],
     ["eval", "--fn", "mittag_leffler", "--alpha", "0.5", "--beta", "2", "--z", "1,2"],
     ["eval", "--fn", "mittag_leffler", "--z", "-0.05,-0.5"],
     ["eval", "--fn", "mittag_leffler", "--z=-0.05,-0.5"],
@@ -79,6 +81,9 @@ BATTERY = [
     ["solve", "--n0", "1.7e308", "--t-max", "20", "--n-points", "8"],
     ["solve", "--n0", "1.7e308", "--c", "-1", "--t-max", "5", "--n-points", "8"],
     ["solve", "--forcing", "thm2", "--nu", "0.9", "--t-max", "20", "--n-points", "8"],
+    # every N_consistent term below the subnormal range, though z is not 0
+    ["solve", "--forcing", "thm2", "--nu", "1.4747", "--mu", "0.78", "--c", "-1", "--k", "0.5",
+     "--a", "2.5", "--t-max", "8.5e-110", "--n-points", "700"],
     ["solve", "--d", "1e300", "--nu", "2", "--n-points", "4"],
     ["solve", "--t-max", "40", "--nu", "0.5", "--n-points", "6"],
     ["solve", "--forcing", "constant", "--n-points", "1030"],

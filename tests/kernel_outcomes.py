@@ -16,7 +16,8 @@ overflow cases also run at one term.  Array calls are hashed node by node:
 ``k_struve`` and ``mittag_leffler`` on 1-D arrays, and
 ``specfun._k_struve_array`` with numpy's log, as the Volterra oracle's
 forcing calls it, with x at 0, below the normal range and past the
-argument's overflow too.  Two checkouts that print the same
+argument's overflow too.  Last come scalar and array draws whose series
+argument is subnormal but not 0.  Two checkouts that print the same
 digest give the same outcomes bit for bit; ``--lines`` prints every
 outcome, so a ``diff`` of two runs names the calls that differ.  Tier-1
 does not collect this file.
@@ -136,6 +137,27 @@ def battery(seed: int) -> list:
                       for _ in range(rng.randrange(1, 40))])
         add(("mittag_leffler array", alpha, beta, *z),
             lambda pol, a=alpha, b=beta, z=z: specfun.mittag_leffler(a, b, z, pol))
+    # series arguments that are subnormal but not 0, whose terms can all lie
+    # below the subnormal range: x from 4.5e-162 to 3e-154 puts (x/2)^2 there
+    for _ in range(ARRAY_CASES):
+        p, x = rng.uniform(-1.4, 4.0), _log_uniform(rng, 4.5e-162, 3e-154)
+        add(("struve_h", p, x), lambda pol, p=p, x=x: specfun.struve_h_info(p, x, pol))
+        k = rng.choice((0.5, 1.0, 2.0, 3.0))
+        params = KStruveParams(k, rng.uniform(-1.45, 3.0) * k, rng.choice((1.0, -1.0)))
+        add(("k_struve", params, x), lambda pol, pr=params, x=x: specfun.k_struve_info(pr, x, pol))
+        x = np.array(sorted(_log_uniform(rng, 4.5e-162, 3e-154)
+                            for _ in range(rng.randrange(1, 40))))
+        # the private array calls give terms_used too
+        add(("_k_struve_array", params, *x),
+            lambda pol, pr=params, x=x: specfun._k_struve_array(pr, x, pol))
+        # 1/Gamma(beta + alpha n) is 0 at the first terms, z^n below the range from then on
+        alpha, beta = rng.choice((0.5, 1.0, 2.0)), rng.choice((-2.0, -1.0, 0.0))
+        z = np.array([rng.choice((1.0, -1.0)) * _log_uniform(rng, 5e-324, 2.2e-308)
+                      for _ in range(rng.randrange(1, 40))])
+        add(("mittag_leffler", alpha, beta, float(z[0])),
+            lambda pol, a=alpha, b=beta, z=float(z[0]): specfun.mittag_leffler_info(a, b, z, pol))
+        add(("_mittag_leffler_array", alpha, beta, *z),
+            lambda pol, a=alpha, b=beta, z=z: specfun._mittag_leffler_array(a, b, z, pol)[:2])
     return calls
 
 

@@ -338,6 +338,18 @@ class TestBudgetStopNotes:
             "of the value" for column in ("N_printed", "N_consistent")
         ]
 
+    def test_terms_below_the_subnormal_range_are_not_noted(self, tmp_path, capsys):
+        # every N_consistent term lies below the subnormal range, so each of
+        # its values is exactly 0; "600 of 700 nodes stopped on the 50-term
+        # budget" was noted
+        out = tmp_path / "o"
+        argv = ["solve", "--forcing", "thm2", "--nu", "1.4747", "--mu", "0.78", "--c", "-1",
+                "--k", "0.5", "--a", "2.5", "--t-max", "8.5e-110", "--n-points", "700",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert {row[2] for row in _data_rows(_read(tmp_path / "o.csv"))} == {"0"}
+
     def test_each_swept_value_is_noted(self, tmp_path, capsys):
         # at d = 1e-10 the outer series' second term is below 1e-16 of the first
         out = str(tmp_path / "o")

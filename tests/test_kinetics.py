@@ -286,6 +286,17 @@ class TestClosedForm:
         with pytest.raises(ConvergenceError, match="overflow guard"):
             solve_closed_form(_problem(), TimeGrid(t_max=1e20, n_points=8), "as_printed")
 
+    def test_terms_below_the_subnormal_range_are_no_budget_stop(self):
+        # thm2 at t_max = 8.5e-110: every outer term of sumudu_consistent lies
+        # below the subnormal range, so its value is exactly 0 at every node;
+        # where z is subnormal, not 0, 600 of its 700 nodes ran to the budget
+        p = _problem(forcing="thm2", nu=1.4747, mu=0.78, c=-1.0, k=0.5, a=2.5)
+        grid = TimeGrid(t_max=8.5e-110, n_points=700)
+        printed, consistent = kinetics._solve_variants(p, grid, TruncationPolicy())
+        assert not (consistent.values.any() or consistent.budget_stop.any())
+        assert consistent.terms_used.max() == 1
+        assert not printed.budget_stop.any()
+
     @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
     def test_subnormal_forcing_argument_matches_mpmath(self, variant):
         # x = d t is subnormal (about 1e-323), so x / 2 has lost its bits; the
@@ -946,9 +957,9 @@ class TestAdjudicate:
     )
     def test_both_closed_forms_are_one_pass(self, kw, t_max, n, monkeypatch):
         # one outer array loop for both variants; each reported solution
-        # holds the values, terms used and budget stops solve_closed_form
-        # gives it alone, and its flags, which read its argument's last walk
-        # (a rebuild only the other variant needs: the test below)
+        # holds the values, terms used, budget stops and flags
+        # solve_closed_form gives it alone (a rebuild only the other variant
+        # needs: the tests below)
         calls = []
         real = kinetics._wright_series_array
         monkeypatch.setattr(
@@ -978,9 +989,9 @@ class TestAdjudicate:
     def test_a_rebuild_one_variant_needs_keeps_the_others_solo_flags(self, kw, t_max, quiet,
                                                                       monkeypatch):
         # thm1 and thm3 share one argument: the pass rebuilds its lattice
-        # for one variant, while the other (quiet) walks it once alone.  The
-        # quiet variant's flags read the rebuilt walk in the pass and the
-        # first walk alone; at n = 200 its rounding blocks hold several nodes
+        # for one variant, while the other (quiet) walks it once alone.  In
+        # the pass too the quiet variant's flags read the first walk; at
+        # n = 200 its rounding blocks hold several nodes
         counts = []
         real = kinetics._ml_lattice
         monkeypatch.setattr(kinetics, "_ml_lattice",
@@ -996,6 +1007,35 @@ class TestAdjudicate:
                 assert getattr(sol, field).tobytes() == getattr(alone, field).tobytes()
             if sol.variant == quiet:
                 assert sol.truncation_flag.any() and not sol.budget_stop.any()
+
+    @pytest.mark.parametrize(
+        "kw, t_max",
+        [
+            (dict(mu=1.1232, nu=0.589045, d=1.45202, a=0.781213, c=1.35916), 19.8563),
+            (dict(forcing="thm3", mu=-0.423, nu=0.449, d=2.228, a=2.549, c=1.084), 8.91),
+        ],
+    )
+    def test_the_pass_reads_each_variants_solo_walk(self, kw, t_max, monkeypatch):
+        # the problems above: the quiet variant's rounding estimate reads the
+        # first walk, as alone, not the rebuild the other variant asked for
+        seen = []
+        real = kinetics._rounding_flags
+
+        def spy(*args):
+            scales, sizes = args[5:]
+            seen.append(([(r, scale.hex()) for r, scale in scales.items()], sizes.shape,
+                         sizes.tobytes()))
+            return real(*args)
+
+        monkeypatch.setattr(kinetics, "_rounding_flags", spy)
+        p, grid = _problem(**kw), TimeGrid(t_max=t_max, n_points=200)
+        kinetics._solve_variants(p, grid, POL)
+        together = seen[:]
+        seen.clear()
+        for variant in VARIANTS:
+            solve_closed_form(p, grid, variant, POL)
+        assert len(together) == 2
+        assert together == seen
 
     def test_each_argument_keeps_the_lattices_of_its_solo_solve(self, monkeypatch):
         # the pass asks for thm2's lattices (largest |z| on the grid, rows

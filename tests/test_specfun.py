@@ -142,6 +142,19 @@ class TestStruveH:
         assert struve_h_info(0.5, 5e-324) == (0.0, 1)
         assert struve_h(1.0, -5e-324) == 0.0
 
+    def test_terms_below_the_subnormal_range_stop_the_sum(self):
+        # at x = 1e-160, z = -(x/2)^2 is subnormal but not 0, and every term
+        # lies below the subnormal range: the sum is exactly 0, and it stops
+        # once the terms fall instead of running to the term budget
+        assert struve_h_info(3.0, 1e-160) == (0.0, 1)
+        assert k_struve_info(KStruveParams(1.0, 3.0), 1e-160) == (0.0, 1)
+        x = np.array([1e-160, 1.0])
+        values, used = specfun._k_struve_array(KStruveParams(1.0, 3.0), x, TruncationPolicy())
+        assert (values[0], used.tolist()) == (0.0, [1, 9])
+        # 1/Gamma(200 + n) is below it too; an upper pair keeps the budget stop
+        assert fox_wright_info(WrightParams((), ((200.0, 1.0),)), 1e-10) == (0.0, 1)
+        assert fox_wright_info(WrightParams(((1.0, 0.5),), ((200.0, 1.0),)), 1e-10) == (0.0, 50)
+
     def test_negative_x_integer_order_parity(self, tight):
         # H_p(-x) = (-1)^(p+1) H_p(x) for integer p
         assert struve_h(0.0, -1.0, tight) == pytest.approx(-STRUVE_0_1, rel=1e-14)
@@ -756,7 +769,14 @@ def _reference_series(what, z, upper, lower, pol, log_pref=0.0):
         previous = total
         total += compensated
         carry = compensated - (total - previous)
-        if total != 0.0 and abs(term) <= pol.rel_tol * abs(total):
+        if total != 0.0:
+            if abs(term) <= pol.rel_tol * abs(total):
+                break
+        # a 0 sum stops where no later term can be nonzero: no upper pairs, every
+        # lower argument positive, the term past exp's range and the next one smaller
+        elif (not upper and all(b + B * n > 0 for b, B in lower)
+              and log_mag < math.log(math.ulp(0.0)) - 1.0
+              and log_abs_z < log_ratio - specfun._term_gamma_ratio(n + 1, upper, lower)[1]):
             break
     return total, used
 

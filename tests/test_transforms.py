@@ -249,7 +249,7 @@ class TestSumuduKStruveClosed:
         for p, (value, used) in zip((first, second), images):
             series, series_used = _struve_transform_series(
                 "sumudu_kstruve", "u", p, 0.7, 1.5, fresh.upper, fresh.series_lower,
-                TruncationPolicy(), borderline=True,
+                TruncationPolicy(),
             )
             assert (value.hex(), used) == (series.hex(), series_used)
 
