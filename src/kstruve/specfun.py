@@ -469,19 +469,22 @@ def _wright_series_array(
             previous = total
             total = total + compensated
             carry = compensated - (total - previous)
-            # a node whose sum is 0 passes this only with a 0 term, and stops only
-            # once every later term is 0 too
+            # a node whose sum is 0 passes this only with a 0 term
             stop = live & (np.abs(term) <= pol.rel_tol * np.abs(total))
-            if stop.any():
-                held = np.flatnonzero(stop)[total[stop] == 0.0]
-                if held.size:
-                    stop[held] = _past_underflow(n, upper, lower, log_mag[held],
-                                                 log_abs_z[held], log_ratio)
         if n == 0:  # z == 0: exact after the n = 0 term
             stop |= ~nonzero
         if stop.any():
+            sums = total[stop]
+            if not sums.all():
+                # with z != 0 a 0 sum stops only once every later term is 0 too
+                held = np.flatnonzero(stop)[sums == 0.0]
+                held = held[nonzero[nodes[held]]]
+                if held.size:
+                    stop[held] = _past_underflow(n, upper, lower, log_mag[held],
+                                                 log_abs_z[held], log_ratio)
+                    sums = total[stop]
             done = nodes[stop]
-            values[done] = total[stop]
+            values[done] = sums
             used[done] = n + 1
             live &= ~stop
             log_pref[stop] = -np.inf

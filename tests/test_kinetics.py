@@ -990,52 +990,37 @@ class TestAdjudicate:
                                                                       monkeypatch):
         # thm1 and thm3 share one argument: the pass rebuilds its lattice
         # for one variant, while the other (quiet) walks it once alone.  In
-        # the pass too the quiet variant's flags read the first walk; at
-        # n = 200 its rounding blocks hold several nodes
-        counts = []
-        real = kinetics._ml_lattice
+        # the pass too the quiet variant's rounding estimate reads the first
+        # walk's scales and block magnitudes, bit for bit and row for row,
+        # not the rebuilt walk's; at n = 200 its rounding blocks hold
+        # several nodes
+        counts, estimates = [], []
+        real, real_flags = kinetics._ml_lattice, kinetics._rounding_flags
         monkeypatch.setattr(kinetics, "_ml_lattice",
                             lambda *args: counts.append(args[-1]) or real(*args))
+
+        def flags(*args):
+            scales, sizes = args[5:]
+            estimates.append(([(r, scale.hex()) for r, scale in scales.items()], sizes.shape,
+                              sizes.tobytes()))
+            return real_flags(*args)
+
+        monkeypatch.setattr(kinetics, "_rounding_flags", flags)
         p, grid = _problem(**kw), TimeGrid(t_max=t_max, n_points=200)
         together = kinetics._solve_variants(p, grid, POL)
         assert counts == [16, POL.max_terms]
-        for sol in together:
+        read = estimates[:]
+        assert len(read) == 2
+        for sol, estimate in zip(together, read):
             counts.clear()
+            estimates.clear()
             alone = solve_closed_form(p, grid, sol.variant, POL)
             assert counts == ([16] if sol.variant == quiet else [16, POL.max_terms])
+            assert estimates == [estimate]
             for field in ("values", "terms_used", "truncation_flag", "budget_stop"):
                 assert getattr(sol, field).tobytes() == getattr(alone, field).tobytes()
             if sol.variant == quiet:
                 assert sol.truncation_flag.any() and not sol.budget_stop.any()
-
-    @pytest.mark.parametrize(
-        "kw, t_max",
-        [
-            (dict(mu=1.1232, nu=0.589045, d=1.45202, a=0.781213, c=1.35916), 19.8563),
-            (dict(forcing="thm3", mu=-0.423, nu=0.449, d=2.228, a=2.549, c=1.084), 8.91),
-        ],
-    )
-    def test_the_pass_reads_each_variants_solo_walk(self, kw, t_max, monkeypatch):
-        # the problems above: the quiet variant's rounding estimate reads the
-        # first walk, as alone, not the rebuild the other variant asked for
-        seen = []
-        real = kinetics._rounding_flags
-
-        def spy(*args):
-            scales, sizes = args[5:]
-            seen.append(([(r, scale.hex()) for r, scale in scales.items()], sizes.shape,
-                         sizes.tobytes()))
-            return real(*args)
-
-        monkeypatch.setattr(kinetics, "_rounding_flags", spy)
-        p, grid = _problem(**kw), TimeGrid(t_max=t_max, n_points=200)
-        kinetics._solve_variants(p, grid, POL)
-        together = seen[:]
-        seen.clear()
-        for variant in VARIANTS:
-            solve_closed_form(p, grid, variant, POL)
-        assert len(together) == 2
-        assert together == seen
 
     def test_each_argument_keeps_the_lattices_of_its_solo_solve(self, monkeypatch):
         # the pass asks for thm2's lattices (largest |z| on the grid, rows
