@@ -474,18 +474,18 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
         # variant v's working nodes are nodes[bounds[v]:bounds[v + 1]]
         bounds = [0, *nodes.searchsorted(cuts).tolist(), nodes.size] if cuts else [0, nodes.size]
         factors = []
-        for v, ((*_, arg, row), (_, first), ws, lo, hi) in enumerate(
-                zip(inputs, keys, walks, bounds, bounds[1:])):
+        for v, ((*_, arg, row), ws, lo, hi) in enumerate(zip(inputs, walks, bounds, bounds[1:])):
             if lo == hi:
                 continue
             if not ws or 2 * r >= len(ws[-1][1]):
                 if ws:  # a superseded walk keeps its L_j and sizes for the flags
-                    ws[-1] = ws[-1][0], (), ws[-1][2]
+                    # (a copy: the sizes are a view that would keep every row)
+                    ws[-1] = ws[-1][0], (), ws[-1][2].copy()
                 # at every node: a rebuild is rare, and its rows cost little more there
                 ws.append(_ml_lattice(
                     (b0, b1, p.nu), pol.max_terms, arg, float(np.max(np.abs(arg))),
                     np.abs(arg[edges[1:] - 1]), reads[v],
-                    min(pol.max_terms if ws else first, pol.max_terms)))
+                    min(pol.max_terms if ws else keys[v][1], pol.max_terms)))
             log_gamma, rows, _ = ws[-1]
             ml = rows[2 * r + row]
             if hi - lo != n:
