@@ -458,7 +458,8 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
     # the outer series ends at r = 0
     keys = [(id(arg), _FIRST_LATTICE_TERMS if z.any() else 1) for z, *_, arg, _ in inputs]
     reads = [tuple(row for other, (*_, row) in zip(keys, inputs) if other == key) for key in keys]
-    # variant v's key's walks, (L_j, rows at every node, sizes), the latest last
+    # variant v's key's walks, the latest last: (L_j, rows at every node, sizes
+    # at each rounding block's last node)
     shared = {key: [] for key in keys}
     walks = [shared[key] for key in keys]
     # the first node of each block and one past the last

@@ -340,8 +340,7 @@ class TestBudgetStopNotes:
 
     def test_terms_below_the_subnormal_range_are_not_noted(self, tmp_path, capsys):
         # every N_consistent term lies below the subnormal range, so each of
-        # its values is exactly 0; "600 of 700 nodes stopped on the 50-term
-        # budget" was noted
+        # its values is exactly 0 and no node stops on the budget
         out = tmp_path / "o"
         argv = ["solve", "--forcing", "thm2", "--nu", "1.4747", "--mu", "0.78", "--c", "-1",
                 "--k", "0.5", "--a", "2.5", "--t-max", "8.5e-110", "--n-points", "700",

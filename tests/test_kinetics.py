@@ -288,8 +288,8 @@ class TestClosedForm:
 
     def test_terms_below_the_subnormal_range_are_no_budget_stop(self):
         # thm2 at t_max = 8.5e-110: every outer term of sumudu_consistent lies
-        # below the subnormal range, so its value is exactly 0 at every node;
-        # where z is subnormal, not 0, 600 of its 700 nodes ran to the budget
+        # below the subnormal range, so its value is exactly 0 at every node,
+        # and none stops on the budget, though z is subnormal, not 0, at 600
         p = _problem(forcing="thm2", nu=1.4747, mu=0.78, c=-1.0, k=0.5, a=2.5)
         grid = TimeGrid(t_max=8.5e-110, n_points=700)
         printed, consistent = kinetics._solve_variants(p, grid, TruncationPolicy())

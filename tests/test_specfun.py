@@ -145,7 +145,7 @@ class TestStruveH:
     def test_terms_below_the_subnormal_range_stop_the_sum(self):
         # at x = 1e-160, z = -(x/2)^2 is subnormal but not 0, and every term
         # lies below the subnormal range: the sum is exactly 0, and it stops
-        # once the terms fall instead of running to the term budget
+        # once the terms fall, not on the term budget
         assert struve_h_info(3.0, 1e-160) == (0.0, 1)
         assert k_struve_info(KStruveParams(1.0, 3.0), 1e-160) == (0.0, 1)
         x = np.array([1e-160, 1.0])
