@@ -339,13 +339,15 @@ _ROUNDING_BLOCKS = 64
 
 
 def _ml_lattice(
-    lattice: tuple[float, float, float], most: int, z: np.ndarray, z_max: float,
-    refs: np.ndarray, reads: tuple[int, ...], count: int,
-) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """(L_j, u_j at z, w_j at refs), u_j = e^L_j E_{nu,b_j}(z), b_j on ``lattice``.
+    lattice: tuple[float, float, float], gammas: tuple[list[float], list[float]], most: int,
+    z: np.ndarray, z_max: float, refs: np.ndarray, reads: tuple[int, ...], count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u_j at z, w_j at refs), u_j = e^L_j E_{nu,b_j}(z), b_j on ``lattice``.
 
     ``lattice`` is (b_0, b_1, nu), b_j = b_1 + (j - 1) nu for j >= 1, and
-    (s_j, L_j) is ``_signed_log_gamma(b_j)``, with L_j = L_{j+1} at a pole.
+    ``gammas`` its record (s_j, L_j) = ``_signed_log_gamma(b_j)``: two lists
+    that each walk extends past the rows already in them.  At a pole a walk
+    sets L_j = L_{j+1}, the L of the next row up that is no pole in every walk.
     z is one argument at the nodes, bounded by z_max on the whole grid, and
     the rows 2r + i, i in ``reads`` and r < count, are stored.
     E_{a,b}(z) = 1/Gamma(b) + z E_{a,b+a}(z) runs down the lattice as
@@ -368,11 +370,13 @@ def _ml_lattice(
     log_z = math.log(max(z_max, math.ulp(0.0)))  # finite at z = 0
     lead = -math.inf  # the largest L_j - (j - 1) log|z| of the rows read so far
     low = math.inf  # the smallest from row top on, at or below every row's largest
-    sign, log_gamma = [], []
+    sign, log_gamma = gammas
     for j in range(_LATTICE_ROWS):
-        s, g = _signed_log_gamma(b1 + nu * (j - 1) if j else b0)
-        sign.append(s)
-        log_gamma.append(g)
+        if j == len(sign):
+            s, g = _signed_log_gamma(b1 + nu * (j - 1) if j else b0)
+            sign.append(s)
+            log_gamma.append(g)
+        s, g = sign[j], log_gamma[j]
         if j < first or s == 0.0:
             continue
         scaled = g - (j - 1) * log_z
@@ -405,7 +409,7 @@ def _ml_lattice(
         u += s
         if s < 0.0:
             u[z.size:] += 2.0  # |s_j| at refs
-    return log_gamma, rows[:, : z.size], rows[:, z.size :]
+    return rows[:, : z.size], rows[:, z.size :]
 
 
 def _rounding_flags(
@@ -446,9 +450,10 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
     latest walk, and the argument is walked again, for the whole term
     budget, when one of its variants has working nodes past that walk's
     rows.  So each variant gets the sums, terms used and budget stops it
-    gets alone.  Its rounding estimate reads the first walk whose rows cover
-    the terms it used, which depends on those terms only: the walk it reads
-    alone.
+    gets alone.  Its rounding estimate reads the block magnitudes of the
+    first walk whose rows cover the terms it used, which depends on those
+    terms only: the walk it reads alone.  All walks extend one record
+    (s_j, L_j) of the lattice, and the estimate reads its Gammas there too.
     """
     t = grid.points()
     n = t.size
@@ -458,8 +463,10 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
     # the outer series ends at r = 0
     keys = [(id(arg), _FIRST_LATTICE_TERMS if z.any() else 1) for z, *_, arg, _ in inputs]
     reads = [tuple(row for other, (*_, row) in zip(keys, inputs) if other == key) for key in keys]
-    # variant v's key's walks, the latest last: (L_j, rows at every node, sizes
-    # at each rounding block's last node)
+    # the lattice's record (s_j, L_j), which every walk extends
+    sign, log_gamma = gammas = [], []
+    # variant v's key's walks, the latest last: (rows at every node, sizes at
+    # each rounding block's last node)
     shared = {key: [] for key in keys}
     walks = [shared[key] for key in keys]
     # the first node of each block and one past the last
@@ -478,17 +485,16 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
         for v, ((*_, arg, row), ws, lo, hi) in enumerate(zip(inputs, walks, bounds, bounds[1:])):
             if lo == hi:
                 continue
-            if not ws or 2 * r >= len(ws[-1][1]):
-                if ws:  # a superseded walk keeps its L_j and sizes for the flags
+            if not ws or 2 * r >= len(ws[-1][0]):
+                if ws:  # a superseded walk keeps its sizes for the flags
                     # (a copy: the sizes are a view that would keep every row)
-                    ws[-1] = ws[-1][0], (), ws[-1][2].copy()
+                    ws[-1] = (), ws[-1][1].copy()
                 # at every node: a rebuild is rare, and its rows cost little more there
                 ws.append(_ml_lattice(
-                    (b0, b1, p.nu), pol.max_terms, arg, float(np.max(np.abs(arg))),
+                    (b0, b1, p.nu), gammas, pol.max_terms, arg, float(np.max(np.abs(arg))),
                     np.abs(arg[edges[1:] - 1]), reads[v],
                     min(pol.max_terms if ws else keys[v][1], pol.max_terms)))
-            log_gamma, rows, _ = ws[-1]
-            ml = rows[2 * r + row]
+            ml = ws[-1][0][2 * r + row]
             if hi - lo != n:
                 ml = ml[nodes[lo:hi] - v * n]
             factors.append((big_sign * math.exp(big_log - log_gamma[2 * r + row])) * ml)
@@ -505,14 +511,14 @@ def _solutions(p: KineticProblem, grid: TimeGrid, variants: tuple[str, ...],
         part = slice(v * n, v * n + n)
         values = _times_n0(p.n0, totals[part])
         terms = used[part].max()
-        # per term r its nodes reached, ln|Gamma(big)|; none at a pole of Gamma(big)
-        bigs = (_signed_log_gamma(b1 + p.nu * (2 * r)) for r in range(terms))
-        scales = {r: big_log for r, (big_sign, big_log) in enumerate(bigs) if big_sign != 0.0}
+        # per term r its nodes reached, ln|Gamma(big)| - L_(2r+row), big = b_(2r+1); none
+        # at a pole of Gamma(big), whose row no walk need have reached
+        scales = {r: log_gamma[2 * r + 1] - log_gamma[2 * r + row]
+                  for r in range(min(terms, len(sign) // 2)) if sign[2 * r + 1] != 0.0}
         rounded = np.zeros(n, dtype=bool)
         if scales:
-            # the first walk that served every term used, with its L_j: ln|Gamma(big)| - L_(2r+row)
-            log_gamma, _, sizes = next(w for w in ws if len(w[2]) >= 2 * terms)
-            scales = {r: big_log - log_gamma[2 * r + row] for r, big_log in scales.items()}
+            # the first walk that served every term used
+            sizes = next(w[1] for w in ws if len(w[1]) >= 2 * terms)
             rounded = _rounding_flags(totals[part], log_pref, log_abs_z, edges, lower, scales,
                                       sizes[row::2])
         stopped = ~converged[part]

@@ -206,23 +206,15 @@ def _term_gamma_ratio(
     """
     log_up = log_low = 0.0
     sign = 1.0
-    # positive arguments, the common case, skip the call to _signed_log_gamma
     for a, step in upper:
         x = a + step * n
-        if x > 0:
-            log_up += math.lgamma(x)
-            continue
         g_sign, g_log = _signed_log_gamma(x)
         if g_sign == 0.0:
             raise DomainError(f"Gamma pole in a numerator factor at term {n}: argument {x}")
         log_up += g_log
         sign *= g_sign
     for b, step in lower:
-        x = b + step * n
-        if x > 0:
-            log_low += math.lgamma(x)
-            continue
-        g_sign, g_log = _signed_log_gamma(x)
+        g_sign, g_log = _signed_log_gamma(b + step * n)
         if g_sign == 0.0:
             return 0.0, 0.0
         log_low += g_log

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -213,8 +214,9 @@ class TestClosedForm:
         import mpmath as mp
 
         lattice = (b0, b0 + nu if b1 is None else b1, nu)
-        log_gamma, rows, sizes = kinetics._ml_lattice(
-            lattice, most, np.array(zs), max(map(abs, zs)), np.abs(zs), reads, count)
+        _, log_gamma = gammas = [], []
+        rows, sizes = kinetics._ml_lattice(
+            lattice, gammas, most, np.array(zs), max(map(abs, zs)), np.abs(zs), reads, count)
         assert len(rows) == len(sizes) == 2 * served
         walked = len(log_gamma) - min(reads)
         with mp.workdps(30):
@@ -235,30 +237,56 @@ class TestClosedForm:
                     assert abs(rows[j][i] - scale * total) <= bound
                     assert abs(sizes[j][i] - scale * size) <= bound
 
-    def test_argument_groups_walk_together_as_alone(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kw, t_max, variants, walked, arguments",
+        [
+            (dict(forcing="thm2", n0=0.899508, d=1.24305, a=3.56385, nu=1.46682, mu=1.5,
+                  c=0.883669, k=2.0), 1.0, VARIANTS, 3, 2),
+            # closed_form_timing.py's problem: two arguments, each rebuilt, and
+            # a one-variant solve that rebuilds
+            (dict(forcing="thm2", d=2.0, a=2.5, mu=0.5), 30.0, VARIANTS, 4, 2),
+            (dict(forcing="thm3", d=2.0, mu=0.5), 30.0, ("sumudu_consistent",), 2, 1),
+        ],
+    )
+    def test_argument_groups_walk_together_as_alone(self, kw, t_max, variants, walked, arguments,
+                                                    monkeypatch):
         # thm2's two arguments take one walk each in the one pass, the
-        # 17-term rebuild included; once the pass is done, every walk's L_j,
-        # rows and sizes still hold the bits a fresh walk at its inputs
-        # gives, so no walk or outer term wrote into another walk's rows
-        walks = []
-        real = kinetics._ml_lattice
+        # rebuild included; once the pass is done, every walk's rows and
+        # sizes still hold the bits a fresh walk at its inputs gives, so no
+        # walk or outer term wrote into another walk's rows, and the shared
+        # record holds a fresh walk's (s_j, L_j) on every row that walk
+        # reaches.  No walk computes a row of the record twice: the calls
+        # to _signed_log_gamma from _ml_lattice never repeat an argument
+        walks, rows_made = [], []
+        real, real_gamma = kinetics._ml_lattice, kinetics._signed_log_gamma
 
         def spy(*args):
             walks.append((args, real(*args)))
             return walks[-1][1]
 
+        def gamma_spy(x):
+            if sys._getframe(1).f_code.co_name == "_ml_lattice":
+                rows_made.append(x)
+            return real_gamma(x)
+
         monkeypatch.setattr(kinetics, "_ml_lattice", spy)
-        p = _problem(forcing="thm2", n0=0.899508, d=1.24305, a=3.56385, nu=1.46682, mu=1.5,
-                     c=0.883669, k=2.0)
-        kinetics._solve_variants(p, TimeGrid(t_max=1.0, n_points=64), TruncationPolicy())
-        assert len(walks) == 3
-        assert len({args[2].tobytes() for args, _ in walks}) == 2
-        kept = [(list(log_gamma), rows[min(args[5])::2].tobytes(),
-                 sizes[min(args[5])::2].tobytes()) for args, (log_gamma, rows, sizes) in walks]
-        for (args, _), walked in zip(walks, kept):
-            log_gamma, rows, sizes = real(*args)
-            read = slice(min(args[5]), None, 2)
-            assert walked == (log_gamma, rows[read].tobytes(), sizes[read].tobytes())
+        monkeypatch.setattr(kinetics, "_signed_log_gamma", gamma_spy)
+        p, grid = _problem(**kw), TimeGrid(t_max=t_max, n_points=64)
+        if len(variants) == 2:
+            kinetics._solve_variants(p, grid, TruncationPolicy())
+        else:
+            solve_closed_form(p, grid, *variants)
+        assert len(walks) == walked
+        assert len({args[3].tobytes() for args, _ in walks}) == arguments
+        assert len(rows_made) == len(set(rows_made)) == len(walks[0][0][1][0])
+        kept = [(rows[min(args[6])::2].tobytes(), sizes[min(args[6])::2].tobytes())
+                for args, (rows, sizes) in walks]
+        for (args, _), walk in zip(walks, kept):
+            gammas = [], []
+            rows, sizes = real(args[0], gammas, *args[2:])
+            read = slice(min(args[6]), None, 2)
+            assert walk == (rows[read].tobytes(), sizes[read].tobytes())
+            assert [column[: len(gammas[0])] for column in args[1]] == list(gammas)
 
     def test_guard_weighs_only_the_rows_read(self):
         # b_0 = 0.02 makes row 0's leading term 10 log-units above row 1's at
@@ -266,10 +294,10 @@ class TestClosedForm:
         # a walk that reads row 0 trips it
         b0 = 2.0 * -0.49 + 1.0
         lattice, z = (b0, b0 + 2.0, 2.0), np.array([-4.9e5])
-        kinetics._ml_lattice(lattice, 50, z, 4.9e5, -z, (1,), 16)
+        kinetics._ml_lattice(lattice, ([], []), 50, z, 4.9e5, -z, (1,), 16)
         for reads in ((0,), (0, 1)):
             with pytest.raises(ConvergenceError, match="Mittag-Leffler term 305 .* overflow guard"):
-                kinetics._ml_lattice(lattice, 50, z, 4.9e5, -z, reads, 16)
+                kinetics._ml_lattice(lattice, ([], []), 50, z, 4.9e5, -z, reads, 16)
 
     @staticmethod
     def _check_reference(p, variant, max_terms, t_max=1.0):
@@ -1029,9 +1057,9 @@ class TestAdjudicate:
         specs = []
         real = kinetics._ml_lattice
 
-        def spy(lattice, most, z, z_max, refs, reads, count):
+        def spy(lattice, gammas, most, z, z_max, refs, reads, count):
             specs.append((z_max, reads, count))
-            return real(lattice, most, z, z_max, refs, reads, count)
+            return real(lattice, gammas, most, z, z_max, refs, reads, count)
 
         monkeypatch.setattr(kinetics, "_ml_lattice", spy)
         p = _problem(forcing="thm2", n0=0.899508, d=1.24305, a=3.56385, nu=1.46682, mu=1.5,
