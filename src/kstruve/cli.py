@@ -180,8 +180,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     oracle, printed, consistent = (report.oracle.values, report.printed.values,
                                    report.consistent.values)
     norm = float(np.max(np.abs(oracle))) or 1.0
-    rows = csv_rows((grid.points(), oracle, printed, consistent,
-                     np.abs(printed - oracle) / norm, np.abs(consistent - oracle) / norm))
+    with np.errstate(over="ignore"):  # a deviation past the largest double is inf
+        deviations = np.abs(printed - oracle) / norm, np.abs(consistent - oracle) / norm
+    rows = csv_rows((grid.points(), oracle, printed, consistent, *deviations))
     summary = report.summary()
     header = "t,N_oracle,N_printed,N_consistent,dev_printed,dev_consistent"
     _write_table(args, header, rows + f"# summary: {summary}\n".encode("utf-8"))

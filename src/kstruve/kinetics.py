@@ -33,7 +33,8 @@ from .specfun import (
     _OVERFLOW_GUARD,
     KStruveParams,
     TruncationPolicy,
-    _k_struve_array,
+    _argument_overflow,
+    _check_nodes,
     _k_struve_series,
     _ratio_rows,
     _signed_log_gamma,
@@ -104,6 +105,10 @@ class KineticProblem:
     def struve_params(self) -> KStruveParams:
         return KStruveParams(k=self.k, nu=self.mu, c=self.c)
 
+    def _forcing_rate(self) -> float:
+        """The rate in the forcing argument (rate t)^nu: d, a, or 1 for thm3."""
+        return {"thm1": self.d, "thm2": self.a}.get(self.forcing, 1.0)
+
     def forcing_argument(self, t: float | np.ndarray) -> float | np.ndarray:
         """k-Struve argument at time t, a float or an ndarray of times.
 
@@ -113,12 +118,7 @@ class KineticProblem:
             raise DomainError("constant forcing has no k-Struve argument")
         try:
             with np.errstate(over="ignore"):
-                if self.forcing == "thm1":
-                    x = (self.d * t) ** self.nu
-                elif self.forcing == "thm2":
-                    x = (self.a * t) ** self.nu
-                else:
-                    x = t ** self.nu
+                x = (self._forcing_rate() * t) ** self.nu
         except OverflowError:  # a float power past the largest double
             x = math.inf
         if not np.isfinite(x).all():
@@ -128,19 +128,34 @@ class KineticProblem:
     def forcing_value(self, t: float | np.ndarray) -> float | np.ndarray:
         """Forcing at time t under the oracle's policy; an ndarray of times gives an ndarray.
 
-        A grid's k-Struve sum takes ln(x/2) and ln|z| = 2 ln(x/2) + ln(|c|/k)
-        from numpy's log, not from a ``math.log`` per node.  That ln|z| is a
-        few ulps off the scalar loop's and term n carries n times the error,
-        so the grid is within eps sum_n (a + b n) |term_n| of the scalar
-        ``k_struve``, with a and b a few times |ln(x/2)|, |ln|z|| and
-        |ln|term_n||; 45.5 eps sum|term| has been seen at c < 0.
+        A 1-D array of times is one array sum of the k-Struve series, set up
+        as the closed form sets up its own (``_k_struve_inputs``): ln(x/2)
+        and ln|z| = 2 ln(x/2) + ln(|c|/k) come from numpy's log, not from a
+        ``math.log`` per node, and below the normal range, where x has lost
+        its bits or is 0, from ln t.  That ln|z| is a few ulps off the scalar
+        loop's and term n carries n times the error, so the grid is within
+        eps sum_n (a + b n) |term_n| of the scalar ``k_struve``, with a and b
+        a few times |ln(x/2)|, |ln|z|| and |ln|term_n||; 45.5 eps sum|term|
+        has been seen at c < 0.  A time 0 takes ``forcing_at_zero``.
         """
         if self.forcing == "constant":
             return np.full(t.shape, self.n0) if isinstance(t, np.ndarray) else self.n0
         x = self.forcing_argument(t)
-        if isinstance(x, np.ndarray):
-            return self.n0 * _k_struve_array(self.struve_params(), x, _ORACLE_POLICY, np.log)[0]
-        return self.n0 * k_struve(self.struve_params(), x, _ORACLE_POLICY)
+        if not isinstance(x, np.ndarray):
+            return self.n0 * k_struve(self.struve_params(), x, _ORACLE_POLICY)
+        _check_nodes(t, "t")
+        if (t < 0).any():
+            raise DomainError(f"forcing_value requires times t >= 0, got {t.min()}")
+        values = np.full(t.shape, self.forcing_at_zero() if (t == 0).any() else 0.0)
+        later = t > 0
+        with np.errstate(over="ignore"):
+            z, log_abs_z, log_pref, lower = _k_struve_inputs(
+                self, t[later], x[later], self._forcing_rate(), self.nu)
+        if not np.isfinite(z).all():
+            raise ConvergenceError(_argument_overflow("k_struve", x.max()))
+        values[later] = self.n0 * _wright_series_array(
+            "k_struve", z, (), lower, _ORACLE_POLICY, log_pref, log_abs_z)[0]
+        return values
 
     def forcing_at_zero(self) -> float:
         """Limit of the forcing at t -> 0+ (the oracle's starting value)."""
@@ -226,6 +241,18 @@ def _rate_power(rate: float, nu: float) -> float:
         raise ConvergenceError(f"{rate!r} ** {nu!r} overflows a double") from None
 
 
+def _k_struve_inputs(p: KineticProblem, t: np.ndarray, x: np.ndarray, rate: float,
+                     power: float):
+    """``_k_struve_series``' (z, ln|z|, log-prefactor, lower pairs) at x = (rate t)^power."""
+    half = x / 2.0
+    # below the normal range x / 2 has lost bits or is 0: ln(x/2) from ln t there
+    tiny = x < sys.float_info.min
+    log_half = np.log(np.where(tiny, 1.0, half))
+    log_half[tiny] = power * (math.log(rate) + np.log(t[tiny])) - math.log(2.0)
+    # ln|z| comes from the same ln(x/2); z sets only each node's sign and whether it is 0
+    return _k_struve_series(p.mu / p.k, p.c, p.k, half, log_half)
+
+
 def _variant_inputs(p: KineticProblem, t: np.ndarray, variants: tuple[str, ...]):
     """(b_0, b_1, the outer lower pairs, and per variant (z, ln|z|, log-prefactor, argument, row)).
 
@@ -260,13 +287,7 @@ def _variant_inputs(p: KineticProblem, t: np.ndarray, variants: tuple[str, ...])
             ml_arg, row = d_arg, 1
             x, rate, power = (tn, 1.0, p.nu) if p.forcing == "thm3" else (d_tn, p.d, p.nu)
         if (rate, power) not in series:
-            half = x / 2.0
-            # below the normal range x / 2 has lost bits or is 0: ln(x/2) from ln t there
-            tiny = x < sys.float_info.min
-            log_half = np.log(np.where(tiny, 1.0, half))
-            log_half[tiny] = power * (math.log(rate) + np.log(t[tiny])) - math.log(2.0)
-            # ln|z| comes from the same ln(x/2); z sets only each node's sign and whether it is 0
-            series[rate, power] = _k_struve_series(q, p.c, p.k, half, log_half)
+            series[rate, power] = _k_struve_inputs(p, t, x, rate, power)
         z, log_abs_z, log_pref, lower = series[rate, power]
         if variant == "as_printed":
             log_pref = log_pref - np.log(t)
@@ -652,8 +673,8 @@ def volterra_oracle(p: KineticProblem, grid: TimeGrid) -> OracleResult:
     """
     n = grid.n_points
     dn = _rate_power(p.d, p.nu)
+    n_zero = p.forcing_at_zero()  # first: a forcing that diverges at 0 is a DomainError
     forcing = p.forcing_value(grid.points())
-    n_zero = p.forcing_at_zero()
 
     boundary, column = _rl_weights(p.nu, grid.spacing, n)
     c = dn * column
@@ -700,11 +721,12 @@ def adjudicate(
     norm = float(np.max(np.abs(oracle.values)))
     if norm == 0.0:
         norm = 1.0
-    dev_p = float(np.max(np.abs(printed.values - oracle.values))) / norm
-    dev_c = float(np.max(np.abs(consistent.values - oracle.values))) / norm
-    end_ref = abs(oracle.values[-1]) or 1.0
-    dev_p_end = abs(printed.values[-1] - oracle.values[-1]) / end_ref
-    dev_c_end = abs(consistent.values[-1] - oracle.values[-1]) / end_ref
+    with np.errstate(over="ignore"):  # a deviation past the largest double is inf
+        dev_p = float(np.max(np.abs(printed.values - oracle.values))) / norm
+        dev_c = float(np.max(np.abs(consistent.values - oracle.values))) / norm
+        end_ref = abs(oracle.values[-1]) or 1.0
+        dev_p_end = abs(printed.values[-1] - oracle.values[-1]) / end_ref
+        dev_c_end = abs(consistent.values[-1] - oracle.values[-1]) / end_ref
     agreeing = tuple(
         sol.variant
         for sol, dev in ((printed, dev_p_end), (consistent, dev_c_end))

@@ -605,14 +605,11 @@ def _k_struve_series(q: float, c: float, k: float, half: np.ndarray, log_half: n
     return z, log_abs_z, log_pref, ((1.5, 1.0), (q + 1.5, 1.0))
 
 
-def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy, log=None):
+def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy):
     """``k_struve_info`` at every node of a 1-D array x; returns (values, terms_used).
 
-    By default ln(x/2) and ln|z| are the scalar loop's ``math.log`` maps,
-    which keep each value within 16 eps sum|term| of ``k_struve_info``'s.
-    A caller that does not need that agreement can pass ``log`` (numpy's
-    log, say) for ln(x/2); ln|z| is then 2 ln(x/2) + ln(|c|/k), as the
-    kinetic closed form takes it, with no second log pass.  A series
+    ln(x/2) and ln|z| are the scalar loop's ``math.log`` maps, which keep
+    each value within 16 eps sum|term| of ``k_struve_info``'s.  A series
     argument -c (x/2)^2 / k past the largest double is a ConvergenceError.
     """
     _check_nodes(x, "x")
@@ -628,15 +625,14 @@ def _k_struve_array(params: KStruveParams, x: np.ndarray, pol: TruncationPolicy,
     half = xp / 2.0  # as in _struve_series
     # _log_half at every node: ln(x/2) where x/2 is exact, else ln x - ln 2
     exact = half * 2.0 == xp
-    log_half = (log or _scalar_logs)(np.where(exact, half, xp))
+    log_half = _scalar_logs(np.where(exact, half, xp))
     log_half[~exact] -= _LOG_2
     with np.errstate(over="ignore"):
-        z, log_abs_z, log_pref, lower = _k_struve_series(q, params.c, params.k, half, log_half)
+        z, _, log_pref, lower = _k_struve_series(q, params.c, params.k, half, log_half)
     if not np.isfinite(z).all():
         raise ConvergenceError(_argument_overflow("k_struve", xp.max()))
     values[positive], used[positive], _ = _wright_series_array(
-        "k_struve", z, (), lower, pol, log_pref, None if log is None else log_abs_z,
-    )
+        "k_struve", z, (), lower, pol, log_pref)
     return values, used
 
 

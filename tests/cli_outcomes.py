@@ -10,8 +10,8 @@ bytes of every file the run left behind.  The temporary directory's path is
 replaced by ``<tmp>`` in all text.  The battery covers every subcommand,
 each exit code, both ``--config`` spellings, ``figures --format
 csv/svg/both``, negative values after a flag and in ``=`` form, and the
-closed form and Sumudu image at arguments that underflow or overflow,
-series whose terms all lie below the subnormal range, the
+closed form, Sumudu image and the oracle's forcing at arguments that
+underflow or overflow, series whose terms all lie below the subnormal range, the
 overflow guard tripped in ``solve`` and ``sweep`` (by the constant
 forcing's Mittag-Leffler factor too), n0 times the sum past the largest
 double, a long horizon that stops on the term budget, ``validate`` verdicts
@@ -109,6 +109,11 @@ BATTERY = [
      "--max-terms", "100", "--tol", "0.1"],
     ["validate", "--forcing", "thm2", "--nu", "0.9", "--t-max", "20", "--n-points", "257",
      "--max-terms", "100"],
+    # the oracle's forcing where x = d t is subnormal, and where it underflows to 0
+    ["validate", "--nu", "1", "--mu", "-0.4", "--d", "1e-10", "--t-max", "1e-313",
+     "--n-points", "4"],
+    ["validate", "--nu", "1", "--mu", "-0.5", "--d", "1e-10", "--t-max", "1e-320",
+     "--n-points", "4"],
     ["validate", "--bogus", "-1"],
     # figures
     ["figures", "--which", "2", "--n-points", "9", "--format", "csv"],

@@ -13,10 +13,9 @@ radius, entire, an upper pole), ``sumudu_kstruve_closed``,
 to 1e300, nu/k <= 0 too), and series arguments past the overflow
 guard, under the policies (50, 1e-16), (200, 0) and (7, 1e-16); the
 overflow cases also run at one term.  Array calls are hashed node by node:
-``k_struve`` and ``mittag_leffler`` on 1-D arrays, and
-``specfun._k_struve_array`` with numpy's log, as the Volterra oracle's
-forcing calls it, with x at 0, below the normal range and past the
-argument's overflow too.  Last come scalar and array draws whose series
+``k_struve`` and ``mittag_leffler`` on 1-D arrays, with x at 0, below the
+normal range and past the argument's overflow too.  Last come scalar and
+array draws whose series
 argument is subnormal but not 0.  Two checkouts that print the same
 digest give the same outcomes bit for bit; ``--lines`` prints every
 outcome, so a ``diff`` of two runs names the calls that differ.  Tier-1
@@ -128,8 +127,6 @@ def battery(seed: int) -> list:
         x = np.array(sorted(x))
         add(("k_struve array", params, *x),
             lambda pol, pr=params, x=x: specfun.k_struve(pr, x, pol))
-        add(("_k_struve_array np.log", params, *x),
-            lambda pol, pr=params, x=x: specfun._k_struve_array(pr, x, pol, np.log))
     for _ in range(ARRAY_CASES):
         alpha = rng.choice((0.5, 1.0, 2.0, rng.uniform(0.2, 3.0)))
         beta = rng.choice(ORDERS + (rng.uniform(-3.0, 4.0),))

@@ -4,6 +4,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -449,6 +450,30 @@ class TestValidate:
         assert main(argv + flags) == EXIT_NUMERICAL
         assert message in capsys.readouterr().err
         assert not (tmp_path / "val.csv").exists()
+
+    # x = d t is subnormal: the oracle's forcing takes ln(x/2) from ln t
+    _SUBNORMAL = ["validate", "--nu", "1", "--mu", "-0.4", "--d", "1e-10", "--t-max", "1e-313",
+                  "--n-points", "4"]
+
+    def test_subnormal_forcing_argument_agrees(self, tmp_path, capsys):
+        # sumudu_consistent is within 1e-13 of the true solution there, and
+        # so is the oracle now; it was up to 0.5 off, and validate exited 4
+        assert main(self._SUBNORMAL + ["--out", str(tmp_path / "val")]) == EXIT_OK
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.endswith("within tol 0.001 at t_max: sumudu_consistent; "
+                                "oracle monotone increasing: True")
+        rows = _data_rows(_read(tmp_path / "val.csv"))
+        assert all(float(r[5]) < 1e-13 for r in rows)
+
+    def test_deviation_past_the_largest_double_is_inf(self, tmp_path):
+        # as_printed is about 1e119 where the oracle is about 1e-194: the
+        # deviation column is inf with no numpy overflow warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main(self._SUBNORMAL + ["--out", str(tmp_path / "val")])
+        assert [str(w.message) for w in caught] == []
+        rows = _data_rows(_read(tmp_path / "val.csv"))
+        assert [r[4] for r in rows] == ["inf"] * 4
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tolerance_is_input_error(self, tmp_path, capsys, tol):

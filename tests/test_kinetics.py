@@ -325,6 +325,22 @@ class TestClosedForm:
         assert consistent.terms_used.max() == 1
         assert not printed.budget_stop.any()
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "kw, t_max",
+        [
+            # sumudu_consistent's outer terms lie below the subnormal range
+            (dict(forcing="thm2", nu=1.4747, mu=0.78, c=-1.0, k=0.5, a=2.5), 8.5e-110),
+            (dict(c=0.0), 1.0),  # z = 0: exact after term 0
+            (dict(forcing="thm3", c=0.0), 1.0),
+        ],
+    )
+    def test_stop_rules_match_reference(self, variant, kw, t_max):
+        # the reference applies the zero-argument and underflow stops with
+        # its own arithmetic; it ran to 50 terms and flagged every node of
+        # the first case, and raised at c = 0
+        self._check_reference(_problem(**kw), variant, 50, t_max=t_max)
+
     @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
     def test_subnormal_forcing_argument_matches_mpmath(self, variant):
         # x = d t is subnormal (about 1e-323), so x / 2 has lost its bits; the
@@ -342,7 +358,7 @@ class TestClosedForm:
                 lead = (mp.mpf(p.d) * t / 2) ** (q + 1) / (mp.gamma(1.5) * mp.gamma(q + 1.5))
                 if variant == "as_printed":  # Gamma(nu (q + 1) + 1) / Gamma(nu q + 1) and 1/t
                     lead *= mp.gamma(nu * (q + 1) + 1) / mp.gamma(nu * q + 1) / t
-                assert got == pytest.approx(float(lead), rel=1e-13)
+                assert got == pytest.approx(float(lead), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("variant", ["as_printed", "sumudu_consistent"])
     @pytest.mark.parametrize("rate", [dict(d=1e300), dict(forcing="thm2", a=1e300)])
@@ -884,18 +900,18 @@ class TestVolterraOracle:
         forcing_calls = []
         struve_calls = []
         real_forcing = KineticProblem.forcing_value
-        real_struve = kinetics._k_struve_array
+        real_struve = kinetics._wright_series_array
 
         def counted_forcing(self, t):
             forcing_calls.append(t)
             return real_forcing(self, t)
 
-        def counted_struve(params, x, pol, log):
-            struve_calls.append(x)
-            return real_struve(params, x, pol, log)
+        def counted_struve(what, z, *args):
+            struve_calls.append(z)
+            return real_struve(what, z, *args)
 
         monkeypatch.setattr(KineticProblem, "forcing_value", counted_forcing)
-        monkeypatch.setattr(kinetics, "_k_struve_array", counted_struve)
+        monkeypatch.setattr(kinetics, "_wright_series_array", counted_struve)
         monkeypatch.setattr(kinetics, "k_struve", None)  # no scalar call per node
         grid = TimeGrid(t_max=1.0, n_points=64)
         res = volterra_oracle(_problem(forcing=forcing), grid)
@@ -928,6 +944,34 @@ class TestVolterraOracle:
         with pytest.raises(DomainError):
             volterra_oracle(_problem(mu=-1.2, k=1.0), TimeGrid(t_max=1.0, n_points=8))
 
+    @pytest.mark.parametrize("mu, t_max", [(-0.4, 1e-313), (-0.5, 1e-320)])
+    def test_subnormal_forcing_argument_matches_mpmath(self, mu, t_max):
+        # x = d t is subnormal at 1e-313, where it has lost its bits, and 0 at
+        # 1e-320; the forcing's r = 0 term is its whole sum to double
+        # precision, and the oracle's N is the forcing there, since d^nu
+        # times its integral is below 1e-300 of it.  The forcing was up to
+        # 0.5 off at 1e-313 and 0.0 at every node at 1e-320
+        import mpmath as mp
+
+        p, grid = _problem(nu=1.0, mu=mu, d=1e-10), TimeGrid(t_max=t_max, n_points=4)
+        forcing = p.forcing_value(grid.points())
+        oracle = volterra_oracle(p, grid).values
+        with mp.workdps(40):
+            for t, got, solved in zip(grid.points(), forcing, oracle):
+                x = mp.mpf(p.d) * mp.mpf(t)
+                true = (x / 2) ** (mp.mpf(mu) + 1) / (mp.gamma(1.5) * mp.gamma(mp.mpf(mu) + 1.5))
+                assert got == pytest.approx(float(true), rel=1e-13, abs=0.0)
+                assert solved == pytest.approx(float(true), rel=1e-13, abs=0.0)
+
+    def test_forcing_at_time_zero_is_its_limit(self):
+        # a time 0 in an array gives the limit 0 there, and a DomainError
+        # where the forcing diverges there, as before ln(x/2) came from ln t
+        t = np.array([0.0, 0.5])
+        forcing = _problem().forcing_value(t)
+        assert forcing[0] == 0.0 and forcing[1] == _problem().forcing_value(0.5)
+        with pytest.raises(DomainError):
+            _problem(mu=-1.2).forcing_value(t)
+
     def test_solution_near_largest_double(self):
         # the solve runs on rhs scaled into [1/2, 1): unscaled, the split FFT
         # products overflowed and 449 of the 513 nodes came back NaN
@@ -958,6 +1002,16 @@ class TestAdjudicate:
         assert report.dev_printed > 0.1
         assert report.oracle_monotone_increasing
 
+    def test_deviation_past_the_largest_double_is_inf(self):
+        # x = d t is subnormal: as_printed is about 1e119 where the oracle is
+        # about 1e-194, so its deviations are inf, with no numpy overflow
+        # warning (an error under this suite's filter)
+        p = _problem(nu=1.0, mu=-0.4, d=1e-10)
+        report = adjudicate(p, TimeGrid(t_max=1e-313, n_points=4))
+        assert report.dev_printed == report.dev_printed_at_end == math.inf
+        assert report.dev_consistent_at_end < 1e-13
+        assert report.agreeing == ("sumudu_consistent",)
+
     def test_summary_mentions_both_variants(self):
         grid = TimeGrid(t_max=1.0, n_points=128)
         text = adjudicate(_problem(), grid).summary()
@@ -987,7 +1041,8 @@ class TestAdjudicate:
         # one outer array loop for both variants; each reported solution
         # holds the values, terms used, budget stops and flags
         # solve_closed_form gives it alone (a rebuild only the other variant
-        # needs: the tests below)
+        # needs: the tests below).  The oracle's forcing is an array loop of
+        # its own, not counted here
         calls = []
         real = kinetics._wright_series_array
         monkeypatch.setattr(
@@ -996,7 +1051,7 @@ class TestAdjudicate:
         )
         p, grid = _problem(**kw), TimeGrid(t_max=t_max, n_points=n)
         report = adjudicate(p, grid, POL)
-        assert len(calls) == 1
+        assert [what for what, *_ in calls].count("closed form") == 1
         assert (report.printed.variant, report.consistent.variant) == VARIANTS
         for sol in (report.printed, report.consistent):
             alone = solve_closed_form(p, grid, sol.variant, POL)
