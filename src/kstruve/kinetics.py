@@ -368,7 +368,8 @@ def _ml_lattice(
     ``lattice`` is (b_0, b_1, nu), b_j = b_1 + (j - 1) nu for j >= 1, and
     ``gammas`` its record (s_j, L_j) = ``_signed_log_gamma(b_j)``: two lists
     that each walk extends past the rows already in them.  At a pole a walk
-    sets L_j = L_{j+1}, the L of the next row up that is no pole in every walk.
+    sets L_j = L_{j+1}, the L of the nearest row above that is no pole, so
+    every walk sets the same value.
     z is one argument at the nodes, bounded by z_max on the whole grid, and
     the rows 2r + i, i in ``reads`` and r < count, are stored.
     E_{a,b}(z) = 1/Gamma(b) + z E_{a,b+a}(z) runs down the lattice as

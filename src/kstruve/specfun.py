@@ -161,7 +161,7 @@ def log_gamma(x: float) -> float:
 
 
 def _signed_log_gamma(x: float) -> tuple[float, float]:
-    """(sign, ln|Gamma(x)|) for any non-pole x; (0, -inf) at a pole.
+    """(sign, ln|Gamma(x)|) for any non-pole x; (0, inf) at a pole.
 
     A zero sign marks a pole of Gamma, where the reciprocal 1/Gamma is taken
     as 0 inside series terms (analytic continuation of 1/Gamma).

@@ -15,11 +15,10 @@ guard, under the policies (50, 1e-16), (200, 0) and (7, 1e-16); the
 overflow cases also run at one term.  Array calls are hashed node by node:
 ``k_struve`` and ``mittag_leffler`` on 1-D arrays, with x at 0, below the
 normal range and past the argument's overflow too.  Last come scalar and
-array draws whose series
-argument is subnormal but not 0.  Two checkouts that print the same
-digest give the same outcomes bit for bit; ``--lines`` prints every
-outcome, so a ``diff`` of two runs names the calls that differ.  Tier-1
-does not collect this file.
+array draws whose series argument is subnormal but not 0.  Two checkouts
+that print the same digest give the same outcomes bit for bit;
+``--lines`` prints every outcome, so a ``diff`` of two runs names the
+calls that differ.  Tier-1 does not collect this file.
 """
 
 import argparse
